@@ -18,7 +18,6 @@ from . import perf, validation
 from .grid import GridShape, SchemeParams
 from .ic import KINDS, init_condition
 from .snapshot import read_snapshot, slice_export, write_snapshot
-from .stepper import run as run_cycles
 from .stepper import step_cycle
 
 ENV_WORKERS = "TVDMHD_WORKERS"
@@ -231,7 +230,7 @@ def bench_command(sizes, repeats, workers, precision, machines_path=None,
 
 
 def validate_command(full=False, out=sys.stdout) -> int:
-    """Run the invariant checks; one machine-readable line per check."""
+    """Run the invariant checks; one machine-readable line per check; 1 if any fails."""
     out.write("# check\tvalue\tthreshold\tverdict\n")
     failures = 0
     for result in validation.default_checks(full=full):
@@ -240,7 +239,7 @@ def validate_command(full=False, out=sys.stdout) -> int:
     if not full:
         out.write("scaling_ratio_128_64\tnan\tnan\tSKIPPED\trun with --full\n")
     out.write(f"# {failures} failure(s)\n")
-    return 0
+    return 1 if failures else 0
 
 
 def slice_command(args, out=sys.stdout) -> int:

@@ -13,58 +13,131 @@ The freezing speed is taken uniform along each pencil (the maximum of
 |v1| + c_fast over the line, re-evaluated each stage).  A per-cell speed
 would contaminate the energy split on contact data and break the exact
 reduction of uniform-velocity advection to a scalar TVD scheme.
+
+Blocking.  A slab is viewed as rows (pencils) over its flattened (k, j) axis,
+and both stages and the update run on one block of rows before the next
+starts, so each temporary is a block, not a slab: it is reused from cache and
+from the heap instead of streaming through memory and fresh pages (see
+``_BLOCK_BYTES`` for the measured size).  The five variables of a block are
+stacked in one array, and every row is copied once with ``_GHOST`` periodic
+images at each end; the stencil then runs on the flattened stack with shifted
+slices rather than rolled copies, and values computed across row ends are
+never kept.  Every kept value comes from the same operations on the same
+operands as an unblocked evaluation, so results are bitwise independent of the
+block size and the worker count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .grid import ConservedState, SchemeParams, face_to_center
 from .parallel import parallel_for, partition
 
+# Bytes per variable of one row block.  A block's peak live set is about 90
+# such arrays (the five-variable stacks count five times), so this bounds the
+# memory a block churns through.  Measured with perfbench on a 2-core host
+# (2 MiB L2 per core, single precision):
+# - 64^3, 1 worker: in alternating traced runs the fluid sweep took 290 and
+#   327 ms per cycle at 48 KiB, 360 and 416 ms at 64 KiB.  Larger blocks
+#   leave L2 and make glibc trim and re-fault the heap between blocks (2k-35k
+#   page faults per cycle at 64 KiB, depending on the heap layout).
+# - 128^3, 2 workers: every numpy call hands the interpreter lock to the other
+#   thread, so small blocks pay in lock hand-offs: 32 KiB made the cycle
+#   slower than the unblocked code, 48 KiB was 6-22% faster than it and
+#   64 KiB 14-28%.
+# 48 KiB keeps the single-worker gain without the two-worker loss.
+_BLOCK_BYTES = 48 << 10
+# Periodic images at each end of a padded row: the stencil of a flux
+# difference reaches two cells to either side.
+_GHOST = 2
+
 
 class PositivityError(ValueError):
-    """Density or pressure left the physical range; message carries the cell index."""
+    """The state left the physical range (rho <= 0, p < 0 or non-finite); names the cell."""
 
 
-def _first_bad(mask: np.ndarray, offset: int = 0) -> tuple:
-    idx = np.unravel_index(int(np.argmax(mask)), mask.shape)
-    if mask.ndim == 3:
-        k, j, i = (int(v) for v in idx)
-        return (i, j, k + offset)
-    return tuple(int(v) for v in idx)
+def _cell(flat: int, shape: tuple, origin: tuple[int, int] | None) -> tuple:
+    # Index of C-order position `flat`.  Grid arrays (3D, or 2D block rows with
+    # origin = (global row of the block's first row, n2)) give (i, j, k).
+    if len(shape) == 3:
+        origin, shape = (0, shape[1]), (shape[0] * shape[1], shape[2])
+    idx = tuple(int(v) for v in np.unravel_index(flat, shape))
+    if origin is None:
+        return idx
+    k, j = divmod(origin[0] + idx[0], origin[1])
+    return (idx[1], j, k)
 
 
-def _check_positive(rho: np.ndarray, p: np.ndarray, offset: int = 0, where: str = "") -> None:
-    suffix = f" {where}" if where else ""
-    bad = rho <= 0
-    if bad.any():
-        cell = _first_bad(bad, offset)
-        raise PositivityError(f"non-positive density at cell {cell}{suffix}")
-    bad = p < 0
-    if bad.any():
-        cell = _first_bad(bad, offset)
-        raise PositivityError(f"negative pressure at cell {cell}{suffix}")
+def check_positive(rho: np.ndarray, p: np.ndarray | None, where: str = "",
+                   origin: tuple[int, int] | None = None) -> None:
+    """Raise PositivityError at the first cell with rho <= 0 or p < 0; NaN fails both.
+
+    `p` may be None to check the density alone.  `origin` locates a (rows, n1)
+    block: row r is (k, j) = divmod(origin[0] + r, origin[1]).
+    """
+    checks = [(rho > 0, rho, "density", "non-positive")]
+    if p is not None:
+        checks.append((p >= 0, p, "pressure", "negative"))
+    for ok, arr, name, kind in checks:
+        if not ok.all():
+            flat = int(np.argmin(ok))
+            if not np.isfinite(arr.flat[flat]):
+                kind = "non-finite"
+            suffix = f" {where}" if where else ""
+            raise PositivityError(f"{kind} {name} at cell {_cell(flat, ok.shape, origin)}{suffix}")
+
+
+def _pressure(rho, m, e, pm, gamma):
+    # m: the three momenta; pm: the magnetic pressure.
+    kinetic = 0.5 * (m[0] * m[0] + m[1] * m[1] + m[2] * m[2]) / rho
+    return (gamma - 1.0) * (e - kinetic - pm)
 
 
 def gas_pressure(rho, mom1, mom2, mom3, e, bc1, bc2, bc3, gamma):
     """p = (gamma - 1)(e - kinetic - magnetic), with cell-centered field values."""
-    kinetic = 0.5 * (mom1 * mom1 + mom2 * mom2 + mom3 * mom3) / rho
-    magnetic = 0.5 * (bc1 * bc1 + bc2 * bc2 + bc3 * bc3)
-    return (gamma - 1.0) * (e - kinetic - magnetic)
+    pm = 0.5 * (bc1 * bc1 + bc2 * bc2 + bc3 * bc3)
+    return _pressure(rho, (mom1, mom2, mom3), e, pm, gamma)
+
+
+def _harmonic(dl, dr):
+    prod = dl * dr
+    s = dl + dr
+    safe = np.where(s == 0, 1, s)
+    return prod, np.where(prod > 0, 2.0 * prod / safe, prod * 0)
 
 
 def vanleer(dl, dr):
     """Harmonic-mean slope limiter: 2 dl dr / (dl + dr) when the slopes agree, else 0."""
     dl = np.asarray(dl)
     dr = np.asarray(dr)
-    prod = dl * dr
-    s = dl + dr
-    safe = np.where(s == 0, 1, s)
-    out = np.where(prod > 0, 2.0 * prod / safe, prod * 0)
+    try:
+        with np.errstate(under="raise"):
+            _, out = _harmonic(dl, dr)
+    except FloatingPointError:
+        # Some dl dr fell below the normal range, where a product keeps only a
+        # few digits; there 2 small (big / (dl + dr)) forms no tiny product.
+        with np.errstate(under="ignore"):
+            prod, out = _harmonic(dl, dr)
+            dl, dr = np.broadcast_arrays(dl, dr)
+            fix = (prod > 0) & (prod < np.finfo(out.dtype).tiny)
+            a, b = dl[fix], dr[fix]
+            a_small = np.abs(a) <= np.abs(b)
+            out[fix] = 2.0 * np.where(a_small, a, b) * (np.where(a_small, b, a) / (a + b))
     return out[()] if out.ndim == 0 else out
+
+
+def _fast_speed(rho, p, b1sq, bsq, gamma):
+    # Unchecked: callers have already checked rho and p.  b1sq = b1^2 along
+    # the axis, bsq = b1^2 + b2^2 + b3^2 summed in that order.
+    a2 = gamma * p / rho
+    tot = a2 + bsq / rho
+    disc = tot * tot - 4.0 * a2 * b1sq / rho
+    return np.sqrt(0.5 * (tot + np.sqrt(np.maximum(disc, 0))))
 
 
 def fast_speed(rho, p, b1, b2, b3, gamma):
@@ -75,44 +148,52 @@ def fast_speed(rho, p, b1, b2, b3, gamma):
     """
     rho = np.asarray(rho)
     p = np.asarray(p)
-    _check_positive(rho, p)
-    a2 = gamma * p / rho
-    bb = (np.asarray(b1) ** 2 + np.asarray(b2) ** 2 + np.asarray(b3) ** 2) / rho
-    tot = a2 + bb
-    disc = tot * tot - 4.0 * a2 * np.asarray(b1) ** 2 / rho
-    cf2 = 0.5 * (tot + np.sqrt(np.maximum(disc, 0)))
-    out = np.sqrt(cf2)
+    check_positive(rho, p)
+    b1sq = np.asarray(b1) ** 2
+    out = _fast_speed(rho, p, b1sq, b1sq + np.asarray(b2) ** 2 + np.asarray(b3) ** 2, gamma)
     return out[()] if out.ndim == 0 else out
 
 
-def _plane_chunks(lo: int, hi: int, plane_bytes: int, target: int = 2 << 20):
-    """Split [lo, hi) into ranges whose temporaries stay around `target` bytes.
+def _row_blocks(n_rows: int, row_bytes: int):
+    """Split [0, n_rows) into blocks of about _BLOCK_BYTES per array."""
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    for r0 in range(0, n_rows, step):
+        yield r0, min(r0 + step, n_rows)
 
-    Bounding the chunk keeps numpy temporaries inside the allocator's reuse
-    range on large grids; the arithmetic is pencil-local, so chunk boundaries
-    cannot change any result bitwise.
-    """
-    step = max(1, target // max(plane_bytes, 1))
-    for clo in range(lo, hi, step):
-        yield clo, min(clo + step, hi)
+
+def _rows(arr: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Planes [lo, hi) of a grid array as a (rows, n1) view (never a copy)."""
+    if not arr.flags.c_contiguous:
+        raise ValueError("state arrays must be C-contiguous")
+    return arr[lo:hi].reshape(-1, arr.shape[-1])
 
 
 def cfl_timestep(state: ConservedState, params: SchemeParams) -> float:
-    """Largest stable dt: courant * dx / max over cells and axes of |v| + c_fast."""
+    """Largest stable dt: courant * dx / max over cells and axes of |v| + c_fast.
+
+    Raises PositivityError on a non-positive or non-finite state.
+    """
     bc1, bc2, bc3 = face_to_center(state)
     n3, n2, n1 = state.shape.array_shape
-    plane_bytes = n2 * n1 * state.dtype.itemsize
+    where = (f"in the cfl timestep ({state.shape.orientation[0]} fastest), "
+             f"cycle {state.cycle}")
+    arrays = [_rows(a, 0, n3) for a in (state.rho, state.mom1, state.mom2, state.mom3,
+                                        state.e, bc1, bc2, bc3)]
     speed = 0.0
-    for lo, hi in _plane_chunks(0, n3, plane_bytes):
-        rho, e = state.rho[lo:hi], state.e[lo:hi]
-        m1, m2, m3 = state.mom1[lo:hi], state.mom2[lo:hi], state.mom3[lo:hi]
-        b1, b2, b3 = bc1[lo:hi], bc2[lo:hi], bc3[lo:hi]
+    for r0, r1 in _row_blocks(n3 * n2, n1 * state.dtype.itemsize):
+        rho, m1, m2, m3, e, b1, b2, b3 = (a[r0:r1] for a in arrays)
         p = gas_pressure(rho, m1, m2, m3, e, b1, b2, b3, params.gamma)
-        _check_positive(rho, p, lo)
+        check_positive(rho, p, where, (r0, n2))
         for m, b_along, b_t1, b_t2 in ((m1, b1, b2, b3), (m2, b2, b3, b1),
                                        (m3, b3, b1, b2)):
-            cf = fast_speed(rho, p, b_along, b_t1, b_t2, params.gamma)
-            speed = max(speed, float(np.max(np.abs(m / rho) + cf)))
+            sq = b_along ** 2
+            cf = _fast_speed(rho, p, sq, sq + b_t1 ** 2 + b_t2 ** 2, params.gamma)
+            sig = np.abs(m / rho) + cf
+            top = float(np.max(sig))
+            if not top < math.inf:
+                cell = _cell(int(np.argmin(np.isfinite(sig))), sig.shape, (r0, n2))
+                raise PositivityError(f"non-finite signal speed at cell {cell} {where}")
+            speed = max(speed, top)
     if speed == 0.0:
         raise ValueError("static state: dt unbounded")
     return params.courant * state.shape.dx / speed
@@ -160,45 +241,93 @@ def freeze_speed(pencil: Pencil, gamma: float) -> FreezeSpeed:
     return FreezeSpeed(np.broadcast_to(cmax, pencil.rho.shape).copy())
 
 
-def _physical_fluxes(rho, m1, m2, m3, e, bc1, bc2, bc3, v1, v2, v3, p):
-    pstar = p + 0.5 * (bc1 * bc1 + bc2 * bc2 + bc3 * bc3)
-    f_rho = m1
-    f_m1 = m1 * v1 + pstar - bc1 * bc1
-    f_m2 = m2 * v1 - bc1 * bc2
-    f_m3 = m3 * v1 - bc1 * bc3
-    f_e = (e + pstar) * v1 - bc1 * (bc1 * v1 + bc2 * v2 + bc3 * v3)
-    return f_rho, f_m1, f_m2, f_m3, f_e
+def _padded(lines) -> np.ndarray:
+    # Stack equal-shape arrays of rows, with _GHOST periodic images at each row end.
+    n = lines[0].shape[-1]
+    out = np.empty((len(lines),) + lines[0].shape[:-1] + (n + 2 * _GHOST,),
+                   dtype=np.result_type(*lines))
+    for dst, src in zip(out, lines):
+        dst[..., _GHOST:-_GHOST] = src
+    _fill_ghosts(out)
+    return out
 
 
-def _interface_fluxes(u5, f5, c, order):
-    # flux[..., i] sits on the interface between cells i and i+1 (periodic).
-    out = []
-    for u, f in zip(u5, f5):
-        wp = 0.5 * (f + c * u)
-        wm = 0.5 * (c * u - f)
-        if order == 1:
-            out.append(wp - np.roll(wm, -1, axis=-1))
-            continue
-        dwp = np.roll(wp, -1, axis=-1) - wp
-        fp = wp + 0.5 * vanleer(np.roll(dwp, 1, axis=-1), dwp)
-        g = wm - np.roll(wm, -1, axis=-1)
-        fm = np.roll(wm, -1, axis=-1) + 0.5 * vanleer(np.roll(g, -1, axis=-1), g)
-        out.append(fp - fm)
-    return tuple(out)
+def _fill_ghosts(x: np.ndarray) -> None:
+    x[..., :_GHOST] = x[..., -2 * _GHOST:-_GHOST]
+    x[..., -_GHOST:] = x[..., _GHOST:2 * _GHOST]
 
 
-def _stage(u5, bc, gamma, order, offset=0, where=""):
-    rho, m1, m2, m3, e = u5
-    bc1, bc2, bc3 = bc
-    v1 = m1 / rho
-    v2 = m2 / rho
-    v3 = m3 / rho
-    p = gas_pressure(rho, m1, m2, m3, e, bc1, bc2, bc3, gamma)
-    _check_positive(rho, p, offset, where)
-    cf = fast_speed(rho, p, bc1, bc2, bc3, gamma)
-    c = np.max(np.abs(v1) + cf, axis=-1, keepdims=True)
-    f5 = _physical_fluxes(rho, m1, m2, m3, e, bc1, bc2, bc3, v1, v2, v3, p)
-    return _interface_fluxes(u5, f5, c, order)
+def _interior(x: np.ndarray) -> np.ndarray:
+    return x[..., _GHOST:-_GHOST]
+
+
+class _Field(NamedTuple):
+    """Products of the frozen cell-centered field on a padded block, shared by both stages."""
+
+    bc: np.ndarray     # (bc1, bc2, bc3) stacked
+    sq: np.ndarray     # bc * bc per component
+    total: np.ndarray  # sq[0] + sq[1] + sq[2]
+    pm: np.ndarray     # magnetic pressure, total / 2
+    b1b: np.ndarray    # bc1 * (bc1, bc2, bc3)
+
+
+def _field(bc: np.ndarray) -> _Field:
+    sq = bc * bc
+    total = sq[0] + sq[1] + sq[2]
+    return _Field(bc, sq, total, 0.5 * total, bc[0] * bc)
+
+
+def _physical_fluxes(u5, field, v, p):
+    # The five fluxes, stacked like u5: rho v1, m v1 + (p*, 0, 0) - b1 b,
+    # and (e + p*) v1 - b1 (b . v), with p* = p + pm.
+    m, e = u5[1:4], u5[4]
+    pstar = p + field.pm
+    f5 = np.empty_like(u5)
+    f5[0] = m[0]
+    mv = m * v[0]
+    mv[0] += pstar
+    np.subtract(mv, field.b1b, out=f5[1:4])
+    bv = field.bc * v
+    np.subtract((e + pstar) * v[0], field.bc[0] * (bv[0] + bv[1] + bv[2]), out=f5[4])
+    return f5
+
+
+def _interface_flux(u, f, c, order):
+    # On padded rows flattened to positions q: entry s is the flux through the
+    # interface between positions s + 1 and s + 2.  Entries whose stencil
+    # crosses a row end are garbage and are never kept.
+    cu = c * u
+    wp = (0.5 * (f + cu)).reshape(-1)
+    wm = (0.5 * (cu - f)).reshape(-1)
+    if order == 1:
+        return wp[1:-2] - wm[2:-1]
+    dwp = wp[1:] - wp[:-1]
+    fp = wp[1:-2] + 0.5 * vanleer(dwp[:-2], dwp[1:-1])
+    g = wm[:-1] - wm[1:]
+    fm = wm[2:-1] + 0.5 * vanleer(g[2:], g[1:-1])
+    return fp - fm
+
+
+def _stage(u5, field, gamma, order, where, origin):
+    # Flux differences F(q) - F(q - 1) of one stage on stacked padded rows, for
+    # the flattened positions q in [_GHOST, size - _GHOST).
+    rho, m = u5[0], u5[1:4]
+    v = m / rho
+    p = _pressure(rho, m, u5[4], field.pm, gamma)
+    check_positive(_interior(rho), _interior(p), where, origin)
+    cf = _fast_speed(rho, p, field.sq[0], field.total, gamma)
+    c = np.max(np.abs(v[0]) + cf, axis=-1, keepdims=True)  # ghosts repeat cells: same max
+    flux = _interface_flux(u5, _physical_fluxes(u5, field, v, p), c, order)
+    return flux[1:] - flux[:-1]
+
+
+def _advance(u, diff, factor):
+    # u - factor * diff on padded rows, with the ghosts refreshed from the new cells.
+    out = np.empty_like(u)
+    np.subtract(u.reshape(-1)[_GHOST:-_GHOST], factor * diff,
+                out=out.reshape(-1)[_GHOST:-_GHOST])
+    _fill_ghosts(out)
+    return out
 
 
 def relaxed_flux(pencil: Pencil, c: FreezeSpeed, gamma: float):
@@ -207,37 +336,29 @@ def relaxed_flux(pencil: Pencil, c: FreezeSpeed, gamma: float):
     flux[i] is the flux through the interface between cells i and i+1; each value
     depends only on the four cells adjacent to its interface.
     """
-    rho = pencil.rho
-    v1 = pencil.mom1 / rho
-    v2 = pencil.mom2 / rho
-    v3 = pencil.mom3 / rho
-    p = gas_pressure(rho, pencil.mom1, pencil.mom2, pencil.mom3, pencil.e,
-                     pencil.b1, pencil.b2, pencil.b3, gamma)
-    _check_positive(rho, p)
-    u5 = (rho, pencil.mom1, pencil.mom2, pencil.mom3, pencil.e)
-    f5 = _physical_fluxes(rho, pencil.mom1, pencil.mom2, pencil.mom3, pencil.e,
-                          pencil.b1, pencil.b2, pencil.b3, v1, v2, v3, p)
-    return _interface_fluxes(u5, f5, c.c, order=2)
+    u5 = _padded([pencil.rho, pencil.mom1, pencil.mom2, pencil.mom3, pencil.e])
+    field = _field(_padded([pencil.b1, pencil.b2, pencil.b3]))
+    cc = _padded([c.c])[0]
+    rho, m = u5[0], u5[1:4]
+    p = _pressure(rho, m, u5[4], field.pm, gamma)
+    check_positive(_interior(rho), _interior(p))
+    flux = np.empty_like(u5)
+    flux.reshape(-1)[1:-2] = _interface_flux(u5, _physical_fluxes(u5, field, m / rho, p),
+                                             cc, order=2)
+    return tuple(_interior(flux))
 
 
-def _sweep_slab(state, bc1, bc2, bc3, lam, gamma, lo, hi):
-    u5 = (state.rho[lo:hi], state.mom1[lo:hi], state.mom2[lo:hi],
-          state.mom3[lo:hi], state.e[lo:hi])
-    bc = (bc1[lo:hi], bc2[lo:hi], bc3[lo:hi])
+def _sweep_block(u5, bc, lam, gamma, where, origin):
+    # Both stages and the update of one block of rows; writes the result into u5.
+    pu = _padded(u5)
+    field = _field(_padded(bc))
+    half = _advance(pu, _stage(pu, field, gamma, 1, where[0], origin), 0.5 * lam)
+    new = _interior(_advance(pu, _stage(half, field, gamma, 2, where[1], origin), lam))
 
-    f1 = _stage(u5, bc, gamma, order=1, offset=lo)
-    half = tuple(u - 0.5 * lam * (f - np.roll(f, 1, axis=-1)) for u, f in zip(u5, f1))
-    f2 = _stage(half, bc, gamma, order=2, offset=lo, where="(half step)")
-    new = tuple(u - lam * (f - np.roll(f, 1, axis=-1)) for u, f in zip(u5, f2))
-
-    p = gas_pressure(*new, *bc, gamma)
-    _check_positive(new[0], p, lo, "after fluid update")
-
-    state.rho[lo:hi] = new[0]
-    state.mom1[lo:hi] = new[1]
-    state.mom2[lo:hi] = new[2]
-    state.mom3[lo:hi] = new[3]
-    state.e[lo:hi] = new[4]
+    p = _pressure(new[0], new[1:4], new[4], _interior(field.pm), gamma)
+    check_positive(new[0], p, where[2], origin)
+    for dst, src in zip(u5, new):
+        dst[...] = src
 
 
 def fluid_sweep(state: ConservedState, dt: float, params: SchemeParams,
@@ -248,15 +369,21 @@ def fluid_sweep(state: ConservedState, dt: float, params: SchemeParams,
     limited fluxes evaluated on the half-step state, so pencil sums telescope
     exactly under periodic wraparound.
     """
-    bc1, bc2, bc3 = face_to_center(state)
+    bc = face_to_center(state)
     lam = dt / state.shape.dx
-    part = partition(state.shape.n3, workers)
     n3, n2, n1 = state.shape.array_shape
-    plane_bytes = n2 * n1 * state.dtype.itemsize
+    row_bytes = n1 * state.dtype.itemsize
+    axis = state.shape.orientation[0]
+    where = tuple(f"in the {axis} sweep{stage}, cycle {state.cycle}"
+                  for stage in ("", " (half step)", " after the fluid update"))
+    fields = (state.rho, state.mom1, state.mom2, state.mom3, state.e)
 
     def body(_i, lo, hi):
-        for clo, chi in _plane_chunks(lo, hi, plane_bytes):
-            _sweep_slab(state, bc1, bc2, bc3, lam, params.gamma, clo, chi)
+        u_rows = [_rows(a, lo, hi) for a in fields]
+        b_rows = [_rows(b, lo, hi) for b in bc]
+        for r0, r1 in _row_blocks(len(u_rows[0]), row_bytes):
+            _sweep_block([u[r0:r1] for u in u_rows], [b[r0:r1] for b in b_rows],
+                         lam, params.gamma, where, (lo * n2 + r0, n2))
 
-    parallel_for(part, body)
+    parallel_for(partition(n3, workers), body)
     return state

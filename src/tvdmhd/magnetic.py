@@ -69,8 +69,8 @@ def magnetic_sweep(state: ConservedState, dt: float, params: SchemeParams,
     """
     shape = state.shape
     lam = dt / shape.dx
-    if (state.rho <= 0).any():
-        raise fluid.PositivityError("non-positive density entering magnetic update")
+    fluid.check_positive(state.rho, None, f"entering the {shape.orientation[0]} magnetic "
+                                          f"update, cycle {state.cycle}")
     v1 = state.mom1 / state.rho
     part = partition(shape.n3, workers)
 

@@ -95,12 +95,20 @@ def test_validate_command_report_is_machine_readable(monkeypatch):
     ]
     monkeypatch.setattr(validation, "default_checks", lambda full=False: cheap)
     buf = io.StringIO()
-    assert cli.validate_command(out=buf) == 0
+    assert cli.validate_command(out=buf) == 1  # beta fails
     lines = buf.getvalue().splitlines()
     assert lines[1] == "alpha\t1\t2\tPASS"
     assert lines[2] == "beta\t3\t2\tFAIL\tdemo"
     assert lines[3].startswith("scaling_ratio_128_64") and "SKIPPED" in lines[3]
     assert lines[4] == "# 1 failure(s)"
+
+
+def test_validate_command_returns_zero_when_every_check_passes(monkeypatch):
+    cheap = [validation.CheckResult("alpha", 1.0, 2.0, True)]
+    monkeypatch.setattr(validation, "default_checks", lambda full=False: cheap)
+    buf = io.StringIO()
+    assert cli.validate_command(out=buf) == 0
+    assert buf.getvalue().splitlines()[-1] == "# 0 failure(s)"
 
 
 def test_tvd_check_negative_control(monkeypatch):

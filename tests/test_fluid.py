@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvdmhd import (GridShape, PositivityError, SchemeParams, allocate_state,
-                    cfl_timestep, fast_speed, fluid_sweep, freeze_speed,
-                    init_condition, relaxed_flux, totals, vanleer)
+                    cfl_timestep, fast_speed, fluid, fluid_sweep, freeze_speed,
+                    init_condition, magnetic_sweep, relaxed_flux, step_cycle,
+                    totals, vanleer)
 from tvdmhd.fluid import Pencil
+from tvdmhd.parallel import SlabError
 
 from conftest import random_state
 
@@ -89,6 +91,17 @@ def test_vanleer_symmetric_and_bounded(a, b):
     else:
         assert 0 <= abs(out) <= 2 * min(abs(a), abs(b)) + 1e-9 * abs(out)
         assert np.sign(out) == np.sign(a)
+
+
+def test_vanleer_underflowed_product_stays_bounded():
+    # dl * dr is subnormal here; 2 dl dr / (dl + dr) formed from it came out
+    # 15% above 2 min(|dl|, |dr|) (a falsifying example of the test above).
+    a, b = -1.4278677992273454e-122, -5.995738167430617e-202
+    assert vanleer(a, b) == 2 * b
+    got = vanleer(np.array([a, 1.0], dtype=np.float64), np.array([b, 3.0]))
+    assert got[0] == 2 * b and got[1] == 1.5
+    x = np.float32(3e-20)
+    assert vanleer(x, x) == x
 
 
 @given(a=st.floats(0.01, 1e3), b=st.floats(0.01, 1e3), s=st.floats(0.01, 100))
@@ -273,3 +286,62 @@ def test_sweep_single_precision_stays_single():
     state = init_condition("advect_pulse", GridShape(32, 8, 8), params32)
     fluid_sweep(state, cfl_timestep(state, params32), params32)
     assert state.rho.dtype == np.float32
+
+
+def test_sweep_blocked_index_in_second_slab(params):
+    # 64^3 double on 2 workers: the bad cell sits in slab 1, far past the first
+    # row block, so the flat block row must map back to (i, j, k + lo).
+    state = init_condition("uniform", GridShape(64, 64, 64), params, v=(0.5, 0.0, 0.0))
+    row = (60 - 32) * 64 + 37  # row of cell (5, 37, 60) within its slab
+    assert row * 64 * state.dtype.itemsize >= 2 * fluid._BLOCK_BYTES
+    state.e[60, 37, 5] = 0.1
+    with pytest.raises(SlabError, match=r"slab 1 failed: negative pressure at cell "
+                                        r"\(5, 37, 60\) in the x sweep, cycle 0$"):
+        fluid_sweep(state, 0.3, params, workers=2)
+
+
+def test_sweep_nan_energy_raises_non_finite(params):
+    state = init_condition("uniform", GridShape(16, 8, 8), params, v=(0.5, 0.0, 0.0))
+    state.e[2, 3, 4] = np.nan
+    with pytest.raises(SlabError) as info:
+        fluid_sweep(state, 0.3, params)
+    cause = info.value.__cause__
+    assert isinstance(cause, PositivityError)
+    assert str(cause) == "non-finite pressure at cell (4, 3, 2) in the x sweep, cycle 0"
+
+
+def test_step_cycle_nan_energy_raises_non_finite(params):
+    state = init_condition("uniform", GridShape(16, 8, 8), params, v=(0.5, 0.0, 0.0))
+    state.e[2, 3, 4] = np.nan
+    with pytest.raises(PositivityError, match=r"^non-finite pressure at cell \(4, 3, 2\) "
+                                              r"in the cfl timestep \(x fastest\), cycle 0$"):
+        step_cycle(state, params)
+
+
+def test_nan_density_is_non_finite_not_static(params):
+    # max(0.0, nan) == 0.0 once hid a NaN state behind "dt unbounded".
+    state = init_condition("uniform", GridShape(8, 8, 8), params)
+    state.rho[1, 2, 3] = np.nan
+    with pytest.raises(PositivityError, match=r"non-finite density at cell \(3, 2, 1\)"):
+        cfl_timestep(state, params)
+
+
+def test_cfl_non_finite_signal_speed(params):
+    # A subnormal float32 density passes rho > 0 and keeps p finite, but
+    # |v| and the sound speed overflow to inf.
+    params32 = SchemeParams(precision="single")
+    state = init_condition("uniform", GridShape(8, 8, 8), params32)
+    state.rho[4, 5, 6] = np.float32(1e-45)
+    state.mom1[4, 5, 6] = 1e-6
+    state.e[4, 5, 6] = 1e34
+    with pytest.raises(PositivityError, match=r"non-finite signal speed at cell \(6, 5, 4\)"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            cfl_timestep(state, params32)
+
+
+def test_magnetic_entry_check_names_non_finite_density(params):
+    state = init_condition("uniform", GridShape(8, 8, 8), params)
+    state.rho[0, 1, 2] = np.nan
+    with pytest.raises(PositivityError, match=r"non-finite density at cell \(2, 1, 0\) "
+                                              r"entering the x magnetic update"):
+        magnetic_sweep(state, 0.1, params)
