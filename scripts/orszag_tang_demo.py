@@ -16,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from tvdmhd import (GridShape, SchemeParams, discrete_divergence, init_condition,
-                    slice_export, step_cycle)
+                    run, slice_export)
 
 
 def main() -> int:
@@ -34,15 +34,16 @@ def main() -> int:
     state = init_condition("orszag_tang_xy", shape, params)
     outdir = Path(args.outdir)
 
-    slice_export(state, ("z", 0), outdir / "ot_cycle0.tsv", gamma=params.gamma)
-    for cycle in range(1, args.cycles + 1):
-        report = step_cycle(state, params, workers=args.workers)
+    def show(report):
         div = float(np.abs(discrete_divergence(state)).max())
-        print(f"cycle {cycle:3d}  t={state.time:.4f}  dt={report.dt:.5f}  "
+        print(f"cycle {state.cycle:3d}  t={state.time:.4f}  dt={report.dt:.5f}  "
               f"wall={report.wall_ms:7.1f} ms  max|div b|={div:.2e}")
-        if cycle % args.every == 0:
-            slice_export(state, ("z", 0), outdir / f"ot_cycle{cycle}.tsv",
+        if state.cycle % args.every == 0:
+            slice_export(state, ("z", 0), outdir / f"ot_cycle{state.cycle}.tsv",
                          gamma=params.gamma)
+
+    slice_export(state, ("z", 0), outdir / "ot_cycle0.tsv", gamma=params.gamma)
+    run(state, params, n_cycles=args.cycles, workers=args.workers, on_cycle=show)
     return 0
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from statistics import median
@@ -18,7 +19,7 @@ from . import perf, validation
 from .grid import GridShape, SchemeParams
 from .ic import KINDS, init_condition
 from .snapshot import read_snapshot, slice_export, write_snapshot
-from .stepper import step_cycle
+from .stepper import run
 
 ENV_WORKERS = "TVDMHD_WORKERS"
 
@@ -137,21 +138,15 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 def run_command(cfg: RunConfig, out=sys.stdout) -> int:
     params = cfg.params()
     state = init_condition(cfg.ic, cfg.shape(), params, **cfg.ic_options())
-    n_cycles = cfg.cycles if cfg.t_end is None else None
     out.write("# cycle\tdt\ttime\twall_ms\n")
 
-    remaining = n_cycles
-    while True:
-        if cfg.t_end is not None and state.time >= cfg.t_end:
-            break
-        if remaining is not None and remaining <= 0:
-            break
-        report = step_cycle(state, params, workers=cfg.workers)
+    def log(report):
         out.write(f"{state.cycle}\t{report.dt:.6g}\t{state.time:.6g}\t{report.wall_ms:.3f}\n")
-        if remaining is not None:
-            remaining -= 1
         if cfg.snapshot_every and cfg.out and state.cycle % cfg.snapshot_every == 0:
             write_snapshot(state, f"{cfg.out}.cycle{state.cycle}")
+
+    run(state, params, n_cycles=cfg.cycles if cfg.t_end is None else None,
+        t_end=cfg.t_end, workers=cfg.workers, on_cycle=log)
     if cfg.out:
         write_snapshot(state, cfg.out)
         out.write(f"# snapshot written to {cfg.out}\n")
@@ -190,10 +185,8 @@ def bench_command(sizes, repeats, workers, precision, machines_path=None,
             continue
         shape = GridShape(n, n, n)
         state = init_condition("uniform", shape, params, v=(1.0, 0.0, 0.0))
-        for _ in range(2):  # warm-up
-            step_cycle(state, params, workers=workers)
-        times = [step_cycle(state, params, workers=workers).wall_ms
-                 for _ in range(repeats)]
+        _, reports = run(state, params, n_cycles=2 + repeats, workers=workers)
+        times = [r.wall_ms for r in reports[2:]]  # after two warm-ups
         measured[n] = median(times)
         out.write(f"{n}\t{median(times):.3f}\t{min(times):.3f}\t{workers}\n")
 
@@ -257,6 +250,17 @@ def slice_command(args, out=sys.stdout) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Tee:
+    """Writes the same text to every stream it holds."""
+
+    def __init__(self, *streams):
+        self.streams = streams
+
+    def write(self, text: str) -> None:
+        for stream in self.streams:
+            stream.write(text)
+
+
 def _parse_sizes(raw: str) -> list[int]:
     return [int(tok) for tok in raw.split(",") if tok]
 
@@ -312,16 +316,10 @@ def main(argv=None) -> int:
             return run_command(cfg)
         if args.command == "bench":
             workers = args.workers if args.workers is not None else default_workers()
-            if args.out:
-                import io as _io
-                buf = _io.StringIO()
-                rc = bench_command(_parse_sizes(args.sizes), args.repeats, workers,
-                                   args.precision, args.machines, out=buf)
-                Path(args.out).write_text(buf.getvalue())
-                sys.stdout.write(buf.getvalue())
-                return rc
-            return bench_command(_parse_sizes(args.sizes), args.repeats, workers,
-                                 args.precision, args.machines)
+            with open(args.out, "w") if args.out else nullcontext() as fh:
+                return bench_command(_parse_sizes(args.sizes), args.repeats, workers,
+                                     args.precision, args.machines,
+                                     out=_Tee(sys.stdout, fh) if fh else sys.stdout)
         if args.command == "validate":
             return validate_command(full=args.full)
         if args.command == "slice":

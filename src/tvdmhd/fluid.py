@@ -30,7 +30,6 @@ block size and the worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -132,26 +131,14 @@ def vanleer(dl, dr):
 
 
 def _fast_speed(rho, p, b1sq, bsq, gamma):
+    # Fast magnetosonic speed along the axis, with a^2 = gamma p / rho:
+    # c_f^2 = [a^2 + b^2/rho + sqrt((a^2 + b^2/rho)^2 - 4 a^2 b1^2/rho)] / 2.
     # Unchecked: callers have already checked rho and p.  b1sq = b1^2 along
     # the axis, bsq = b1^2 + b2^2 + b3^2 summed in that order.
     a2 = gamma * p / rho
     tot = a2 + bsq / rho
     disc = tot * tot - 4.0 * a2 * b1sq / rho
     return np.sqrt(0.5 * (tot + np.sqrt(np.maximum(disc, 0))))
-
-
-def fast_speed(rho, p, b1, b2, b3, gamma):
-    """Fast magnetosonic speed along the sweep axis; b1..b3 are cell-centered.
-
-    c_f^2 = [a^2 + b^2/rho + sqrt((a^2 + b^2/rho)^2 - 4 a^2 b1^2/rho)] / 2
-    with a^2 = gamma p / rho; reduces to the sound speed for b = 0.
-    """
-    rho = np.asarray(rho)
-    p = np.asarray(p)
-    check_positive(rho, p)
-    b1sq = np.asarray(b1) ** 2
-    out = _fast_speed(rho, p, b1sq, b1sq + np.asarray(b2) ** 2 + np.asarray(b3) ** 2, gamma)
-    return out[()] if out.ndim == 0 else out
 
 
 def _row_blocks(n_rows: int, row_bytes: int):
@@ -197,48 +184,6 @@ def cfl_timestep(state: ConservedState, params: SchemeParams) -> float:
     if speed == 0.0:
         raise ValueError("static state: dt unbounded")
     return params.courant * state.shape.dx / speed
-
-
-# ---------------------------------------------------------------------------
-# pencil-level interface (1D views along one (j, k) line)
-
-@dataclass
-class Pencil:
-    """1D views of the conserved variables and the cell-centered field along one line."""
-
-    rho: np.ndarray
-    mom1: np.ndarray
-    mom2: np.ndarray
-    mom3: np.ndarray
-    e: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
-    b3: np.ndarray
-
-    def __post_init__(self):
-        n = self.rho.shape[-1]
-        if n < 8:
-            raise ValueError(f"pencil length {n} below minimum 8")
-        for name in ("mom1", "mom2", "mom3", "e", "b1", "b2", "b3"):
-            if getattr(self, name).shape != self.rho.shape:
-                raise ValueError(f"pencil field {name} does not match rho shape")
-
-
-@dataclass
-class FreezeSpeed:
-    """Per-cell relaxing speed; must dominate |v1| and the fast speed everywhere."""
-
-    c: np.ndarray
-
-
-def freeze_speed(pencil: Pencil, gamma: float) -> FreezeSpeed:
-    """Uniform pencil speed max(|v1| + c_fast), broadcast to every cell."""
-    v1 = pencil.mom1 / pencil.rho
-    p = gas_pressure(pencil.rho, pencil.mom1, pencil.mom2, pencil.mom3,
-                     pencil.e, pencil.b1, pencil.b2, pencil.b3, gamma)
-    cf = fast_speed(pencil.rho, p, pencil.b1, pencil.b2, pencil.b3, gamma)
-    cmax = np.max(np.abs(v1) + cf, axis=-1, keepdims=True)
-    return FreezeSpeed(np.broadcast_to(cmax, pencil.rho.shape).copy())
 
 
 def _padded(lines) -> np.ndarray:
@@ -308,44 +253,31 @@ def _interface_flux(u, f, c, order):
     return fp - fm
 
 
+def _freezing_speed(rho, v1, p, field, gamma):
+    # The relaxing speed of each row: max over the row of |v1| + c_fast.
+    cf = _fast_speed(rho, p, field.sq[0], field.total, gamma)
+    return np.max(np.abs(v1) + cf, axis=-1, keepdims=True)  # ghosts repeat cells: same max
+
+
 def _stage(u5, field, gamma, order, where, origin):
-    # Flux differences F(q) - F(q - 1) of one stage on stacked padded rows, for
-    # the flattened positions q in [_GHOST, size - _GHOST).
+    # Interface fluxes of one stage on stacked padded rows, laid out as in
+    # _interface_flux.
     rho, m = u5[0], u5[1:4]
     v = m / rho
     p = _pressure(rho, m, u5[4], field.pm, gamma)
     check_positive(_interior(rho), _interior(p), where, origin)
-    cf = _fast_speed(rho, p, field.sq[0], field.total, gamma)
-    c = np.max(np.abs(v[0]) + cf, axis=-1, keepdims=True)  # ghosts repeat cells: same max
-    flux = _interface_flux(u5, _physical_fluxes(u5, field, v, p), c, order)
-    return flux[1:] - flux[:-1]
+    c = _freezing_speed(rho, v[0], p, field, gamma)
+    return _interface_flux(u5, _physical_fluxes(u5, field, v, p), c, order)
 
 
-def _advance(u, diff, factor):
-    # u - factor * diff on padded rows, with the ghosts refreshed from the new cells.
+def _advance(u, flux, factor):
+    # u - factor * (F(q) - F(q - 1)) on padded rows, for the flattened positions
+    # q in [_GHOST, size - _GHOST), with the ghosts refreshed from the new cells.
     out = np.empty_like(u)
-    np.subtract(u.reshape(-1)[_GHOST:-_GHOST], factor * diff,
+    np.subtract(u.reshape(-1)[_GHOST:-_GHOST], factor * (flux[1:] - flux[:-1]),
                 out=out.reshape(-1)[_GHOST:-_GHOST])
     _fill_ghosts(out)
     return out
-
-
-def relaxed_flux(pencil: Pencil, c: FreezeSpeed, gamma: float):
-    """Second-order limited interface fluxes for the five variables of one pencil.
-
-    flux[i] is the flux through the interface between cells i and i+1; each value
-    depends only on the four cells adjacent to its interface.
-    """
-    u5 = _padded([pencil.rho, pencil.mom1, pencil.mom2, pencil.mom3, pencil.e])
-    field = _field(_padded([pencil.b1, pencil.b2, pencil.b3]))
-    cc = _padded([c.c])[0]
-    rho, m = u5[0], u5[1:4]
-    p = _pressure(rho, m, u5[4], field.pm, gamma)
-    check_positive(_interior(rho), _interior(p))
-    flux = np.empty_like(u5)
-    flux.reshape(-1)[1:-2] = _interface_flux(u5, _physical_fluxes(u5, field, m / rho, p),
-                                             cc, order=2)
-    return tuple(_interior(flux))
 
 
 def _sweep_block(u5, bc, lam, gamma, where, origin):

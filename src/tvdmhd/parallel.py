@@ -22,14 +22,6 @@ class SlabPartition:
     ranges: tuple[tuple[int, int], ...]
 
 
-class SlabError(RuntimeError):
-    """A slab body failed; names the failing slab and chains the cause."""
-
-    def __init__(self, slab_index: int, cause: BaseException):
-        self.slab_index = slab_index
-        super().__init__(f"slab {slab_index} failed: {cause}")
-
-
 def partition(n3: int, workers: int) -> SlabPartition:
     """Split [0, n3) into `workers` contiguous ranges with sizes differing by <= 1."""
     if workers < 1:
@@ -49,26 +41,17 @@ def partition(n3: int, workers: int) -> SlabPartition:
 def parallel_for(part: SlabPartition, body: Callable[[int, int, int], None]) -> None:
     """Run body(slab_index, lo, hi) once per slab; return only after all finish.
 
-    Failures abort the call with a SlabError for the lowest failing slab index,
+    A failure re-raises the exception of the lowest failing slab index,
     independent of scheduling order.
     """
     if part.worker_count == 1:
         for i, (lo, hi) in enumerate(part.ranges):
-            try:
-                body(i, lo, hi)
-            except Exception as exc:
-                raise SlabError(i, exc) from exc
+            body(i, lo, hi)
         return
 
-    failures: dict[int, BaseException] = {}
     with ThreadPoolExecutor(max_workers=part.worker_count) as pool:
         futures = [
             pool.submit(body, i, lo, hi) for i, (lo, hi) in enumerate(part.ranges)
         ]
-        for i, fut in enumerate(futures):
-            exc = fut.exception()
-            if exc is not None:
-                failures[i] = exc
-    if failures:
-        first = min(failures)
-        raise SlabError(first, failures[first]) from failures[first]
+    for fut in futures:  # every slab has finished once the pool is shut down
+        fut.result()

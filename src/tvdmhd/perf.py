@@ -12,11 +12,9 @@ the fraction metrics so the bundled comparison table reproduces exactly.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable
 
 GB = 1.0e9
 BASELINE_LABEL = "x86(1)"
@@ -176,14 +174,6 @@ def criteria(runtime_ms: float, machine: MachineSpec, baseline: MachineSpec,
     flops_pct = 100.0 * (step_flops / seconds) / (machine.peak_gflops * 1e9)
     bw_pct = 100.0 * (step_bytes / seconds) / (machine.peak_gbps * GB)
     return CriteriaReport(code_speedup, fractional, flops_pct, bw_pct)
-
-
-def timer(fn: Callable, *args, **kwargs):
-    """Run fn and return (result, wall milliseconds)."""
-    t0 = time.perf_counter()
-    result = fn(*args, **kwargs)
-    ms = (time.perf_counter() - t0) * 1e3
-    return result, ms
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .fluid import cfl_timestep, fluid_sweep
 from .grid import CANONICAL, ConservedState, SchemeParams, transpose
@@ -74,8 +75,15 @@ def step_cycle(state: ConservedState, params: SchemeParams,
 
 
 def run(state: ConservedState, params: SchemeParams, n_cycles: int | None = None,
-        t_end: float | None = None, workers: int = 1) -> tuple[ConservedState, list[StepReport]]:
-    """Iterate step_cycle until the cycle count, or until a cycle starts at >= t_end."""
+        t_end: float | None = None, workers: int = 1,
+        on_cycle: Callable[[StepReport], None] | None = None,
+        ) -> tuple[ConservedState, list[StepReport]]:
+    """Iterate step_cycle until the cycle count, or until a cycle starts at >= t_end.
+
+    `on_cycle`, when given, is called with each cycle's report right after the
+    cycle, while the state holds that cycle's result.  Returns the state and
+    every report in order.
+    """
     if (n_cycles is None) == (t_end is None):
         raise ValueError("specify exactly one of n_cycles or t_end")
     reports: list[StepReport] = []
@@ -85,4 +93,6 @@ def run(state: ConservedState, params: SchemeParams, n_cycles: int | None = None
         if t_end is not None and state.time >= t_end:
             break
         reports.append(step_cycle(state, params, workers=workers))
+        if on_cycle is not None:
+            on_cycle(reports[-1])
     return state, reports

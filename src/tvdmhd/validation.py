@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fluid, ic
 from .grid import GridShape, SchemeParams, discrete_divergence, totals
-from .stepper import run, step_cycle
+from .stepper import run
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +148,17 @@ def check_conservation_divergence(n=32, cycles=50, seed=11, workers=1,
 
     worst_drift = 0.0
     worst_div = float(np.abs(discrete_divergence(state)).max())
-    for _ in range(cycles):
-        step_cycle(state, params, workers=workers)
+
+    def measure(_report):
+        nonlocal worst_drift, worst_div
         mass, mom, e = totals(state)
         now = [mass, *mom, e]
         init = [mass0, *mom0, e0]
         for a, b, scale in zip(now, init, ref):
             worst_drift = max(worst_drift, abs(a - b) / scale)
         worst_div = max(worst_div, float(np.abs(discrete_divergence(state)).max()))
+
+    run(state, params, n_cycles=cycles, workers=workers, on_cycle=measure)
     return [
         _below("conservation_relative_drift", worst_drift, tol,
                note=f"{n}^3, {cycles} cycles"),
@@ -307,11 +310,9 @@ def check_scaling(sizes=(64, 128), repeats=5, workers=1) -> CheckResult:
     for n in sizes:
         shape = GridShape(n, n, n)
         state = ic.init_condition("uniform", shape, params, v=(1.0, 0.0, 0.0))
-        for _ in range(2):  # warm-up: allocator and frequency settling
-            step_cycle(state, params, workers=workers)
-        times = [step_cycle(state, params, workers=workers).wall_ms
-                 for _ in range(repeats)]
-        medians.append(median(times))
+        # two warm-up cycles (allocator and frequency settling) are not timed
+        _, reports = run(state, params, n_cycles=2 + repeats, workers=workers)
+        medians.append(median(r.wall_ms for r in reports[2:]))
     ratio = medians[1] / medians[0]
     result = CheckResult("scaling_ratio_128_64", ratio, 10.0,
                          bool(6.0 <= ratio <= 10.0),

@@ -1,22 +1,17 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-report lines.
+report lines.  Criteria with a `validation.check_*` function are decided by
+that function, with the same arguments `tvdmhd validate` uses.
 """
 
 import os
 from statistics import median
 
-import numpy as np
 import pytest
 
-from tvdmhd import (GridShape, SchemeParams, discrete_divergence, init_condition,
-                    load_machines, run, step_cycle, totals)
+from tvdmhd import GridShape, SchemeParams, init_condition, load_machines, run
 from tvdmhd import validation
-from tvdmhd.perf import BASELINE_LABEL, criteria
-from tvdmhd.validation import TABLE_ROWS
-
-from conftest import state_bytes
 
 
 def report(num, name, detail, passed):
@@ -28,69 +23,38 @@ def report(num, name, detail, passed):
 @pytest.fixture(scope="module")
 def conservation_run():
     """32^3 solenoidal + smooth random fluid, double precision, 50 cycles."""
-    params = SchemeParams(precision="double")
-    state = init_condition("solenoidal_random", GridShape(32, 32, 32), params, seed=11)
-    mass0, mom0, e0 = totals(state)
-    bmax = max(abs(getattr(state, f"b{i}")).max() for i in (1, 2, 3))
-    worst_drift = 0.0
-    worst_div = abs(discrete_divergence(state)).max()
-    for _ in range(50):
-        step_cycle(state, params)
-        mass, mom, e = totals(state)
-        for now, ref in zip((mass, *mom, e), (mass0, *mom0, e0)):
-            worst_drift = max(worst_drift, abs(now - ref) / abs(ref))
-        worst_div = max(worst_div, abs(discrete_divergence(state)).max())
-    return worst_drift, worst_div, bmax, state.shape.dx
+    return validation.check_conservation_divergence(n=32, cycles=50, seed=11, tol=1e-12)
 
 
 def test_criterion_1_conservation(conservation_run):
-    worst_drift, _, _, _ = conservation_run
+    drift, _ = conservation_run
     report(1, "conservation",
-           f"max relative drift {worst_drift:.3e} (tol 1e-12, 50 cycles, 32^3)",
-           worst_drift <= 1e-12)
+           f"max relative drift {drift.value:.3e} (tol 1e-12, 50 cycles, 32^3)",
+           drift.passed)
 
 
 def test_criterion_2_divergence(conservation_run):
-    _, worst_div, bmax, dx = conservation_run
-    limit = 1e-12 * bmax / dx
+    _, div = conservation_run
     report(2, "divergence-constraint",
-           f"max |div b| {worst_div:.3e} (limit {limit:.3e})",
-           worst_div <= limit)
+           f"max |div b| {div.value:.3e} (limit {div.threshold:.3e})",
+           div.passed)
 
 
 def test_criterion_3_comparison_table():
-    machines = load_machines()
-    baseline = machines[BASELINE_LABEL]
-    worst_ratio, worst_pct = 0.0, 0.0
-    for label, (speedup, fractional, flops_pct, bw_pct) in TABLE_ROWS.items():
-        spec = machines[label]
-        rep = criteria(spec.reference_runtime_ms_128, spec, baseline)
-        worst_ratio = max(worst_ratio,
-                          abs(rep.code_speedup - speedup),
-                          abs(rep.fractional_speedup - fractional))
-        worst_pct = max(worst_pct,
-                        abs(rep.flops_fraction_pct - flops_pct),
-                        abs(rep.bandwidth_fraction_pct - bw_pct))
+    ratio, pct = validation.check_table_reproduction()
     report(3, "comparison-table",
-           f"max ratio dev {worst_ratio:.3f} (tol 0.05), "
-           f"max fraction dev {worst_pct:.3f} pts (tol 0.15)",
-           worst_ratio <= 0.05 and worst_pct <= 0.15)
+           f"max ratio dev {ratio.value:.3f} (tol 0.05), "
+           f"max fraction dev {pct.value:.3f} pts (tol 0.15)",
+           ratio.passed and pct.passed)
 
 
 def test_criterion_4_counting_model():
-    from tvdmhd import OpCountModel, TrafficModel, bytes_per_step, flops_per_step
-    ops, traffic = OpCountModel(), TrafficModel()
-    exact = (ops.flop_per_cell == 2366 and traffic.reads_per_cell == 187
-             and traffic.writes_per_cell == 98)
-    fl = flops_per_step((128, 128, 128), ops)
-    tr = bytes_per_step((128, 128, 128), "single", traffic)
-    fdev = abs(fl.model_flops / fl.canonical_flops - 1)
-    bdev = abs((tr.read_bytes + tr.write_bytes)
-               / (tr.canonical_read_bytes + tr.canonical_write_bytes) - 1)
+    flop_census, traffic_census, fdev, bdev = validation.check_counting_model()
+    exact = flop_census.passed and traffic_census.passed
     report(4, "counting-model",
            f"census 2366/187R/98W exact={exact}, 128^3 model-vs-canonical "
-           f"flops {100*fdev:.1f}%, bytes {100*bdev:.1f}% (tol 8%)",
-           exact and fdev <= 0.08 and bdev <= 0.08)
+           f"flops {100*fdev.value:.1f}%, bytes {100*bdev.value:.1f}% (tol 8%)",
+           exact and fdev.passed and bdev.passed)
 
 
 def test_criterion_5_sod_oracle():
@@ -108,36 +72,15 @@ def test_criterion_6_convergence_order():
 
 
 def test_criterion_7_determinism():
-    params = SchemeParams(precision="double")
-    blobs = []
-    for workers in (1, 2, 4, 8):
-        state = init_condition("solenoidal_random", GridShape(64, 64, 64), params, seed=5)
-        run(state, params, n_cycles=2, workers=workers)
-        blobs.append(state_bytes(state))
-    identical = all(b == blobs[0] for b in blobs)
+    result = validation.check_determinism(n=64, cycles=2, worker_counts=(1, 2, 4, 8), seed=5)
     report(7, "determinism",
-           f"64^3 final states bitwise identical for workers 1/2/4/8: {identical}",
-           identical)
+           f"64^3 final states bitwise identical for workers 1/2/4/8: {result.passed}",
+           result.passed)
 
 
-@pytest.fixture(scope="module")
-def scaling_medians():
-    params = SchemeParams(precision="single")
-    medians = {}
-    for n in (64, 128):
-        state = init_condition("uniform", GridShape(n, n, n), params, v=(1.0, 0.0, 0.0))
-        for _ in range(2):  # warm-up: allocator and frequency settling
-            step_cycle(state, params)
-        medians[n] = median(step_cycle(state, params).wall_ms for _ in range(5))
-    return medians
-
-
-def test_criterion_8_scaling_shape(scaling_medians):
-    ratio = scaling_medians[128] / scaling_medians[64]
-    report(8, "scaling-shape",
-           f"median cycle ms 64^3 {scaling_medians[64]:.0f}, 128^3 "
-           f"{scaling_medians[128]:.0f}, ratio {ratio:.2f} (range [6, 10])",
-           6.0 <= ratio <= 10.0)
+def test_criterion_8_scaling_shape():
+    result = validation.check_scaling(sizes=(64, 128), repeats=5, workers=1)
+    report(8, "scaling-shape", f"ratio {result.value:.2f}, {result.note}", result.passed)
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 8,
@@ -148,9 +91,8 @@ def test_criterion_8b_parallel_speedup():
     for workers in (1, 8):
         state = init_condition("uniform", GridShape(128, 128, 128), params,
                                v=(1.0, 0.0, 0.0))
-        step_cycle(state, params, workers=workers)
-        times[workers] = median(step_cycle(state, params, workers=workers).wall_ms
-                                for _ in range(3))
+        _, reports = run(state, params, n_cycles=2 + 3, workers=workers)
+        times[workers] = median(r.wall_ms for r in reports[2:])  # after two warm-ups
     speedup = times[1] / times[8]
     report(8, "parallel-speedup", f"8-worker speedup {speedup:.2f} (min 3.5)",
            speedup >= 3.5)

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from tvdmhd import cli, fluid, read_snapshot, validation
+from tvdmhd import cli, fluid, init_condition, read_snapshot, run, validation
 from tvdmhd.cli import ConfigError, RunConfig, load_config, parse_config
 
 
@@ -59,6 +59,27 @@ def test_run_command_writes_snapshot(tmp_path):
     assert state.shape.n1 == 8
 
 
+def test_run_command_snapshot_every_matches_run(tmp_path):
+    out_path = tmp_path / "final.snap"
+    cfg = RunConfig(size=8, cycles=5, snapshot_every=2, ic="solenoidal_random", seed=3,
+                    out=str(out_path), workers=1)
+    buf = io.StringIO()
+    assert cli.run_command(cfg, out=buf) == 0
+    assert sorted(p.name for p in tmp_path.glob("final.snap.cycle*")) == [
+        "final.snap.cycle2", "final.snap.cycle4"]
+    assert read_snapshot(f"{out_path}.cycle4").cycle == 4
+    lines = [l for l in buf.getvalue().splitlines() if not l.startswith("#")]
+    assert [int(l.split("\t")[0]) for l in lines] == [1, 2, 3, 4, 5]
+
+    params = cfg.params()
+    ref = init_condition(cfg.ic, cfg.shape(), params, **cfg.ic_options())
+    run(ref, params, n_cycles=5)
+    got = read_snapshot(out_path)
+    assert (got.time, got.cycle) == (ref.time, ref.cycle)
+    for (name, arr), (_, want) in zip(got.components(), ref.components()):
+        assert arr.dtype == want.dtype and arr.tobytes() == want.tobytes(), name
+
+
 def test_run_command_stops_at_t_end():
     cfg = RunConfig(size=8, cycles=None, t_end=1.0, ic="solenoidal_random", seed=2,
                     workers=1)
@@ -86,6 +107,14 @@ def test_bench_command_table_and_derived_block():
     assert float(ngpu[3]) == pytest.approx(2.40, abs=0.05)
     assert float(ngpu[4]) == pytest.approx(7.4, abs=0.15)
     assert float(ngpu[5]) == pytest.approx(19.1, abs=0.15)
+
+
+def test_main_bench_out_writes_what_it_prints(tmp_path, capsys):
+    path = tmp_path / "bench.tsv"
+    assert cli.main(["bench", "--sizes", "16", "--repeats", "1", "--out", str(path)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("# size\tmedian_ms") and "\nN-GPU\t" in printed
+    assert path.read_text() == printed
 
 
 def test_validate_command_report_is_machine_readable(monkeypatch):

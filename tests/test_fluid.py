@@ -4,39 +4,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvdmhd import (GridShape, PositivityError, SchemeParams, allocate_state,
-                    cfl_timestep, fast_speed, fluid, fluid_sweep, freeze_speed,
-                    init_condition, magnetic_sweep, relaxed_flux, step_cycle,
-                    totals, vanleer)
-from tvdmhd.fluid import Pencil
-from tvdmhd.parallel import SlabError
+                    cfl_timestep, face_to_center, fluid, fluid_sweep, init_condition,
+                    magnetic_sweep, step_cycle, totals, vanleer)
+from tvdmhd.fluid import check_positive
 
 from conftest import random_state
 
 
-# --- fast_speed ---------------------------------------------------------------
+# --- fast speed -----------------------------------------------------------------
+# fluid._fast_speed(rho, p, b1^2, b^2, gamma): the speed of both the sweep and the cfl step
 
 def test_fast_speed_reduces_to_sound_speed():
-    assert fast_speed(1.0, 1.0, 0.0, 0.0, 0.0, 5.0 / 3.0) == pytest.approx(np.sqrt(5.0 / 3.0), rel=1e-14)
+    assert fluid._fast_speed(1.0, 1.0, 0.0, 0.0, 5.0 / 3.0) == pytest.approx(np.sqrt(5.0 / 3.0), rel=1e-14)
 
 
 def test_fast_speed_pure_alfven_along_axis():
     # a = 0: c_f = |b1| / sqrt(rho)
-    assert fast_speed(1.0, 0.0, 1.0, 0.0, 0.0, 5.0 / 3.0) == pytest.approx(1.0, rel=1e-14)
+    assert fluid._fast_speed(1.0, 0.0, 1.0, 1.0, 5.0 / 3.0) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_fast_speed_transverse_field_closed_form():
     # b1 = 0: c_f^2 = a^2 + b^2/rho = 1 + 1 = 2
-    got = fast_speed(1.0, 0.6, 0.0, 1.0, 0.0, 5.0 / 3.0)
+    got = fluid._fast_speed(1.0, 0.6, 0.0, 1.0, 5.0 / 3.0)
     assert got == pytest.approx(np.sqrt(2.0), rel=1e-14)
 
 
-def test_fast_speed_negative_pressure_names_cell():
+def test_check_positive_negative_pressure_names_cell():
     p = np.ones((4, 4, 4))
     p[1, 2, 3] = -0.5
-    rho = np.ones((4, 4, 4))
-    zero = np.zeros((4, 4, 4))
-    with pytest.raises(PositivityError, match=r"negative pressure at cell \(3, 2, 1\)"):
-        fast_speed(rho, p, zero, zero, zero, 5.0 / 3.0)
+    with pytest.raises(PositivityError, match=r"^negative pressure at cell \(3, 2, 1\)$"):
+        check_positive(np.ones((4, 4, 4)), p)
 
 
 def test_fast_speed_dominates_alfven_and_sound():
@@ -44,7 +41,8 @@ def test_fast_speed_dominates_alfven_and_sound():
     rho = 0.5 + rng.random(100)
     p = 0.1 + rng.random(100)
     b = rng.standard_normal((3, 100))
-    cf = fast_speed(rho, p, b[0], b[1], b[2], 5.0 / 3.0)
+    b1sq = b[0] ** 2
+    cf = fluid._fast_speed(rho, p, b1sq, b1sq + b[1] ** 2 + b[2] ** 2, 5.0 / 3.0)
     assert (cf >= np.sqrt(5.0 / 3.0 * p / rho) - 1e-12).all()
     assert (cf >= np.abs(b[0]) / np.sqrt(rho) - 1e-12).all()
 
@@ -109,23 +107,35 @@ def test_vanleer_scales_homogeneously(a, b, s):
     assert vanleer(s * a, s * b) == pytest.approx(s * vanleer(a, b), rel=1e-12)
 
 
-# --- relaxed_flux ---------------------------------------------------------------
+# --- the sweep's interface flux and freezing speed ------------------------------
 
-def _pencil_from(rho, v1, p, gamma, b=(0.0, 0.0, 0.0)):
+def _pencil(rho, v1, p, gamma, b=(0.0, 0.0, 0.0)):
+    """One pencil as the sweep stacks a block: padded (u5, field)."""
     rho = np.asarray(rho, dtype=float)
     n = rho.size
     v1 = np.broadcast_to(np.asarray(v1, dtype=float), (n,))
     p = np.broadcast_to(np.asarray(p, dtype=float), (n,))
     bc = [np.full(n, bi) for bi in b]
     e = p / (gamma - 1.0) + 0.5 * rho * v1 ** 2 + 0.5 * sum(x ** 2 for x in bc)
-    return Pencil(rho, rho * v1, np.zeros(n), np.zeros(n), e, *bc)
+    u5 = fluid._padded([rho, rho * v1, np.zeros(n), np.zeros(n), e])
+    return u5, fluid._field(fluid._padded(bc))
+
+
+def _sweep_flux(u5, field, gamma):
+    """The full-step stage's fluxes; [var][i] is the flux between cells i and i + 1."""
+    flat = np.zeros(u5.size)
+    flat[1:-2] = fluid._stage(u5, field, gamma, 2, "", None)
+    return fluid._interior(flat.reshape(u5.shape))
+
+
+def _freezing_speed(u5, field, gamma):
+    p = fluid._pressure(u5[0], u5[1:4], u5[4], field.pm, gamma)
+    return fluid._freezing_speed(u5[0], u5[1] / u5[0], p, field, gamma)
 
 
 def test_relaxed_flux_constant_state_gives_analytic_flux(params):
     g = params.gamma
-    pencil = _pencil_from(np.full(16, 1.3), 0.7, 2.1, g, b=(0.4, -0.2, 0.1))
-    c = freeze_speed(pencil, g)
-    f = relaxed_flux(pencil, c, g)
+    f = _sweep_flux(*_pencil(np.full(16, 1.3), 0.7, 2.1, g, b=(0.4, -0.2, 0.1)), g)
     pstar = 2.1 + 0.5 * (0.4 ** 2 + 0.2 ** 2 + 0.1 ** 2)
     e = 2.1 / (g - 1) + 0.5 * 1.3 * 0.7 ** 2 + 0.5 * (0.4 ** 2 + 0.2 ** 2 + 0.1 ** 2)
     expected = [
@@ -142,18 +152,13 @@ def test_relaxed_flux_constant_state_gives_analytic_flux(params):
 def test_relaxed_flux_stencil_locality_perturbation_scan(params):
     # positive density bump (does not raise the pencil's top signal speed)
     g = params.gamma
-    base = _pencil_from(np.ones(16), 0.3, 1.0, g)
+    base = _pencil(np.ones(16), 0.3, 1.0, g)
     pert_rho = np.ones(16)
     pert_rho[10] += 0.4
-    pert = _pencil_from(pert_rho, 0.3, 1.0, g)
-    c = freeze_speed(base, g)
-    assert np.allclose(freeze_speed(pert, g).c, c.c)
-    f0 = relaxed_flux(base, c, g)
-    f1 = relaxed_flux(pert, c, g)
-    changed = set()
-    for a, b in zip(f0, f1):
-        changed |= {int(i) for i in np.nonzero(a != b)[0]}
-    assert changed <= {8, 9, 10, 11}
+    pert = _pencil(pert_rho, 0.3, 1.0, g)
+    assert _freezing_speed(*pert, g) == _freezing_speed(*base, g)
+    changed = np.nonzero((_sweep_flux(*base, g) != _sweep_flux(*pert, g)).any(axis=0))[0]
+    assert set(changed.tolist()) <= {8, 9, 10, 11}
     assert 10 in changed
 
 
@@ -162,11 +167,10 @@ def test_relaxed_flux_sod_jump_matches_hand_evaluated_first_order():
     g = 1.4
     rho = np.where(np.arange(16) < 8, 1.0, 0.125)
     p = np.where(np.arange(16) < 8, 1.0, 0.1)
-    pencil = _pencil_from(rho, 0.0, p, g)
+    pencil = _pencil(rho, 0.0, p, g)
     c_val = float(np.sqrt(g * 1.0 / 1.0))  # fastest signal on the pencil
-    c = freeze_speed(pencil, g)
-    assert np.allclose(c.c, c_val)
-    f = relaxed_flux(pencil, c, g)
+    assert _freezing_speed(*pencil, g) == pytest.approx(c_val, rel=1e-14)
+    f = _sweep_flux(*pencil, g)
     i = 7  # interface between cells 7 and 8
     e_l, e_r = 1.0 / (g - 1), 0.1 / (g - 1)
     assert f[0][i] == pytest.approx(0.5 * c_val * (1.0 - 0.125), rel=1e-13)
@@ -175,23 +179,19 @@ def test_relaxed_flux_sod_jump_matches_hand_evaluated_first_order():
 
 
 def test_freeze_speed_invariant(params):
+    # The freezing speed of each row of a block bounds |v1| plus the sound and
+    # the Alfven speed along the row in every cell.
+    g = params.gamma
     state = random_state(GridShape(16, 8, 8), params, seed=1)
-    pencil = Pencil(state.rho[0, 0], state.mom1[0, 0], state.mom2[0, 0],
-                    state.mom3[0, 0], state.e[0, 0],
-                    np.zeros(16), np.zeros(16), np.zeros(16))
-    c = freeze_speed(pencil, params.gamma)
-    v1 = pencil.mom1 / pencil.rho
-    p = (params.gamma - 1) * (pencil.e
-                              - 0.5 * (pencil.mom1 ** 2 + pencil.mom2 ** 2
-                                       + pencil.mom3 ** 2) / pencil.rho)
-    cf = fast_speed(pencil.rho, p, np.zeros(16), np.zeros(16), np.zeros(16), params.gamma)
-    assert (c.c >= np.abs(v1)).all()
-    assert (c.c >= cf).all()
-
-
-def test_pencil_rejects_short_lines():
-    with pytest.raises(ValueError, match="below minimum 8"):
-        _pencil_from(np.ones(4), 0.0, 1.0, 5.0 / 3.0)
+    bc = [b[0] for b in face_to_center(state)]
+    rho, m1, m2, m3, e = (a[0] for a in (state.rho, state.mom1, state.mom2,
+                                         state.mom3, state.e))
+    c = _freezing_speed(fluid._padded([rho, m1, m2, m3, e]), fluid._field(fluid._padded(bc)), g)
+    assert c.shape == (8, 1)
+    v1 = np.abs(m1 / rho)
+    p = fluid.gas_pressure(rho, m1, m2, m3, e, *bc, g)
+    assert (c >= v1 + np.sqrt(g * p / rho)).all()
+    assert (c >= v1 + np.abs(bc[0]) / np.sqrt(rho)).all()
 
 
 # --- fluid_sweep ---------------------------------------------------------------
@@ -277,7 +277,7 @@ def test_sweep_mirror_symmetry(params):
 def test_sweep_positivity_violation_names_cell(params):
     state = init_condition("uniform", GridShape(16, 8, 8), params, v=(0.5, 0.0, 0.0))
     state.e[2, 3, 4] = 0.1  # below the cell's kinetic energy: negative pressure
-    with pytest.raises(Exception, match=r"negative pressure at cell \(4, 3, 2\)"):
+    with pytest.raises(PositivityError, match=r"negative pressure at cell \(4, 3, 2\)"):
         fluid_sweep(state, 0.3, params)
 
 
@@ -295,19 +295,17 @@ def test_sweep_blocked_index_in_second_slab(params):
     row = (60 - 32) * 64 + 37  # row of cell (5, 37, 60) within its slab
     assert row * 64 * state.dtype.itemsize >= 2 * fluid._BLOCK_BYTES
     state.e[60, 37, 5] = 0.1
-    with pytest.raises(SlabError, match=r"slab 1 failed: negative pressure at cell "
-                                        r"\(5, 37, 60\) in the x sweep, cycle 0$"):
+    with pytest.raises(PositivityError, match=r"^negative pressure at cell "
+                                              r"\(5, 37, 60\) in the x sweep, cycle 0$"):
         fluid_sweep(state, 0.3, params, workers=2)
 
 
 def test_sweep_nan_energy_raises_non_finite(params):
     state = init_condition("uniform", GridShape(16, 8, 8), params, v=(0.5, 0.0, 0.0))
     state.e[2, 3, 4] = np.nan
-    with pytest.raises(SlabError) as info:
+    with pytest.raises(PositivityError, match=r"^non-finite pressure at cell \(4, 3, 2\) "
+                                              r"in the x sweep, cycle 0$"):
         fluid_sweep(state, 0.3, params)
-    cause = info.value.__cause__
-    assert isinstance(cause, PositivityError)
-    assert str(cause) == "non-finite pressure at cell (4, 3, 2) in the x sweep, cycle 0"
 
 
 def test_step_cycle_nan_energy_raises_non_finite(params):

@@ -1,11 +1,10 @@
-import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tvdmhd import (GridShape, MachineSpec, OpCountModel, TrafficModel,
-                    bytes_per_step, criteria, flops_per_step, load_machines, timer)
+                    bytes_per_step, criteria, flops_per_step, load_machines)
 from tvdmhd.perf import BASELINE_LABEL, format_machine, parse_machines
 
 
@@ -123,47 +122,6 @@ def test_criteria_requires_baseline_runtime():
 def test_machine_spec_rejects_non_positive_peaks():
     with pytest.raises(ValueError, match="peak_gflops"):
         MachineSpec("bad", peak_gflops=0.0, peak_gbps=1.0)
-
-
-# --- timer ---------------------------------------------------------------------
-
-def test_timer_zero_work_overhead():
-    _, ms = timer(lambda: None)
-    assert ms < 0.05
-
-
-def test_timer_returns_result_and_duration():
-    def busy():
-        t0 = time.perf_counter()
-        while time.perf_counter() - t0 < 0.005:
-            pass
-        return 42
-
-    result, ms = timer(busy)
-    assert result == 42
-    assert 4.0 <= ms <= 50.0
-
-
-def test_timer_additivity():
-    def busy(seconds):
-        t0 = time.perf_counter()
-        while time.perf_counter() - t0 < seconds:
-            pass
-
-    def three_sections():
-        for _ in range(3):
-            _, _ = timer(busy, 0.005)
-
-    inner = 0.0
-
-    def measured():
-        nonlocal inner
-        for _ in range(3):
-            _, ms = timer(busy, 0.005)
-            inner += ms
-
-    _, outer = timer(measured)
-    assert abs(outer - inner) <= 0.02 * outer
 
 
 # --- machine-spec file format -----------------------------------------------
