@@ -5,7 +5,7 @@ from .fluid import PositivityError, cfl_timestep, fluid_sweep, vanleer
 from .grid import (ConservedState, GridShape, SchemeParams, allocate_state,
                    discrete_divergence, face_to_center, totals, transpose)
 from .ic import init_condition
-from .magnetic import magnetic_sweep, staggered_pencil_order
+from .magnetic import magnetic_sweep
 from .parallel import SlabPartition, parallel_for, partition
 from .perf import (CriteriaReport, MachineSpec, OpCountModel, TrafficModel,
                    bytes_per_step, criteria, flops_per_step, load_machines)
@@ -18,7 +18,7 @@ __all__ = [
     "ConservedState", "GridShape", "SchemeParams", "allocate_state",
     "discrete_divergence", "face_to_center", "totals", "transpose",
     "PositivityError", "cfl_timestep", "fluid_sweep", "vanleer",
-    "magnetic_sweep", "staggered_pencil_order",
+    "magnetic_sweep",
     "SlabPartition", "parallel_for", "partition",
     "CriteriaReport", "MachineSpec", "OpCountModel", "TrafficModel",
     "bytes_per_step", "criteria", "flops_per_step", "load_machines",

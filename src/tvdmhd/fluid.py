@@ -105,9 +105,10 @@ def gas_pressure(rho, mom1, mom2, mom3, e, bc1, bc2, bc3, gamma):
 
 def _harmonic(dl, dr):
     prod = dl * dr
-    s = dl + dr
-    safe = np.where(s == 0, 1, s)
-    return prod, np.where(prod > 0, 2.0 * prod / safe, prod * 0)
+    # Only cells with prod > 0 keep the mean, and there dl + dr != 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = 2.0 * prod / (dl + dr)
+    return prod, np.where(prod > 0, mean, prod * 0)
 
 
 def vanleer(dl, dr):

@@ -2,15 +2,17 @@
 
 For a sweep along axis 1 the induction terms with a d/dx1 in them are applied:
 each transverse face field (b2, then b3) is advected along the sweep axis with
-the TVD-limited upwind flux v1*b, and every edge flux is immediately applied a
-second time, with opposite sign, to the two b1 faces it borders.  That
-antisymmetry cancels in the divergence stencil exactly, so the face-flux
-balance of every cell is preserved to roundoff.  Edge fluxes exist only one
-transverse row at a time; no full-grid electromotive-force array is formed.
+the TVD-limited upwind flux v1*b, and every edge flux is applied a second
+time, with opposite sign, to the two b1 faces it borders.  That antisymmetry
+cancels in the divergence stencil exactly, so the face-flux balance of every
+cell is preserved to roundoff.  Edge fluxes exist one chunk at a time; no
+full-grid electromotive-force array is formed.
 
-Rows are processed odd-first then even (staggered schedule), which makes the
-neighbour writes single-writer within a pass; results are bitwise equal to a
-sequential odd-then-even row loop for any worker count.
+Invariant: a chunk spans the whole coupling axis (j for b2, k for b3), so the
+b1 faces it writes are its own; b2 runs on k slabs and b3 on j columns.  The
+b1 pieces are applied in strided parity passes, in the order of a sequential
+odd-rows-then-even-rows loop, so results are bitwise equal to that loop for
+any worker count and chunk size.
 """
 
 from __future__ import annotations
@@ -21,12 +23,11 @@ from . import fluid
 from .grid import ConservedState, SchemeParams
 from .parallel import parallel_for, partition
 
-
-def staggered_pencil_order(n2: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Two-pass row schedule: odd rows first, then even rows."""
-    if n2 % 2 != 0:
-        raise ValueError(f"row count must be even for the staggered schedule, got {n2}")
-    return tuple(range(1, n2, 2)), tuple(range(0, n2, 2))
+# Bytes per array of one chunk.  Magnetic ms per cycle in traced perfbench
+# runs on a 2-core host, chunks of 128 / 256 / 512 KiB: serial64_w1 73-104 /
+# 77-106 / 113-134 (row loop 151-176), canon128_w2 674-747 / 464-569 /
+# 440-535 (row loop 1118-1130).
+_CHUNK_BYTES = 256 << 10
 
 
 def _edge_flux(b, ve, lam):
@@ -39,24 +40,20 @@ def _edge_flux(b, ve, lam):
     return ve * np.where(ve > 0, up, dn)
 
 
-def _advect_b2_row(state, v1, lam, lo, hi, j):
-    # Flux row j lives on the lower-j edges; it advects b2 row j and applies the
-    # compensating pieces to b1 rows j and j-1 (periodic).
-    vface = 0.5 * (v1[lo:hi, j - 1, :] + v1[lo:hi, j, :])
+def _advect(b, b1, v1, lam, axis):
+    # Advect the face field b of one chunk along i; the edge flux on row n
+    # (the lower face of row n along `axis`) is taken from b1 row n and given
+    # to b1 row n - 1.  The chunk must span the whole of `axis`.
+    b, b1, v1 = (np.moveaxis(a, axis, 0) for a in (b, b1, v1))
+    vface = 0.5 * (np.roll(v1, 1, axis=0) + v1)
     ve = 0.5 * (vface + np.roll(vface, 1, axis=-1))
-    phi = _edge_flux(state.b2[lo:hi, j, :], ve, lam)
-    state.b2[lo:hi, j, :] -= lam * (np.roll(phi, -1, axis=-1) - phi)
-    state.b1[lo:hi, j, :] -= lam * phi
-    state.b1[lo:hi, j - 1, :] += lam * phi
-
-
-def _advect_b3_row(state, v1, lam, k):
-    vface = 0.5 * (v1[k - 1] + v1[k])
-    ve = 0.5 * (vface + np.roll(vface, 1, axis=-1))
-    phi = _edge_flux(state.b3[k], ve, lam)
-    state.b3[k] -= lam * (np.roll(phi, -1, axis=-1) - phi)
-    state.b1[k] -= lam * phi
-    state.b1[k - 1] += lam * phi
+    phi = _edge_flux(b, ve, lam)
+    b -= lam * (np.roll(phi, -1, axis=-1) - phi)
+    f = lam * phi
+    b1[1::2] -= f[1::2]
+    b1[0::2] += f[1::2]
+    b1[0::2] -= f[0::2]
+    b1[1::2] += np.roll(f[0::2], -1, axis=0)
 
 
 def magnetic_sweep(state: ConservedState, dt: float, params: SchemeParams,
@@ -64,35 +61,28 @@ def magnetic_sweep(state: ConservedState, dt: float, params: SchemeParams,
     """Advance b2, b3 by advection along the fastest axis; b1 takes the constraint pieces.
 
     Velocities come from the already-updated fluid state of this sweep.  The b2
-    sub-update completes (with a barrier) before the b3 sub-update starts; each
-    runs its rows odd-first then even.
+    sub-update completes before the b3 sub-update starts.
     """
     shape = state.shape
     lam = dt / shape.dx
     fluid.check_positive(state.rho, None, f"entering the {shape.orientation[0]} magnetic "
                                           f"update, cycle {state.cycle}")
     v1 = state.mom1 / state.rho
-    part = partition(shape.n3, workers)
+    n3, n2, n1 = shape.array_shape
+    itemsize = state.dtype.itemsize
 
-    # b2: row coupling is along the middle axis, entirely inside each slab.
-    odd_j, even_j = staggered_pencil_order(shape.n2)
+    def body_b2(_i, lo, hi):  # k slabs of whole planes
+        step = max(1, _CHUNK_BYTES // (n2 * n1 * itemsize))
+        for k in range(lo, hi, step):
+            s = slice(k, min(k + step, hi))
+            _advect(state.b2[s], state.b1[s], v1[s], lam, axis=1)
 
-    def body_b2(_i, lo, hi):
-        for j in odd_j:
-            _advect_b2_row(state, v1, lam, lo, hi, j)
-        for j in even_j:
-            _advect_b2_row(state, v1, lam, lo, hi, j)
+    def body_b3(_i, lo, hi):  # j columns of whole k lines
+        step = max(1, _CHUNK_BYTES // (n3 * n1 * itemsize))
+        for j in range(lo, hi, step):
+            s = (slice(None), slice(j, min(j + step, hi)))
+            _advect(state.b3[s], state.b1[s], v1[s], lam, axis=0)
 
-    parallel_for(part, body_b2)
-
-    # b3: rows run along the slab axis, so the passes need a global barrier;
-    # within a pass every b1 row has a single writer.
-    odd_k, even_k = staggered_pencil_order(shape.n3)
-    for rows in (odd_k, even_k):
-        def body_b3(_i, lo, hi, rows=rows):
-            for k in rows:
-                if lo <= k < hi:
-                    _advect_b3_row(state, v1, lam, k)
-
-        parallel_for(part, body_b3)
+    parallel_for(partition(n3, workers), body_b2)
+    parallel_for(partition(n2, workers), body_b3)
     return state

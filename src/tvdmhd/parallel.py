@@ -1,10 +1,10 @@
 """Slab partitioning and the deterministic fork-join execution contract.
 
-Work is split over the outermost (slowest-varying) array axis into contiguous
-slabs, one per worker.  Bodies must confine their writes to their slab except
-for the staggered neighbour writes of the magnetic update, which are made
-race-free by the odd/even pass schedule.  Under that contract every result is
-bitwise identical for any worker count.
+Work is split over one array axis into contiguous slabs, one per worker:
+the outermost (slowest-varying) axis, or the middle axis for the b3 part of
+the magnetic update.  Bodies write only inside their own slab, with no
+exception, and the values they write do not depend on the slab bounds.  Under
+that contract every result is bitwise identical for any worker count.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Callable
 
 @dataclass(frozen=True)
 class SlabPartition:
-    """Contiguous index ranges over the outermost axis, one per worker."""
+    """Contiguous index ranges over one array axis, one per worker."""
 
     worker_count: int
     ranges: tuple[tuple[int, int], ...]

@@ -178,6 +178,43 @@ def test_relaxed_flux_sod_jump_matches_hand_evaluated_first_order():
     assert f[4][i] == pytest.approx(0.5 * c_val * (e_l - e_r), rel=1e-13)
 
 
+def test_relaxed_flux_smooth_pencil_matches_scalar_limited_flux(params):
+    # On smooth, non-constant data the limiter is active: each interface flux
+    # is w+ + vanleer/2 of the left cell minus w- + vanleer/2 of the right one.
+    g, n = params.gamma, 16
+    x = 2 * np.pi * np.arange(n) / n
+    rho, v1, p = 1 + 0.2 * np.sin(x), 0.3 + 0.1 * np.cos(x), 1 + 0.1 * np.sin(x + 1)
+    b1, b2, b3 = 0.4, -0.2, 0.1
+    pencil = _pencil(rho, v1, p, g, b=(b1, b2, b3))
+    f = _sweep_flux(*pencil, g)
+    c = float(_freezing_speed(*pencil, g)[0])
+
+    pm = 0.5 * (b1 ** 2 + b2 ** 2 + b3 ** 2)
+    e = p / (g - 1) + 0.5 * rho * v1 ** 2 + pm
+    u = [rho, rho * v1, np.zeros(n), np.zeros(n), e]
+    flux = [rho * v1, rho * v1 ** 2 + p + pm - b1 * b1, np.full(n, -b1 * b2),
+            np.full(n, -b1 * b3), (e + p + pm) * v1 - b1 * (b1 * v1)]
+
+    def limiter(a, b):
+        return 2 * a * b / (a + b) if a * b > 0 else 0.0
+
+    largest = 0.0
+    for var in range(5):
+        def wp(q):
+            return 0.5 * float(flux[var][q % n] + c * u[var][q % n])
+
+        def wm(q):
+            return 0.5 * float(c * u[var][q % n] - flux[var][q % n])
+
+        for i in range(n):
+            right = limiter(wp(i) - wp(i - 1), wp(i + 1) - wp(i))
+            left = limiter(wm(i + 1) - wm(i + 2), wm(i) - wm(i + 1))
+            want = (wp(i) + 0.5 * right) - (wm(i + 1) + 0.5 * left)
+            assert f[var][i] == pytest.approx(want, rel=1e-12, abs=1e-14), (var, i)
+            largest = max(largest, abs(right), abs(left))
+    assert largest > 1e-2  # the limited correction is not vanishingly small
+
+
 def test_freeze_speed_invariant(params):
     # The freezing speed of each row of a block bounds |v1| plus the sound and
     # the Alfven speed along the row in every cell.

@@ -1,15 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tvdmhd import (GridShape, SchemeParams, allocate_state, discrete_divergence,
                     face_to_center, totals, transpose)
 from tvdmhd.grid import COMPONENT_NAMES
 
 from conftest import random_state
-
-DIMS = st.sampled_from([8, 12, 16])
 
 
 def test_allocate_shapes_and_zeroing(params):
@@ -97,19 +93,6 @@ def test_inverse_transpose_undoes_forward(params):
     assert state.shape.orientation == ("x", "y", "z")
     for name, arr in state.components():
         assert (arr == getattr(ref, name)).all()
-
-
-@settings(max_examples=10, deadline=None)
-@given(n1=DIMS, n2=DIMS, n3=DIMS, tile=st.sampled_from([4, 8, 16]), seed=st.integers(0, 100))
-def test_transpose_tile_size_does_not_change_values(n1, n2, n3, tile, seed):
-    params = SchemeParams()
-    state = random_state(GridShape(n1, n2, n3), params, seed=seed)
-    a = state.copy()
-    b = state.copy()
-    transpose(a, tile=8)
-    transpose(b, tile=tile)
-    for name, arr in a.components():
-        assert (arr == getattr(b, name)).all()
 
 
 # --- face_to_center ---------------------------------------------------------

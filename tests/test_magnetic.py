@@ -1,34 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tvdmhd import (GridShape, SchemeParams, discrete_divergence, fluid_sweep,
-                    init_condition, magnetic_sweep, staggered_pencil_order)
+                    init_condition, magnetic_sweep)
 from tvdmhd import fluid
 
 from conftest import random_state
-
-
-def test_staggered_order_eight():
-    assert staggered_pencil_order(8) == ((1, 3, 5, 7), (0, 2, 4, 6))
-
-
-def test_staggered_order_minimal():
-    assert staggered_pencil_order(2) == ((1,), (0,))
-
-
-def test_staggered_order_rejects_odd():
-    with pytest.raises(ValueError, match="even"):
-        staggered_pencil_order(7)
-
-
-@given(n=st.integers(1, 64).map(lambda k: 2 * k))
-def test_staggered_order_partitions_rows(n):
-    odd, even = staggered_pencil_order(n)
-    assert set(odd) | set(even) == set(range(n))
-    assert not set(odd) & set(even)
-    assert all(j % 2 == 1 for j in odd) and all(j % 2 == 0 for j in even)
 
 
 # --- magnetic_sweep ----------------------------------------------------------
@@ -122,9 +99,18 @@ def _reference_sequential_sweep(state, dt, params):
     return state
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_sequential_equivalence(params, workers):
-    state = random_state(GridShape(16, 12, 8), params, seed=4)
+@pytest.mark.parametrize("dims, precision, workers", [
+    pytest.param((16, 12, 8), "double", 1, id="1"),
+    pytest.param((16, 12, 8), "double", 2, id="2"),
+    pytest.param((16, 12, 8), "double", 4, id="4"),
+    # several chunks per k slab and per j column range
+    pytest.param((64, 64, 64), "double", 2, id="64^3-2"),
+    # uneven k slabs (6, 5, 5 of 16) and j columns (7, 7, 6 of 20)
+    pytest.param((16, 20, 16), "double", 3, id="16x20x16-3"),
+])
+def test_sequential_equivalence(dims, precision, workers):
+    params = SchemeParams(precision=precision)
+    state = random_state(GridShape(*dims), params, seed=4)
     ref = _reference_sequential_sweep(state.copy(), 0.07, params)
     magnetic_sweep(state, 0.07, params, workers=workers)
     for i in (1, 2, 3):
