@@ -31,9 +31,12 @@ class ConfigError(ValueError):
 def default_workers() -> int:
     raw = os.environ.get(ENV_WORKERS, "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"{ENV_WORKERS} must be a positive integer, got {raw!r}")
+    return workers
 
 
 @dataclass
@@ -85,11 +88,9 @@ class RunConfig:
         return opts
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_INT_KEYS = {"size", "n1", "n2", "n3", "seed", "workers", "cycles", "snapshot_every"}
-_FLOAT_KEYS = {"dx", "gamma", "courant", "amplitude", "b_amplitude", "width",
-               "velocity", "t_end"}
-_STR_KEYS = {"precision", "ic", "out", "profile"}
+# Value parser of each config key, from its field annotation ('int | None' -> int).
+_PARSERS = {f.name: {"int": int, "float": float, "str": str}[f.type.split(" | ")[0]]
+            for f in fields(RunConfig)}
 
 
 def parse_config(text: str) -> dict:
@@ -103,15 +104,10 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _FIELD_TYPES:
+        if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(raw)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(raw)
-            else:
-                values[key] = raw
+            values[key] = _PARSERS[key](raw)
         except ValueError:
             raise ConfigError(
                 f"line {lineno}: invalid value for {key!r}: {raw!r}") from None
@@ -168,10 +164,9 @@ def bench_command(sizes, repeats, workers, precision, machines_path=None,
                   out=sys.stdout) -> int:
     """Time step cycles per size and derive the comparison metrics.
 
-    Repetition statistic: median and min over `repeats` timed cycles after two
-    warm-ups; initialization and snapshot IO are excluded from the timings.
+    Repetition statistic: median and min over the `repeats` timed cycles of
+    `validation.cycle_times`; initialization and snapshot IO are excluded.
     """
-    params = SchemeParams(precision=precision)
     width = 4 if precision == "single" else 8
     avail = _available_memory_bytes()
     measured: dict[int, float] = {}
@@ -183,10 +178,7 @@ def bench_command(sizes, repeats, workers, precision, machines_path=None,
         if avail is not None and need > avail:
             out.write(f"{n}\tskipped\tskipped\t{workers}\t# insufficient memory\n")
             continue
-        shape = GridShape(n, n, n)
-        state = init_condition("uniform", shape, params, v=(1.0, 0.0, 0.0))
-        _, reports = run(state, params, n_cycles=2 + repeats, workers=workers)
-        times = [r.wall_ms for r in reports[2:]]  # after two warm-ups
+        (times,) = validation.cycle_times([(n, workers)], repeats, precision)
         measured[n] = median(times)
         out.write(f"{n}\t{median(times):.3f}\t{min(times):.3f}\t{workers}\n")
 

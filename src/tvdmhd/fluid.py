@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import ConservedState, SchemeParams, face_to_center
-from .parallel import parallel_for, partition
+from .parallel import chunks, parallel_for, partition
 
 # Bytes per variable of one row block.  A block's peak live set is about 90
 # such arrays (the five-variable stacks count five times), so this bounds the
@@ -142,13 +142,6 @@ def _fast_speed(rho, p, b1sq, bsq, gamma):
     return np.sqrt(0.5 * (tot + np.sqrt(np.maximum(disc, 0))))
 
 
-def _row_blocks(n_rows: int, row_bytes: int):
-    """Split [0, n_rows) into blocks of about _BLOCK_BYTES per array."""
-    step = max(1, _BLOCK_BYTES // row_bytes)
-    for r0 in range(0, n_rows, step):
-        yield r0, min(r0 + step, n_rows)
-
-
 def _rows(arr: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Planes [lo, hi) of a grid array as a (rows, n1) view (never a copy)."""
     if not arr.flags.c_contiguous:
@@ -168,7 +161,7 @@ def cfl_timestep(state: ConservedState, params: SchemeParams) -> float:
     arrays = [_rows(a, 0, n3) for a in (state.rho, state.mom1, state.mom2, state.mom3,
                                         state.e, bc1, bc2, bc3)]
     speed = 0.0
-    for r0, r1 in _row_blocks(n3 * n2, n1 * state.dtype.itemsize):
+    for r0, r1 in chunks(0, n3 * n2, n1 * state.dtype.itemsize, _BLOCK_BYTES):
         rho, m1, m2, m3, e, b1, b2, b3 = (a[r0:r1] for a in arrays)
         p = gas_pressure(rho, m1, m2, m3, e, b1, b2, b3, params.gamma)
         check_positive(rho, p, where, (r0, n2))
@@ -314,7 +307,7 @@ def fluid_sweep(state: ConservedState, dt: float, params: SchemeParams,
     def body(_i, lo, hi):
         u_rows = [_rows(a, lo, hi) for a in fields]
         b_rows = [_rows(b, lo, hi) for b in bc]
-        for r0, r1 in _row_blocks(len(u_rows[0]), row_bytes):
+        for r0, r1 in chunks(0, len(u_rows[0]), row_bytes, _BLOCK_BYTES):
             _sweep_block([u[r0:r1] for u in u_rows], [b[r0:r1] for b in b_rows],
                          lam, params.gamma, where, (lo * n2 + r0, n2))
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fluid
 from .grid import ConservedState, SchemeParams
-from .parallel import parallel_for, partition
+from .parallel import chunks, parallel_for, partition
 
 # Bytes per array of one chunk.  Magnetic ms per cycle in traced perfbench
 # runs on a 2-core host, chunks of 128 / 256 / 512 KiB: serial64_w1 73-104 /
@@ -72,15 +72,13 @@ def magnetic_sweep(state: ConservedState, dt: float, params: SchemeParams,
     itemsize = state.dtype.itemsize
 
     def body_b2(_i, lo, hi):  # k slabs of whole planes
-        step = max(1, _CHUNK_BYTES // (n2 * n1 * itemsize))
-        for k in range(lo, hi, step):
-            s = slice(k, min(k + step, hi))
+        for k0, k1 in chunks(lo, hi, n2 * n1 * itemsize, _CHUNK_BYTES):
+            s = slice(k0, k1)
             _advect(state.b2[s], state.b1[s], v1[s], lam, axis=1)
 
     def body_b3(_i, lo, hi):  # j columns of whole k lines
-        step = max(1, _CHUNK_BYTES // (n3 * n1 * itemsize))
-        for j in range(lo, hi, step):
-            s = (slice(None), slice(j, min(j + step, hi)))
+        for j0, j1 in chunks(lo, hi, n3 * n1 * itemsize, _CHUNK_BYTES):
+            s = (slice(None), slice(j0, j1))
             _advect(state.b3[s], state.b1[s], v1[s], lam, axis=0)
 
     parallel_for(partition(n3, workers), body_b2)

@@ -5,6 +5,7 @@ the outermost (slowest-varying) axis, or the middle axis for the b3 part of
 the magnetic update.  Bodies write only inside their own slab, with no
 exception, and the values they write do not depend on the slab bounds.  Under
 that contract every result is bitwise identical for any worker count.
+Inside a slab, bodies walk their range in `chunks` that fit a byte budget.
 """
 
 from __future__ import annotations
@@ -36,6 +37,13 @@ def partition(n3: int, workers: int) -> SlabPartition:
         ranges.append((lo, hi))
         lo = hi
     return SlabPartition(workers, tuple(ranges))
+
+
+def chunks(lo: int, hi: int, unit_bytes: int, budget: int):
+    """Split [lo, hi) into runs of whole units of at most `budget` bytes (>= 1 unit)."""
+    step = max(1, budget // unit_bytes)
+    for start in range(lo, hi, step):
+        yield start, min(start + step, hi)
 
 
 def parallel_for(part: SlabPartition, body: Callable[[int, int, int], None]) -> None:

@@ -101,8 +101,9 @@ class FlopEstimate:
     canonical_flops: float | None
 
 
-def flops_per_step(shape, model: OpCountModel = OpCountModel()) -> FlopEstimate:
+def flops_per_step(shape) -> FlopEstimate:
     """Census flops for one step; the canonical total rides along at the 128^3 box."""
+    model = OpCountModel()
     flops = float(model.flop_per_cell) * _cells(shape)
     canonical = model.canonical_step_gflop_128 * 1e9 if _is_canonical_box(shape) else None
     return FlopEstimate(flops, canonical)
@@ -116,9 +117,9 @@ class TrafficEstimate:
     canonical_write_bytes: float | None
 
 
-def bytes_per_step(shape, precision: str = "single",
-                   model: TrafficModel = TrafficModel()) -> TrafficEstimate:
+def bytes_per_step(shape, precision: str = "single") -> TrafficEstimate:
     """Census traffic for one step at the given real width (4 or 8 bytes)."""
+    model = TrafficModel()
     width = 4 if precision == "single" else 8
     cells = _cells(shape)
     reads = float(model.reads_per_cell) * cells * width
@@ -141,14 +142,10 @@ class CriteriaReport:
     bandwidth_fraction_pct: float
 
 
-def criteria(runtime_ms: float, machine: MachineSpec, baseline: MachineSpec,
-             shape=(128, 128, 128),
-             ops: OpCountModel = OpCountModel(),
-             traffic: TrafficModel = TrafficModel()) -> CriteriaReport:
-    """Comparison metrics for a per-step runtime against a baseline machine.
+def criteria(runtime_ms: float, machine: MachineSpec, baseline: MachineSpec) -> CriteriaReport:
+    """Comparison metrics for a per-step runtime of the 128^3 box against a baseline machine.
 
-    At the canonical 128^3 box the published step totals are used for the
-    fraction metrics; elsewhere the per-cell census scales the totals.
+    The fraction metrics use the published step totals of that box.
     """
     if not runtime_ms > 0:
         raise ValueError(f"runtime must be positive, got {runtime_ms}")
@@ -160,13 +157,9 @@ def criteria(runtime_ms: float, machine: MachineSpec, baseline: MachineSpec,
         raise ValueError(f"baseline {baseline.label!r} is missing peak figures")
 
     seconds = runtime_ms / 1e3
-    fl = flops_per_step(shape, ops)
-    tr = bytes_per_step(shape, "single", traffic)
-    step_flops = fl.canonical_flops if fl.canonical_flops is not None else fl.model_flops
-    if tr.canonical_read_bytes is not None:
-        step_bytes = tr.canonical_read_bytes + tr.canonical_write_bytes
-    else:
-        step_bytes = tr.read_bytes + tr.write_bytes
+    tr = bytes_per_step((128, 128, 128), "single")
+    step_flops = flops_per_step((128, 128, 128)).canonical_flops
+    step_bytes = tr.canonical_read_bytes + tr.canonical_write_bytes
 
     code_speedup = baseline.reference_runtime_ms_128 / runtime_ms
     peak_ratio = machine.peak_gflops / baseline.peak_gflops

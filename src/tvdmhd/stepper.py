@@ -18,17 +18,17 @@ from .fluid import cfl_timestep, fluid_sweep
 from .grid import CANONICAL, ConservedState, SchemeParams, transpose
 from .magnetic import magnetic_sweep
 
-SWEEP_AXES = ("x", "y", "z", "z", "y", "x")
+# The legs of one cycle: (sweep axis, transpose direction to apply afterwards).
+SCHEDULE = (("x", "fwd"), ("y", "fwd"), ("z", None),
+            ("z", "inv"), ("y", "inv"), ("x", None))
 
 
 @dataclass
 class StepReport:
-    """Timing and function census of one cycle."""
+    """dt, wall time and per-section milliseconds of one cycle."""
 
     dt: float
     wall_ms: float
-    census: dict[str, int]
-    axes: tuple[str, ...] = SWEEP_AXES
     sections: dict[str, float] = field(default_factory=dict)
 
 
@@ -42,7 +42,6 @@ def step_cycle(state: ConservedState, params: SchemeParams,
     if tuple(state.shape.orientation) != CANONICAL:
         raise ValueError(f"step cycle requires canonical orientation, got {state.shape.orientation}")
 
-    census = {"cfl": 0, "fluid_sweeps": 0, "magnetic_sweeps": 0, "transposes": 0}
     sections = {"cfl": 0.0, "fluid": 0.0, "magnetic": 0.0, "transpose": 0.0}
     t_start = time.perf_counter()
 
@@ -53,25 +52,17 @@ def step_cycle(state: ConservedState, params: SchemeParams,
         return out
 
     dt = timed("cfl", cfl_timestep, state, params)
-    census["cfl"] += 1
-
-    # (sweep axis, transpose direction to apply afterwards)
-    schedule = (("x", "fwd"), ("y", "fwd"), ("z", None),
-                ("z", "inv"), ("y", "inv"), ("x", None))
-    for axis, flip in schedule:
+    for axis, flip in SCHEDULE:
         assert state.shape.orientation[0] == axis
         timed("fluid", fluid_sweep, state, dt, params, workers)
-        census["fluid_sweeps"] += 1
         timed("magnetic", magnetic_sweep, state, dt, params, workers)
-        census["magnetic_sweeps"] += 1
         if flip is not None:
             timed("transpose", transpose, state, inverse=(flip == "inv"), workers=workers)
-            census["transposes"] += 1
 
     state.time += 2.0 * dt
     state.cycle += 1
     wall_ms = (time.perf_counter() - t_start) * 1e3
-    return StepReport(dt=dt, wall_ms=wall_ms, census=census, sections=sections)
+    return StepReport(dt=dt, wall_ms=wall_ms, sections=sections)
 
 
 def run(state: ConservedState, params: SchemeParams, n_cycles: int | None = None,

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
+from statistics import median
 
 import numpy as np
 
@@ -125,14 +127,14 @@ def _at_least(name, value, threshold, note="") -> CheckResult:
     return CheckResult(name, float(value), float(threshold), bool(value >= threshold), note)
 
 
-def _advance_fluid_1d(state, params, t_end, workers=1):
-    """Drive repeated x sweeps to exactly t_end (1D fixtures; b = 0)."""
+def _fluid_sweeps(state, params, t_end, workers=1):
+    """Repeated x sweeps to exactly t_end, yielding after each (1D fixtures; b = 0)."""
     t = 0.0
     while t < t_end:
         dt = min(fluid.cfl_timestep(state, params), t_end - t)
         fluid.fluid_sweep(state, dt, params, workers=workers)
         t += dt
-    return state
+        yield
 
 
 def check_conservation_divergence(n=32, cycles=50, seed=11, workers=1,
@@ -185,7 +187,8 @@ def sod_double_tube(n=512, t_end=0.15, gamma=1.4, workers=1):
     state.rho[...] = rho[np.newaxis, np.newaxis, :]
     state.mom1[...] = 0.0
     state.e[...] = (p / (gamma - 1.0))[np.newaxis, np.newaxis, :]
-    _advance_fluid_1d(state, params, t_end, workers=workers)
+    for _ in _fluid_sweeps(state, params, t_end, workers=workers):
+        pass
 
     mask = x <= 1.0
     exact = np.array([riemann_sample((xi - 0.5) / t_end, 1.0, 0.0, 1.0,
@@ -208,7 +211,8 @@ def advection_l1(n, amplitude=0.2, periods=1.0) -> float:
     state = ic.init_condition("advect_pulse", shape, params,
                               amplitude=amplitude, profile="sine")
     rho0 = state.rho.copy()
-    _advance_fluid_1d(state, params, periods)
+    for _ in _fluid_sweeps(state, params, periods):
+        pass
     return float(np.sum(np.abs(state.rho[0, 0, :] - rho0[0, 0, :])) * dx)
 
 
@@ -230,11 +234,8 @@ def check_tvd(n=128, steps=30) -> CheckResult:
         return float(np.sum(np.abs(np.roll(line, -1) - line)))
 
     tv0 = tv(state.rho)
-    worst = -np.inf
-    for _ in range(steps):
-        dt = fluid.cfl_timestep(state, params)
-        fluid.fluid_sweep(state, dt, params)
-        worst = max(worst, tv(state.rho) - tv0)
+    sweeps = islice(_fluid_sweeps(state, params, math.inf), steps)
+    worst = max(tv(state.rho) - tv0 for _ in sweeps)
     return _below("advection_tv_growth", worst, 1e-12, note=f"{steps} sweeps")
 
 
@@ -260,8 +261,8 @@ def check_counting_model() -> list[CheckResult]:
     from .perf import OpCountModel, TrafficModel, bytes_per_step, flops_per_step
     ops, traffic = OpCountModel(), TrafficModel()
     shape = (128, 128, 128)
-    fl = flops_per_step(shape, ops)
-    tr = bytes_per_step(shape, "single", traffic)
+    fl = flops_per_step(shape)
+    tr = bytes_per_step(shape, "single")
     flop_dev = abs(fl.model_flops / fl.canonical_flops - 1.0)
     byte_dev = abs((tr.read_bytes + tr.write_bytes)
                    / (tr.canonical_read_bytes + tr.canonical_write_bytes) - 1.0)
@@ -302,22 +303,33 @@ def check_table_reproduction() -> list[CheckResult]:
     ]
 
 
+def cycle_times(runs, repeats, precision) -> list[list[float]]:
+    """Timed cycle wall ms of each (n, workers) run on a uniform moving n^3 box.
+
+    The runs take one cycle each in turn, for two untimed warm-up rounds
+    (allocator and frequency settling) and then `repeats` timed rounds, so a
+    slow phase of the host falls on every run alike.  Returns the `repeats`
+    times of each run, in the order of `runs`.
+    """
+    params = SchemeParams(precision=precision)
+    states = [ic.init_condition("uniform", GridShape(n, n, n), params, v=(1.0, 0.0, 0.0))
+              for n, _ in runs]
+    times = [[] for _ in runs]
+    for _ in range(2 + repeats):
+        for state, (_, workers), out in zip(states, runs, times):
+            _, (report,) = run(state, params, n_cycles=1, workers=workers)
+            out.append(report.wall_ms)
+    return [t[2:] for t in times]
+
+
 def check_scaling(sizes=(64, 128), repeats=5, workers=1) -> CheckResult:
     """Median cycle-time ratio between the two sizes (cubic work: expect ~8)."""
-    from statistics import median
-    params = SchemeParams(precision="single")
-    medians = []
-    for n in sizes:
-        shape = GridShape(n, n, n)
-        state = ic.init_condition("uniform", shape, params, v=(1.0, 0.0, 0.0))
-        # two warm-up cycles (allocator and frequency settling) are not timed
-        _, reports = run(state, params, n_cycles=2 + repeats, workers=workers)
-        medians.append(median(r.wall_ms for r in reports[2:]))
+    medians = [median(t) for t in cycle_times([(n, workers) for n in sizes],
+                                               repeats, "single")]
     ratio = medians[1] / medians[0]
-    result = CheckResult("scaling_ratio_128_64", ratio, 10.0,
-                         bool(6.0 <= ratio <= 10.0),
-                         note=f"medians {medians[0]:.0f}ms/{medians[1]:.0f}ms, range [6, 10]")
-    return result
+    return CheckResult("scaling_ratio_128_64", ratio, 10.0,
+                       bool(6.0 <= ratio <= 10.0),
+                       note=f"medians {medians[0]:.0f}ms/{medians[1]:.0f}ms, range [6, 10]")
 
 
 def default_checks(full: bool = False) -> list[CheckResult]:

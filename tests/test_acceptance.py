@@ -10,8 +10,7 @@ from statistics import median
 
 import pytest
 
-from tvdmhd import GridShape, SchemeParams, init_condition, load_machines, run
-from tvdmhd import validation
+from tvdmhd import load_machines, validation
 
 
 def report(num, name, detail, passed):
@@ -86,14 +85,8 @@ def test_criterion_8_scaling_shape():
 @pytest.mark.skipif((os.cpu_count() or 1) < 8,
                     reason="hardware-conditional: needs >= 8 physical cores")
 def test_criterion_8b_parallel_speedup():
-    params = SchemeParams(precision="single")
-    times = {}
-    for workers in (1, 8):
-        state = init_condition("uniform", GridShape(128, 128, 128), params,
-                               v=(1.0, 0.0, 0.0))
-        _, reports = run(state, params, n_cycles=2 + 3, workers=workers)
-        times[workers] = median(r.wall_ms for r in reports[2:])  # after two warm-ups
-    speedup = times[1] / times[8]
+    w1, w8 = validation.cycle_times([(128, 1), (128, 8)], 3, "single")
+    speedup = median(w1) / median(w8)
     report(8, "parallel-speedup", f"8-worker speedup {speedup:.2f} (min 3.5)",
            speedup >= 3.5)
 

@@ -1,4 +1,5 @@
 import io
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,6 +18,13 @@ def test_parse_config_round_trip():
     """
     values = parse_config(text)
     assert values == {"size": 16, "gamma": 1.4, "ic": "sod_x", "workers": 2}
+
+
+@pytest.mark.parametrize("f", fields(RunConfig), ids=lambda f: f.name)
+def test_parse_config_types_every_key_by_its_annotation(f):
+    want = {"int": 3, "float": 3.0, "str": "3"}[f.type.split(" | ")[0]]
+    got = parse_config(f"{f.name} = 3")[f.name]
+    assert got == want and type(got) is type(want)
 
 
 def test_parse_config_unknown_key_names_key_and_line():
@@ -168,5 +176,9 @@ def test_env_var_sets_default_workers(monkeypatch):
     monkeypatch.setenv(cli.ENV_WORKERS, "3")
     assert cli.default_workers() == 3
     assert RunConfig().workers == 3
-    monkeypatch.setenv(cli.ENV_WORKERS, "junk")
-    assert cli.default_workers() == 1
+    for raw in ("junk", "0", "-3"):
+        monkeypatch.setenv(cli.ENV_WORKERS, raw)
+        with pytest.raises(ConfigError, match=f"TVDMHD_WORKERS .* got '{raw}'"):
+            cli.default_workers()
+    assert cli.main(["run", "--size", "8", "--cycles", "1"]) == 2
+    assert cli.main(["bench", "--sizes", "16", "--repeats", "1"]) == 2

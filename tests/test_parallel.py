@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tvdmhd import GridShape, fluid_sweep, init_condition, parallel_for, partition
+from tvdmhd.parallel import chunks
 
 from conftest import random_state, state_bytes
 
@@ -21,6 +22,16 @@ def test_partition_uneven_sizes():
     part = partition(10, 4)
     sizes = sorted(hi - lo for lo, hi in part.ranges)
     assert sizes == [2, 2, 3, 3]
+
+
+@pytest.mark.parametrize("lo, hi, unit, budget, want", [
+    (0, 10, 4, 12, [(0, 3), (3, 6), (6, 9), (9, 10)]),
+    (5, 9, 4, 100, [(5, 9)]),
+    (2, 5, 64, 16, [(2, 3), (3, 4), (4, 5)]),  # a unit above the budget still goes alone
+    (3, 3, 4, 12, []),
+])
+def test_chunks_cut_range_into_whole_units_within_budget(lo, hi, unit, budget, want):
+    assert list(chunks(lo, hi, unit, budget)) == want
 
 
 def test_partition_rejects_too_many_workers():

@@ -1,25 +1,62 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from tvdmhd import (GridShape, SchemeParams, discrete_divergence, init_condition,
-                    run, step_cycle, totals, transpose)
+                    run, step_cycle, stepper, totals, transpose)
 
 from conftest import state_bytes
 
 
-def test_census_matches_step_composition(params):
-    state = init_condition("solenoidal_random", GridShape(8, 8, 8), params, seed=1)
-    report = step_cycle(state, params)
-    assert report.census == {"cfl": 1, "fluid_sweeps": 6, "magnetic_sweeps": 6,
-                             "transposes": 4}
+def _recorded_cycle(monkeypatch, params, kind, **options):
+    """Run one cycle; return its report and (call, fastest axis, inverse) per call."""
+    calls = []
+
+    def recorded(label, fn):
+        def wrapper(state, *args, **kwargs):
+            bound = inspect.signature(fn).bind(state, *args, **kwargs)
+            bound.apply_defaults()
+            calls.append((label, state.shape.orientation[0], bound.arguments.get("inverse")))
+            return fn(state, *args, **kwargs)
+        return wrapper
+
+    for label, name in (("cfl", "cfl_timestep"), ("fluid", "fluid_sweep"),
+                        ("magnetic", "magnetic_sweep"), ("transpose", "transpose")):
+        monkeypatch.setattr(stepper, name, recorded(label, getattr(stepper, name)))
+    state = init_condition(kind, GridShape(8, 8, 8), params, **options)
+    return step_cycle(state, params), calls
+
+
+def test_census_matches_step_composition(params, monkeypatch):
+    report, calls = _recorded_cycle(monkeypatch, params, "solenoidal_random", seed=1)
+    census = {kind: sum(1 for c in calls if c[0] == kind)
+              for kind in ("cfl", "fluid", "magnetic", "transpose")}
+    assert census == {"cfl": 1, "fluid": 6, "magnetic": 6, "transpose": 4}
     assert report.dt > 0 and report.wall_ms > 0
 
 
-def test_sweep_axis_sequence_is_palindrome(params):
-    state = init_condition("uniform", GridShape(8, 8, 8), params)
-    report = step_cycle(state, params)
-    assert report.axes == ("x", "y", "z", "z", "y", "x")
-    assert report.axes == report.axes[::-1]
+def test_sweep_axis_sequence_is_palindrome(params, monkeypatch):
+    _, calls = _recorded_cycle(monkeypatch, params, "uniform")
+    for kind in ("fluid", "magnetic"):
+        axes = tuple(axis for k, axis, _ in calls if k == kind)
+        assert axes == ("x", "y", "z", "z", "y", "x")
+        assert axes == axes[::-1]
+
+
+def test_cycle_calls_sweeps_and_transposes_in_order(params, monkeypatch):
+    report, calls = _recorded_cycle(monkeypatch, params, "solenoidal_random", seed=1)
+    fwd, inv = False, True
+    assert calls == [
+        ("cfl", "x", None),
+        ("fluid", "x", None), ("magnetic", "x", None), ("transpose", "x", fwd),
+        ("fluid", "y", None), ("magnetic", "y", None), ("transpose", "y", fwd),
+        ("fluid", "z", None), ("magnetic", "z", None),
+        ("fluid", "z", None), ("magnetic", "z", None), ("transpose", "z", inv),
+        ("fluid", "y", None), ("magnetic", "y", None), ("transpose", "y", inv),
+        ("fluid", "x", None), ("magnetic", "x", None),
+    ]
+    assert report.dt > 0 and report.wall_ms > 0
 
 
 def test_uniform_static_state_unchanged_bitwise(params):
