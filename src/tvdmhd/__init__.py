@@ -6,7 +6,7 @@ from .grid import (ConservedState, GridShape, SchemeParams, allocate_state,
                    discrete_divergence, face_to_center, totals, transpose)
 from .ic import init_condition
 from .magnetic import magnetic_sweep
-from .parallel import SlabPartition, parallel_for, partition
+from .parallel import parallel_for, partition
 from .perf import (CriteriaReport, MachineSpec, OpCountModel, TrafficModel,
                    bytes_per_step, criteria, flops_per_step, load_machines)
 from .snapshot import read_snapshot, slice_export, write_snapshot
@@ -19,7 +19,7 @@ __all__ = [
     "discrete_divergence", "face_to_center", "totals", "transpose",
     "PositivityError", "cfl_timestep", "fluid_sweep", "vanleer",
     "magnetic_sweep",
-    "SlabPartition", "parallel_for", "partition",
+    "parallel_for", "partition",
     "CriteriaReport", "MachineSpec", "OpCountModel", "TrafficModel",
     "bytes_per_step", "criteria", "flops_per_step", "load_machines",
     "read_snapshot", "slice_export", "write_snapshot",

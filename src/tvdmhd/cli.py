@@ -305,21 +305,29 @@ def main(argv=None) -> int:
             if args.t_end is not None:
                 overrides["cycles"] = None
             cfg = load_config(args.config, overrides)
-            return run_command(cfg)
-        if args.command == "bench":
+            code = run_command(cfg)
+        elif args.command == "bench":
             workers = args.workers if args.workers is not None else default_workers()
             with open(args.out, "w") if args.out else nullcontext() as fh:
-                return bench_command(_parse_sizes(args.sizes), args.repeats, workers,
+                code = bench_command(_parse_sizes(args.sizes), args.repeats, workers,
                                      args.precision, args.machines,
                                      out=_Tee(sys.stdout, fh) if fh else sys.stdout)
-        if args.command == "validate":
-            return validate_command(full=args.full)
-        if args.command == "slice":
-            return slice_command(args)
+        elif args.command == "validate":
+            code = validate_command(full=args.full)
+        else:
+            code = slice_command(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the exit-time flush
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`tvdmhd bench | head -1`).  Point it at
+        # the null device so the exit-time flush is silent; 141 = 128 + SIGPIPE.
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return 141
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

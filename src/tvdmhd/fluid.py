@@ -283,8 +283,7 @@ def _sweep_block(u5, bc, lam, gamma, where, origin):
 
     p = _pressure(new[0], new[1:4], new[4], _interior(field.pm), gamma)
     check_positive(new[0], p, where[2], origin)
-    for dst, src in zip(u5, new):
-        dst[...] = src
+    u5[...] = new
 
 
 def fluid_sweep(state: ConservedState, dt: float, params: SchemeParams,
@@ -302,13 +301,12 @@ def fluid_sweep(state: ConservedState, dt: float, params: SchemeParams,
     axis = state.shape.orientation[0]
     where = tuple(f"in the {axis} sweep{stage}, cycle {state.cycle}"
                   for stage in ("", " (half step)", " after the fluid update"))
-    fields = (state.rho, state.mom1, state.mom2, state.mom3, state.e)
 
     def body(_i, lo, hi):
-        u_rows = [_rows(a, lo, hi) for a in fields]
+        u_rows = state.u[:5, lo:hi].reshape(5, -1, n1, copy=False)  # a view: writes go through
         b_rows = [_rows(b, lo, hi) for b in bc]
-        for r0, r1 in chunks(0, len(u_rows[0]), row_bytes, _BLOCK_BYTES):
-            _sweep_block([u[r0:r1] for u in u_rows], [b[r0:r1] for b in b_rows],
+        for r0, r1 in chunks(0, u_rows.shape[1], row_bytes, _BLOCK_BYTES):
+            _sweep_block(u_rows[:, r0:r1], [b[r0:r1] for b in b_rows],
                          lam, params.gamma, where, (lo * n2 + r0, n2))
 
     parallel_for(partition(n3, workers), body)

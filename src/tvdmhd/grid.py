@@ -1,7 +1,8 @@
 """Simulation state layout and global diagnostics.
 
-State is stored structure-of-arrays: eight separate 3D numpy arrays in C
-order, indexed ``[k, j, i]`` where ``i`` runs along the current
+State is stored structure-of-arrays in one C-order block ``u`` of shape
+``(8, n3, n2, n1)``: row ``c`` is component ``COMPONENT_NAMES[c]``, a 3D
+array indexed ``[k, j, i]`` where ``i`` runs along the current
 fastest-varying axis, ``j`` along the middle axis and ``k`` along the
 slowest.  The face-centered magnetic field is staggered on the lower face:
 ``b1[k, j, i]`` is the field through the lower ``i``-face of cell
@@ -11,12 +12,14 @@ uniform, and the field is in units where the magnetic pressure is ``b^2/2``.
 
 A memory transpose reorients the grid so the next sweep direction becomes the
 fastest axis; the ``orientation`` tag on :class:`GridShape` records which
-physical axis currently plays each role.
+physical axis currently plays each role.  It writes into a spare block of the
+same size and then swaps the two, so after the first transpose no cycle
+allocates state memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 import numpy as np
@@ -83,41 +86,46 @@ COMPONENT_NAMES = ("rho", "mom1", "mom2", "mom3", "e", "b1", "b2", "b3")
 
 @dataclass
 class ConservedState:
-    """SOA conserved variables plus staggered face fields; mutated in place by the solver."""
+    """Conserved variables and staggered face fields as the rows of one block `u`.
+
+    The named components are views of `u`, in COMPONENT_NAMES order; the solver
+    mutates them in place.  `spare` is the block transposes write into, so a
+    view taken before a transpose lies in `spare` after it and is overwritten
+    by the next transpose.
+    """
 
     shape: GridShape
-    rho: np.ndarray
-    mom1: np.ndarray
-    mom2: np.ndarray
-    mom3: np.ndarray
-    e: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
-    b3: np.ndarray
+    u: np.ndarray
     time: float = 0.0
     cycle: int = 0
+    spare: np.ndarray | None = field(init=False, default=None)
+
+    rho = property(lambda self: self.u[0])
+    mom1 = property(lambda self: self.u[1])
+    mom2 = property(lambda self: self.u[2])
+    mom3 = property(lambda self: self.u[3])
+    e = property(lambda self: self.u[4])
+    b1 = property(lambda self: self.u[5])
+    b2 = property(lambda self: self.u[6])
+    b3 = property(lambda self: self.u[7])
 
     def components(self) -> Iterator[tuple[str, np.ndarray]]:
-        for name in COMPONENT_NAMES:
-            yield name, getattr(self, name)
+        return zip(COMPONENT_NAMES, self.u)
 
     def copy(self) -> "ConservedState":
-        arrays = {name: arr.copy() for name, arr in self.components()}
-        return ConservedState(shape=self.shape, time=self.time, cycle=self.cycle, **arrays)
+        return ConservedState(self.shape, self.u.copy(), self.time, self.cycle)
 
     @property
     def dtype(self) -> np.dtype:
-        return self.rho.dtype
+        return self.u.dtype
 
 
 def allocate_state(shape: GridShape, params: SchemeParams) -> ConservedState:
     """Zero-initialized state in canonical (x, y, z) orientation."""
     if tuple(shape.orientation) != CANONICAL:
         shape = replace(shape, orientation=CANONICAL)
-    arrays = {
-        name: np.zeros(shape.array_shape, dtype=params.dtype) for name in COMPONENT_NAMES
-    }
-    return ConservedState(shape=shape, **arrays)
+    u = np.zeros((len(COMPONENT_NAMES),) + shape.array_shape, dtype=params.dtype)
+    return ConservedState(shape, u)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +135,10 @@ def allocate_state(shape: GridShape, params: SchemeParams) -> ConservedState:
 _FWD_AXES = (2, 0, 1)
 # Inverse: the slowest axis becomes fastest; out[j, i, k] = in[k, j, i].
 _INV_AXES = (1, 2, 0)
+# Source row of each output row: momenta and face fields are relabeled with
+# their axes, so component 1 always lies along the fastest axis.
+_FWD_SOURCES = (0, 2, 3, 1, 4, 6, 7, 5)
+_INV_SOURCES = (0, 3, 1, 2, 4, 7, 5, 6)
 
 
 # Edge of the cubic blocks a transpose copies.  Per-call ms of one transpose
@@ -147,7 +159,7 @@ def _tiled_copy(view: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
 
 
 def transpose(state: ConservedState, inverse: bool = False, workers: int = 1) -> ConservedState:
-    """Reorient the grid by one cyclic step; all eight arrays are permuted out of place.
+    """Reorient the grid by one cyclic step, copying the block into the spare and swapping.
 
     Forward, the previous middle axis becomes fastest-varying (three applications
     restore the input bitwise); `inverse=True` undoes one forward step.  Momentum
@@ -155,42 +167,27 @@ def transpose(state: ConservedState, inverse: bool = False, workers: int = 1) ->
     to the current fastest axis.
     """
     shape = state.shape
-    axes = _INV_AXES if inverse else _FWD_AXES
+    f, m, s = shape.orientation
     if inverse:
-        n1, n2, n3 = shape.n3, shape.n1, shape.n2
-        f, m, s = shape.orientation
-        orientation = (s, f, m)
-        relabel = {"1": "3", "2": "1", "3": "2"}
+        n1, n2, n3, orientation = shape.n3, shape.n1, shape.n2, (s, f, m)
+        axes, sources = _INV_AXES, _INV_SOURCES
     else:
-        n1, n2, n3 = shape.n2, shape.n3, shape.n1
-        f, m, s = shape.orientation
-        orientation = (m, s, f)
-        relabel = {"1": "2", "2": "3", "3": "1"}
-
+        n1, n2, n3, orientation = shape.n2, shape.n3, shape.n1, (m, s, f)
+        axes, sources = _FWD_AXES, _FWD_SOURCES
     new_shape = GridShape(n1, n2, n3, dx=shape.dx, orientation=orientation)
-    sources = {}
-    for name, arr in state.components():
-        if name in ("rho", "e"):
-            sources[name] = arr
-        else:
-            sources[name] = getattr(state, name[:-1] + relabel[name[-1]])
 
-    part = partition(new_shape.n3, workers)
-    outputs = {}
-    views = {}
-    for name in COMPONENT_NAMES:
-        views[name] = sources[name].transpose(axes)
-        outputs[name] = np.empty(new_shape.array_shape, dtype=state.dtype)
+    if state.spare is None:
+        state.spare = np.empty_like(state.u)
+    out = state.spare.reshape((len(sources),) + new_shape.array_shape, copy=False)
+    views = [state.u[c].transpose(axes) for c in sources]
 
     def body(_i, lo, hi):
-        for name in COMPONENT_NAMES:
-            _tiled_copy(views[name], outputs[name], lo, hi)
+        for view, dst in zip(views, out):
+            _tiled_copy(view, dst, lo, hi)
 
-    parallel_for(part, body)
+    parallel_for(partition(new_shape.n3, workers), body)
 
-    state.shape = new_shape
-    for name in COMPONENT_NAMES:
-        setattr(state, name, outputs[name])
+    state.shape, state.u, state.spare = new_shape, out, state.u
     return state
 
 

@@ -33,9 +33,10 @@ _CHUNK_BYTES = 256 << 10
 def _edge_flux(b, ve, lam):
     # TVD upwind flux of the face field b through the lower-i edge of each cell,
     # second-order via Van Leer slopes with the local Courant time-centering.
-    d = b - np.roll(b, 1, axis=-1)
+    b_left = np.roll(b, 1, axis=-1)
+    d = b - b_left
     nu = np.abs(ve) * lam
-    up = np.roll(b, 1, axis=-1) + 0.5 * (1.0 - nu) * fluid.vanleer(np.roll(d, 1, axis=-1), d)
+    up = b_left + 0.5 * (1.0 - nu) * fluid.vanleer(np.roll(d, 1, axis=-1), d)
     dn = b - 0.5 * (1.0 - nu) * fluid.vanleer(d, np.roll(d, -1, axis=-1))
     return ve * np.where(ve > 0, up, dn)
 

@@ -11,20 +11,11 @@ Inside a slab, bodies walk their range in `chunks` that fit a byte budget.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Callable
 
 
-@dataclass(frozen=True)
-class SlabPartition:
-    """Contiguous index ranges over one array axis, one per worker."""
-
-    worker_count: int
-    ranges: tuple[tuple[int, int], ...]
-
-
-def partition(n3: int, workers: int) -> SlabPartition:
-    """Split [0, n3) into `workers` contiguous ranges with sizes differing by <= 1."""
+def partition(n3: int, workers: int) -> tuple[tuple[int, int], ...]:
+    """Split [0, n3) into `workers` contiguous (lo, hi) ranges with sizes differing by <= 1."""
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")
     if workers > n3:
@@ -36,7 +27,7 @@ def partition(n3: int, workers: int) -> SlabPartition:
         hi = lo + base + (1 if w < extra else 0)
         ranges.append((lo, hi))
         lo = hi
-    return SlabPartition(workers, tuple(ranges))
+    return tuple(ranges)
 
 
 def chunks(lo: int, hi: int, unit_bytes: int, budget: int):
@@ -46,20 +37,18 @@ def chunks(lo: int, hi: int, unit_bytes: int, budget: int):
         yield start, min(start + step, hi)
 
 
-def parallel_for(part: SlabPartition, body: Callable[[int, int, int], None]) -> None:
-    """Run body(slab_index, lo, hi) once per slab; return only after all finish.
+def parallel_for(part: tuple[tuple[int, int], ...],
+                 body: Callable[[int, int, int], None]) -> None:
+    """Run body(slab_index, lo, hi) once per (lo, hi) range of `part`; return after all finish.
 
-    A failure re-raises the exception of the lowest failing slab index,
-    independent of scheduling order.
+    One range runs inline.  A failure re-raises the exception of the lowest
+    failing slab index, independent of scheduling order.
     """
-    if part.worker_count == 1:
-        for i, (lo, hi) in enumerate(part.ranges):
-            body(i, lo, hi)
+    if len(part) == 1:
+        body(0, *part[0])
         return
 
-    with ThreadPoolExecutor(max_workers=part.worker_count) as pool:
-        futures = [
-            pool.submit(body, i, lo, hi) for i, (lo, hi) in enumerate(part.ranges)
-        ]
+    with ThreadPoolExecutor(max_workers=len(part)) as pool:
+        futures = [pool.submit(body, i, lo, hi) for i, (lo, hi) in enumerate(part)]
     for fut in futures:  # every slab has finished once the pool is shut down
         fut.result()

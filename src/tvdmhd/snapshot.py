@@ -45,40 +45,35 @@ def write_snapshot(state: ConservedState, path: str | Path) -> None:
     width = state.dtype.itemsize
     header = _HEADER.pack(MAGIC, VERSION, shape.n1, shape.n2, shape.n3,
                           orient, width, shape.dx, state.time, state.cycle)
-    le = np.dtype(state.dtype).newbyteorder("<")
+    block = np.ascontiguousarray(state.u, dtype=state.dtype.newbyteorder("<"))
     with open(path, "wb") as fh:
         fh.write(header)
-        for _, arr in state.components():
-            fh.write(np.ascontiguousarray(arr, dtype=le).tobytes())
+        fh.write(block)
 
 
 def read_snapshot(path: str | Path) -> ConservedState:
     """Read a snapshot back into a state; validates header and payload length."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size or raw[:8] != MAGIC:
-        raise SnapshotError(f"{path}: not a snapshot file")
-    _, version, n1, n2, n3, orient, width, dx, time_, cycle = _HEADER.unpack_from(raw)
-    if version > VERSION:
-        raise SnapshotError(f"{path}: unsupported snapshot version {version}")
-    if orient >= len(ORIENTATIONS) or width not in (4, 8):
-        raise SnapshotError(f"{path}: corrupt header")
-    try:
-        shape = GridShape(n1, n2, n3, dx=dx, orientation=ORIENTATIONS[orient])
-    except ValueError as exc:
-        raise SnapshotError(f"{path}: shape mismatch: {exc}") from exc
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size or head[:8] != MAGIC:
+            raise SnapshotError(f"{path}: not a snapshot file")
+        _, version, n1, n2, n3, orient, width, dx, time_, cycle = _HEADER.unpack(head)
+        if version > VERSION:
+            raise SnapshotError(f"{path}: unsupported snapshot version {version}")
+        if orient >= len(ORIENTATIONS) or width not in (4, 8):
+            raise SnapshotError(f"{path}: corrupt header")
+        try:
+            shape = GridShape(n1, n2, n3, dx=dx, orientation=ORIENTATIONS[orient])
+        except ValueError as exc:
+            raise SnapshotError(f"{path}: shape mismatch: {exc}") from exc
 
-    dtype = np.dtype(np.float32 if width == 4 else np.float64)
-    count = shape.cells
-    arrays = {}
-    offset = _HEADER.size
-    for name in COMPONENT_NAMES:
-        end = offset + count * width
-        if end > len(raw):
-            raise SnapshotError(f"{path}: truncated payload at component {name}")
-        flat = np.frombuffer(raw, dtype=dtype.newbyteorder("<"), count=count, offset=offset)
-        arrays[name] = flat.astype(dtype, copy=True).reshape(shape.array_shape)
-        offset = end
-    return ConservedState(shape=shape, time=time_, cycle=cycle, **arrays)
+        dtype = np.dtype(np.float32 if width == 4 else np.float64)
+        u = np.empty((len(COMPONENT_NAMES),) + shape.array_shape, dtype=dtype.newbyteorder("<"))
+        got = fh.readinto(u)
+    if got < u.nbytes:
+        name = COMPONENT_NAMES[got // (shape.cells * width)]
+        raise SnapshotError(f"{path}: truncated payload at component {name}")
+    return ConservedState(shape, u.astype(dtype, copy=False), time_, cycle)
 
 
 def slice_export(state: ConservedState, plane: tuple[str, int], path: str | Path,

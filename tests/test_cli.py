@@ -1,9 +1,14 @@
 import io
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tvdmhd
 from tvdmhd import cli, fluid, init_condition, read_snapshot, run, validation
 from tvdmhd.cli import ConfigError, RunConfig, load_config, parse_config
 
@@ -123,6 +128,23 @@ def test_main_bench_out_writes_what_it_prints(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert printed.startswith("# size\tmedian_ms") and "\nN-GPU\t" in printed
     assert path.read_text() == printed
+
+
+def test_main_exits_quietly_when_stdout_closes_early():
+    # `tvdmhd bench | head -1`: unbuffered, so the first line is out before the
+    # timed cycles and the next write meets the closed pipe.
+    env = dict(os.environ, PYTHONUNBUFFERED="1",
+               PYTHONPATH=os.pathsep.join([str(Path(tvdmhd.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH", "")]))
+    env.pop(cli.ENV_WORKERS, None)
+    proc = subprocess.Popen([sys.executable, "-m", "tvdmhd", "bench", "--sizes", "16",
+                             "--repeats", "1"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"# size")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert err == b""
 
 
 def test_validate_command_report_is_machine_readable(monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tvdmhd import (GridShape, SchemeParams, allocate_state, discrete_divergence,
-                    face_to_center, totals, transpose)
+                    face_to_center, step_cycle, totals, transpose)
 from tvdmhd.grid import COMPONENT_NAMES
 
 from conftest import random_state
@@ -37,6 +37,27 @@ def test_precision_selects_dtype():
     assert SchemeParams(precision="double").dtype == np.float64
     state = allocate_state(GridShape(8, 8, 8), SchemeParams(precision="single"))
     assert state.rho.dtype == np.float32
+
+
+def test_components_are_rows_of_one_block(params):
+    state = random_state(GridShape(16, 8, 12), params, seed=1)
+    assert state.u.shape == (8, 12, 8, 16) and state.u.flags.c_contiguous
+    for c, name in enumerate(COMPONENT_NAMES):
+        assert np.shares_memory(getattr(state, name), state.u[c])
+    assert np.shares_memory(state.rho, state.u) and np.shares_memory(state.b3, state.u)
+    with pytest.raises(AttributeError):
+        state.rho = np.ones_like(state.rho)
+
+
+def test_transposes_swap_between_two_blocks(params):
+    state = random_state(GridShape(16, 8, 12), params, seed=2)
+    assert state.spare is None
+    step_cycle(state, params)
+    buffers = (state.u.ctypes.data, state.spare.ctypes.data)
+    step_cycle(state, params, workers=2)
+    assert (state.u.ctypes.data, state.spare.ctypes.data) == buffers
+    transpose(state)
+    assert (state.spare.ctypes.data, state.u.ctypes.data) == buffers
 
 
 # --- transpose -------------------------------------------------------------

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +116,21 @@ def test_snapshot_round_trip_single_precision(tmp_path):
     back = read_snapshot(path)
     assert back.rho.dtype == np.float32
     assert state_bytes(back) == state_bytes(state)
+
+
+def test_snapshot_bytes_are_header_then_components_in_order(tmp_path):
+    # Oracle of the v1 layout: header, then each component's little-endian
+    # values in COMPONENT_NAMES order, in the state's current orientation.
+    params = SchemeParams(precision="single")
+    state = random_state(GridShape(8, 12, 16), params, seed=8)
+    transpose(state)
+    state.time, state.cycle = 0.375, 11
+    path = tmp_path / "layout.snap"
+    write_snapshot(state, path)
+    header = struct.pack("<8sIIIIBB6xddq", MAGIC, 1, 12, 16, 8, 1, 4, 1.0, 0.375, 11)
+    payload = b"".join(a.astype("<f4").tobytes() for _, a in state.components())
+    assert len(header) == 56
+    assert path.read_bytes() == header + payload
 
 
 def test_snapshot_wrong_magic(tmp_path):

@@ -11,16 +11,16 @@ from conftest import random_state, state_bytes
 
 def test_partition_128_by_8():
     part = partition(128, 8)
-    assert part.ranges == tuple((16 * w, 16 * (w + 1)) for w in range(8))
+    assert part == tuple((16 * w, 16 * (w + 1)) for w in range(8))
 
 
 def test_partition_single_worker():
-    assert partition(16, 1).ranges == ((0, 16),)
+    assert partition(16, 1) == ((0, 16),)
 
 
 def test_partition_uneven_sizes():
     part = partition(10, 4)
-    sizes = sorted(hi - lo for lo, hi in part.ranges)
+    sizes = sorted(hi - lo for lo, hi in part)
     assert sizes == [2, 2, 3, 3]
 
 
@@ -46,10 +46,10 @@ def test_partition_properties(n, workers):
             partition(n, workers)
         return
     part = partition(n, workers)
-    assert part.ranges[0][0] == 0 and part.ranges[-1][1] == n
-    for (alo, ahi), (blo, bhi) in zip(part.ranges, part.ranges[1:]):
+    assert part[0][0] == 0 and part[-1][1] == n
+    for (alo, ahi), (blo, bhi) in zip(part, part[1:]):
         assert ahi == blo and ahi > alo
-    sizes = [hi - lo for lo, hi in part.ranges]
+    sizes = [hi - lo for lo, hi in part]
     assert max(sizes) - min(sizes) <= 1
 
 
@@ -72,7 +72,7 @@ def test_parallel_for_ordered_combine_matches_sequential():
 
     # oracle: one sequential pass, same association
     seq = 0.0
-    for lo, hi in part.ranges:
+    for lo, hi in part:
         block = 0.0
         for v in data[lo:hi]:
             block = block + float(v)
