@@ -30,26 +30,24 @@ block size and the worker count.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .grid import ConservedState, SchemeParams, face_to_center
+# face_to_center is not called here; it stays bound for perfbench's tracer,
+# which rebinds fluid.face_to_center.
+from .grid import ConservedState, SchemeParams, face_to_center, row_centers  # noqa: F401
 from .parallel import chunks, parallel_for, partition
 
 # Bytes per variable of one row block.  A block's peak live set is about 90
 # such arrays (the five-variable stacks count five times), so this bounds the
 # memory a block churns through.  Measured with perfbench on a 2-core host
-# (2 MiB L2 per core, single precision):
-# - 64^3, 1 worker: in alternating traced runs the fluid sweep took 290 and
-#   327 ms per cycle at 48 KiB, 360 and 416 ms at 64 KiB.  Larger blocks
-#   leave L2 and make glibc trim and re-fault the heap between blocks (2k-35k
-#   page faults per cycle at 64 KiB, depending on the heap layout).
-# - 128^3, 2 workers: every numpy call hands the interpreter lock to the other
-#   thread, so small blocks pay in lock hand-offs: 32 KiB made the cycle
-#   slower than the unblocked code, 48 KiB was 6-22% faster than it and
-#   64 KiB 14-28%.
-# 48 KiB keeps the single-worker gain without the two-worker loss.
+# (2 MiB L2 per core, single precision), 64^3, 1 worker: in alternating
+# traced runs the fluid sweep took 290 and 327 ms per cycle at 48 KiB, 360
+# and 416 ms at 64 KiB.  Larger blocks leave L2 and make glibc trim and
+# re-fault the heap between blocks (2k-35k page faults per cycle at 64 KiB,
+# depending on the heap layout).
 _BLOCK_BYTES = 48 << 10
 # Periodic images at each end of a padded row: the stencil of a flux
 # difference reaches two cells to either side.
@@ -149,32 +147,43 @@ def _rows(arr: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return arr[lo:hi].reshape(-1, arr.shape[-1])
 
 
-def cfl_timestep(state: ConservedState, params: SchemeParams) -> float:
-    """Largest stable dt: courant * dx / max over cells and axes of |v| + c_fast.
-
-    Raises PositivityError on a non-positive or non-finite state.
-    """
-    bc1, bc2, bc3 = face_to_center(state)
-    n3, n2, n1 = state.shape.array_shape
-    where = (f"in the cfl timestep ({state.shape.orientation[0]} fastest), "
-             f"cycle {state.cycle}")
-    arrays = [_rows(a, 0, n3) for a in (state.rho, state.mom1, state.mom2, state.mom3,
-                                        state.e, bc1, bc2, bc3)]
+def _cfl_slab(u, maxima, gamma, where, i, lo, hi):
+    # Slab kernel: maxima[i] = the largest |v| + c_fast over planes [lo, hi) and
+    # all axes.  It has the state's dtype, as does every speed, so it is exact.
+    _, _, n2, n1 = u.shape
+    rows = [_rows(a, lo, hi) for a in u[:5]]
     speed = 0.0
-    for r0, r1 in chunks(0, n3 * n2, n1 * state.dtype.itemsize, _BLOCK_BYTES):
-        rho, m1, m2, m3, e, b1, b2, b3 = (a[r0:r1] for a in arrays)
-        p = gas_pressure(rho, m1, m2, m3, e, b1, b2, b3, params.gamma)
-        check_positive(rho, p, where, (r0, n2))
+    for r0, r1 in chunks(0, (hi - lo) * n2, n1 * u.itemsize, _BLOCK_BYTES):
+        rho, m1, m2, m3, e = (a[r0:r1] for a in rows)
+        origin = (lo * n2 + r0, n2)
+        b1, b2, b3 = row_centers(u, origin[0], origin[0] + r1 - r0)
+        p = gas_pressure(rho, m1, m2, m3, e, b1, b2, b3, gamma)
+        check_positive(rho, p, where, origin)
         for m, b_along, b_t1, b_t2 in ((m1, b1, b2, b3), (m2, b2, b3, b1),
                                        (m3, b3, b1, b2)):
             sq = b_along ** 2
-            cf = _fast_speed(rho, p, sq, sq + b_t1 ** 2 + b_t2 ** 2, params.gamma)
+            cf = _fast_speed(rho, p, sq, sq + b_t1 ** 2 + b_t2 ** 2, gamma)
             sig = np.abs(m / rho) + cf
             top = float(np.max(sig))
             if not top < math.inf:
-                cell = _cell(int(np.argmin(np.isfinite(sig))), sig.shape, (r0, n2))
+                cell = _cell(int(np.argmin(np.isfinite(sig))), sig.shape, origin)
                 raise PositivityError(f"non-finite signal speed at cell {cell} {where}")
             speed = max(speed, top)
+    maxima[i] = speed
+
+
+def cfl_timestep(state: ConservedState, params: SchemeParams, workers: int = 1) -> float:
+    """Largest stable dt: courant * dx / max over cells and axes of |v| + c_fast.
+
+    Raises PositivityError on a non-positive or non-finite state.  The slab
+    maxima are kept in the spare block, which holds nothing between transposes.
+    """
+    where = (f"in the cfl timestep ({state.shape.orientation[0]} fastest), "
+             f"cycle {state.cycle}")
+    part = partition(state.shape.n3, workers)
+    maxima = state.spare.reshape(-1)[:len(part)]
+    parallel_for(part, partial(_cfl_slab, state.u, maxima, params.gamma, where))
+    speed = float(maxima.max())
     if speed == 0.0:
         raise ValueError("static state: dt unbounded")
     return params.courant * state.shape.dx / speed
@@ -286,6 +295,16 @@ def _sweep_block(u5, bc, lam, gamma, where, origin):
     u5[...] = new
 
 
+def _sweep_slab(u, lam, gamma, where, _i, lo, hi):
+    # Slab kernel: the fluid update of planes [lo, hi), one row block at a time.
+    _, _, n2, n1 = u.shape
+    u_rows = u[:5, lo:hi].reshape(5, -1, n1, copy=False)  # a view: writes go through
+    for r0, r1 in chunks(0, u_rows.shape[1], n1 * u.itemsize, _BLOCK_BYTES):
+        g0 = lo * n2 + r0
+        _sweep_block(u_rows[:, r0:r1], row_centers(u, g0, g0 + r1 - r0),
+                     lam, gamma, where, (g0, n2))
+
+
 def fluid_sweep(state: ConservedState, dt: float, params: SchemeParams,
                 workers: int = 1) -> ConservedState:
     """Advance the fluid variables by dt along the fastest axis; b is held fixed.
@@ -294,20 +313,9 @@ def fluid_sweep(state: ConservedState, dt: float, params: SchemeParams,
     limited fluxes evaluated on the half-step state, so pencil sums telescope
     exactly under periodic wraparound.
     """
-    bc = face_to_center(state)
-    lam = dt / state.shape.dx
-    n3, n2, n1 = state.shape.array_shape
-    row_bytes = n1 * state.dtype.itemsize
     axis = state.shape.orientation[0]
     where = tuple(f"in the {axis} sweep{stage}, cycle {state.cycle}"
                   for stage in ("", " (half step)", " after the fluid update"))
-
-    def body(_i, lo, hi):
-        u_rows = state.u[:5, lo:hi].reshape(5, -1, n1, copy=False)  # a view: writes go through
-        b_rows = [_rows(b, lo, hi) for b in bc]
-        for r0, r1 in chunks(0, u_rows.shape[1], row_bytes, _BLOCK_BYTES):
-            _sweep_block(u_rows[:, r0:r1], [b[r0:r1] for b in b_rows],
-                         lam, params.gamma, where, (lo * n2 + r0, n2))
-
-    parallel_for(partition(n3, workers), body)
+    parallel_for(partition(state.shape.n3, workers),
+                 partial(_sweep_slab, state.u, dt / state.shape.dx, params.gamma, where))
     return state

@@ -13,18 +13,20 @@ uniform, and the field is in units where the magnetic pressure is ``b^2/2``.
 A memory transpose reorients the grid so the next sweep direction becomes the
 fastest axis; the ``orientation`` tag on :class:`GridShape` records which
 physical axis currently plays each role.  It writes into a spare block of the
-same size and then swaps the two, so after the first transpose no cycle
-allocates state memory.
+same size and then swaps the two, so no cycle allocates state memory.  The
+block and its spare are the two halves of one shared mapping, which the
+worker processes of `parallel` write in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Iterator
 
 import numpy as np
 
-from .parallel import parallel_for, partition
+from .parallel import parallel_for, partition, shared_pair
 
 ORIENTATIONS = (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y"))
 CANONICAL = ORIENTATIONS[0]
@@ -89,16 +91,18 @@ class ConservedState:
     """Conserved variables and staggered face fields as the rows of one block `u`.
 
     The named components are views of `u`, in COMPONENT_NAMES order; the solver
-    mutates them in place.  `spare` is the block transposes write into, so a
-    view taken before a transpose lies in `spare` after it and is overwritten
-    by the next transpose.
+    mutates them in place.  `spare` is the block transposes write into (and
+    `cfl_timestep` its scratch), so a view taken before a transpose lies in
+    `spare` after it and is overwritten by the next transpose.  States are
+    made by `zeros` (through `allocate_state`, `copy` and `read_snapshot`),
+    which places `u` and `spare` in one shared mapping.
     """
 
     shape: GridShape
     u: np.ndarray
     time: float = 0.0
     cycle: int = 0
-    spare: np.ndarray | None = field(init=False, default=None)
+    spare: np.ndarray = field(init=False, repr=False, compare=False)
 
     rho = property(lambda self: self.u[0])
     mom1 = property(lambda self: self.u[1])
@@ -112,8 +116,19 @@ class ConservedState:
     def components(self) -> Iterator[tuple[str, np.ndarray]]:
         return zip(COMPONENT_NAMES, self.u)
 
+    @classmethod
+    def zeros(cls, shape: GridShape, dtype, time: float = 0.0,
+              cycle: int = 0) -> "ConservedState":
+        """Zeroed state in `shape`'s orientation, with `u` and `spare` in one shared mapping."""
+        u, spare = shared_pair((len(COMPONENT_NAMES),) + shape.array_shape, dtype)
+        state = cls(shape, u, time, cycle)
+        state.spare = spare
+        return state
+
     def copy(self) -> "ConservedState":
-        return ConservedState(self.shape, self.u.copy(), self.time, self.cycle)
+        out = ConservedState.zeros(self.shape, self.dtype, self.time, self.cycle)
+        out.u[...] = self.u
+        return out
 
     @property
     def dtype(self) -> np.dtype:
@@ -124,8 +139,7 @@ def allocate_state(shape: GridShape, params: SchemeParams) -> ConservedState:
     """Zero-initialized state in canonical (x, y, z) orientation."""
     if tuple(shape.orientation) != CANONICAL:
         shape = replace(shape, orientation=CANONICAL)
-    u = np.zeros((len(COMPONENT_NAMES),) + shape.array_shape, dtype=params.dtype)
-    return ConservedState(shape, u)
+    return ConservedState.zeros(shape, params.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +172,12 @@ def _tiled_copy(view: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
                 out[rows, b:b + _TILE, c:c + _TILE] = view[rows, b:b + _TILE, c:c + _TILE]
 
 
+def _transpose_slab(u, out, axes, sources, _i, lo, hi):
+    # Slab kernel: output planes [lo, hi) of every component.
+    for c, dst in zip(sources, out):
+        _tiled_copy(u[c].transpose(axes), dst, lo, hi)
+
+
 def transpose(state: ConservedState, inverse: bool = False, workers: int = 1) -> ConservedState:
     """Reorient the grid by one cyclic step, copying the block into the spare and swapping.
 
@@ -176,16 +196,9 @@ def transpose(state: ConservedState, inverse: bool = False, workers: int = 1) ->
         axes, sources = _FWD_AXES, _FWD_SOURCES
     new_shape = GridShape(n1, n2, n3, dx=shape.dx, orientation=orientation)
 
-    if state.spare is None:
-        state.spare = np.empty_like(state.u)
     out = state.spare.reshape((len(sources),) + new_shape.array_shape, copy=False)
-    views = [state.u[c].transpose(axes) for c in sources]
-
-    def body(_i, lo, hi):
-        for view, dst in zip(views, out):
-            _tiled_copy(view, dst, lo, hi)
-
-    parallel_for(partition(new_shape.n3, workers), body)
+    parallel_for(partition(new_shape.n3, workers),
+                 partial(_transpose_slab, state.u, out, axes, sources))
 
     state.shape, state.u, state.spare = new_shape, out, state.u
     return state
@@ -196,11 +209,25 @@ def transpose(state: ConservedState, inverse: bool = False, workers: int = 1) ->
 
 def face_to_center(state: ConservedState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cell-centered field components: mean of the two bounding faces (periodic)."""
-    b1, b2, b3 = state.b1, state.b2, state.b3
-    bc1 = 0.5 * (b1 + np.roll(b1, -1, axis=2))
-    bc2 = 0.5 * (b2 + np.roll(b2, -1, axis=1))
-    bc3 = 0.5 * (b3 + np.roll(b3, -1, axis=0))
-    return bc1, bc2, bc3
+    n3, n2, n1 = state.shape.array_shape
+    return tuple(bc.reshape(n3, n2, n1) for bc in row_centers(state.u, 0, n3 * n2))
+
+
+def row_centers(u: np.ndarray, g0: int, g1: int) -> np.ndarray:
+    """Cell-centered field of the rows [g0, g1) of the state block `u`, stacked (3, rows, n1).
+
+    Row g is the pencil (k, j) = divmod(g, n2).  Each value is the same
+    operation on the same two faces as over the whole grid, so a block of
+    rows gives bitwise the values of the whole-grid field.
+    """
+    _, n3, n2, n1 = u.shape
+    b1, b2, b3 = (u[c].reshape(-1, n1) for c in (5, 6, 7))
+    k, j = np.divmod(np.arange(g0, g1), n2)
+    out = np.empty((3, g1 - g0, n1), dtype=u.dtype)
+    np.multiply(0.5, b1[g0:g1] + np.roll(b1[g0:g1], -1, axis=1), out=out[0])
+    np.multiply(0.5, b2[g0:g1] + b2[k * n2 + (j + 1) % n2], out=out[1])
+    np.multiply(0.5, b3[g0:g1] + b3[(k + 1) % n3 * n2 + j], out=out[2])
+    return out
 
 
 def discrete_divergence(state: ConservedState) -> np.ndarray:

@@ -17,6 +17,8 @@ any worker count and chunk size.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import fluid
@@ -57,6 +59,24 @@ def _advect(b, b1, v1, lam, axis):
     b1[1::2] += np.roll(f[0::2], -1, axis=0)
 
 
+def _b2_slab(u, lam, where, _i, lo, hi):
+    # Slab kernel: k planes [lo, hi), with the density checked before v1 = mom1 / rho.
+    _, _, n2, n1 = u.shape
+    for k0, k1 in chunks(lo, hi, n2 * n1 * u.itemsize, _CHUNK_BYTES):
+        rho = u[0, k0:k1]
+        fluid.check_positive(rho.reshape(-1, n1), None, where, (k0 * n2, n2))
+        _advect(u[6, k0:k1], u[5, k0:k1], u[1, k0:k1] / rho, lam, axis=1)
+
+
+def _b3_slab(u, lam, _i, lo, hi):
+    # Slab kernel: j columns [lo, hi) of whole k lines.  The b2 pass has
+    # checked the density of every plane.
+    _, n3, _, n1 = u.shape
+    for j0, j1 in chunks(lo, hi, n3 * n1 * u.itemsize, _CHUNK_BYTES):
+        s = (slice(None), slice(j0, j1))
+        _advect(u[7][s], u[5][s], u[1][s] / u[0][s], lam, axis=0)
+
+
 def magnetic_sweep(state: ConservedState, dt: float, params: SchemeParams,
                    workers: int = 1) -> ConservedState:
     """Advance b2, b3 by advection along the fastest axis; b1 takes the constraint pieces.
@@ -66,22 +86,7 @@ def magnetic_sweep(state: ConservedState, dt: float, params: SchemeParams,
     """
     shape = state.shape
     lam = dt / shape.dx
-    fluid.check_positive(state.rho, None, f"entering the {shape.orientation[0]} magnetic "
-                                          f"update, cycle {state.cycle}")
-    v1 = state.mom1 / state.rho
-    n3, n2, n1 = shape.array_shape
-    itemsize = state.dtype.itemsize
-
-    def body_b2(_i, lo, hi):  # k slabs of whole planes
-        for k0, k1 in chunks(lo, hi, n2 * n1 * itemsize, _CHUNK_BYTES):
-            s = slice(k0, k1)
-            _advect(state.b2[s], state.b1[s], v1[s], lam, axis=1)
-
-    def body_b3(_i, lo, hi):  # j columns of whole k lines
-        for j0, j1 in chunks(lo, hi, n3 * n1 * itemsize, _CHUNK_BYTES):
-            s = (slice(None), slice(j0, j1))
-            _advect(state.b3[s], state.b1[s], v1[s], lam, axis=0)
-
-    parallel_for(partition(n3, workers), body_b2)
-    parallel_for(partition(n2, workers), body_b3)
+    where = f"entering the {shape.orientation[0]} magnetic update, cycle {state.cycle}"
+    parallel_for(partition(shape.n3, workers), partial(_b2_slab, state.u, lam, where))
+    parallel_for(partition(shape.n2, workers), partial(_b3_slab, state.u, lam))
     return state

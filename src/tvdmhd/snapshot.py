@@ -67,13 +67,13 @@ def read_snapshot(path: str | Path) -> ConservedState:
         except ValueError as exc:
             raise SnapshotError(f"{path}: shape mismatch: {exc}") from exc
 
-        dtype = np.dtype(np.float32 if width == 4 else np.float64)
-        u = np.empty((len(COMPONENT_NAMES),) + shape.array_shape, dtype=dtype.newbyteorder("<"))
-        got = fh.readinto(u)
-    if got < u.nbytes:
+        dtype = np.dtype(np.float32 if width == 4 else np.float64).newbyteorder("<")
+        state = ConservedState.zeros(shape, dtype, time_, cycle)
+        got = fh.readinto(state.u)
+    if got < state.u.nbytes:
         name = COMPONENT_NAMES[got // (shape.cells * width)]
         raise SnapshotError(f"{path}: truncated payload at component {name}")
-    return ConservedState(shape, u.astype(dtype, copy=False), time_, cycle)
+    return state
 
 
 def slice_export(state: ConservedState, plane: tuple[str, int], path: str | Path,

@@ -51,7 +51,7 @@ def step_cycle(state: ConservedState, params: SchemeParams,
         sections[section] += (time.perf_counter() - t0) * 1e3
         return out
 
-    dt = timed("cfl", cfl_timestep, state, params)
+    dt = timed("cfl", cfl_timestep, state, params, workers)
     for axis, flip in SCHEDULE:
         assert state.shape.orientation[0] == axis
         timed("fluid", fluid_sweep, state, dt, params, workers)

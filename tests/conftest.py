@@ -1,7 +1,23 @@
+import os
+
 import numpy as np
 import pytest
 
 from tvdmhd import ConservedState, GridShape, SchemeParams, allocate_state
+from tvdmhd.parallel import _Pool
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_leaked_workers():
+    """Close the worker pool at session end; fail if any child process is left."""
+    yield
+    _Pool.shutdown()
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no children at all
+        return
+    pytest.fail(f"a child process is left after the worker pool closed (reaped pid {pid})"
+                if pid else "a child process is still running after the worker pool closed")
 
 
 @pytest.fixture

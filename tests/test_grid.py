@@ -1,3 +1,5 @@
+import mmap
+
 import numpy as np
 import pytest
 
@@ -49,15 +51,25 @@ def test_components_are_rows_of_one_block(params):
         state.rho = np.ones_like(state.rho)
 
 
+def _mapping(arr):
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return arr
+
+
 def test_transposes_swap_between_two_blocks(params):
     state = random_state(GridShape(16, 8, 12), params, seed=2)
-    assert state.spare is None
-    step_cycle(state, params)
+    mapping = _mapping(state.u)
+    assert isinstance(mapping, mmap.mmap) and _mapping(state.spare) is mapping
     buffers = (state.u.ctypes.data, state.spare.ctypes.data)
+    assert buffers[1] == buffers[0] + state.u.nbytes  # the two halves of the mapping
+    step_cycle(state, params)
+    assert (state.u.ctypes.data, state.spare.ctypes.data) == buffers
     step_cycle(state, params, workers=2)
     assert (state.u.ctypes.data, state.spare.ctypes.data) == buffers
     transpose(state)
     assert (state.spare.ctypes.data, state.u.ctypes.data) == buffers
+    assert _mapping(state.u) is mapping and _mapping(state.spare) is mapping
 
 
 # --- transpose -------------------------------------------------------------

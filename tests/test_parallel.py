@@ -1,10 +1,15 @@
+import os
+import signal
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tvdmhd import GridShape, fluid_sweep, init_condition, parallel_for, partition
-from tvdmhd.parallel import chunks
+from tvdmhd import (GridShape, PositivityError, cfl_timestep, fluid_sweep, init_condition,
+                    magnetic_sweep, parallel_for, partition, step_cycle)
+from tvdmhd.parallel import _Pool, chunks, shared_pair
 
 from conftest import random_state, state_bytes
 
@@ -111,3 +116,103 @@ def test_sweep_bitwise_identical_across_worker_counts(params):
         if ref is None:
             ref = blob
         assert blob == ref
+
+
+def test_closure_bodies_run_in_the_calling_process():
+    pids = []
+    parallel_for(partition(64, 4), lambda i, lo, hi: pids.append(os.getpid()))
+    assert pids == [os.getpid()] * 4
+
+
+# --- the worker pool: kernel tasks are module-level functions ---------------
+
+def _fill(out, i, lo, hi):
+    out[lo:hi] = os.getpid()
+
+
+def _fail_in(failing, i, lo, hi):
+    if i in failing:
+        raise RuntimeError(f"boom {i}")
+
+
+def _exit_in(dying, i, lo, hi):
+    if i in dying:
+        os._exit(3)
+
+
+def _fill_both(out, private, i, lo, hi):
+    out[lo:hi] = 1
+    private[lo:hi] = 1
+
+
+def _worker_pids(out, slabs):
+    # The pid that wrote each slab of `out`.
+    parallel_for(partition(out.size, slabs), partial(_fill, out))
+    return [int(pid) for pid in out.reshape(slabs, -1)[:, 0]]
+
+
+def test_pool_writes_shared_memory_slab_i_on_worker_i_mod_p():
+    out, _ = shared_pair((64,), np.float64)
+    pids = _worker_pids(out, 8)
+    assert (out.reshape(8, 8).T == pids).all()
+    procs = min(8, os.cpu_count())
+    assert len(set(pids)) == procs and os.getpid() not in pids
+    assert pids == [pids[i % procs] for i in range(8)]
+
+
+def test_pool_reraises_lowest_failing_slab():
+    with pytest.raises(RuntimeError, match="^boom 2$"):
+        parallel_for(partition(64, 8), partial(_fail_in, (6, 2, 5)))
+
+
+@pytest.mark.parametrize("call, where", [
+    (lambda s, p: cfl_timestep(s, p, workers=2), r"in the cfl timestep \(x fastest\), cycle 7"),
+    (lambda s, p: fluid_sweep(s, 0.01, p, workers=2), r"in the x sweep, cycle 7"),
+    (lambda s, p: magnetic_sweep(s, 0.01, p, workers=2),
+     r"entering the x magnetic update, cycle 7"),
+])
+def test_worker_positivity_error_names_cell_axis_and_cycle(params, call, where):
+    state = random_state(GridShape(8, 8, 16), params, seed=4)
+    state.cycle = 7
+    state.rho[12, 3, 6] = -1.0  # slab 1
+    state.rho[5, 1, 2] = -1.0   # slab 0: the lowest failing slab names it
+    with pytest.raises(PositivityError, match=rf"^non-positive density at cell \(2, 1, 5\) {where}$"):
+        call(state, params)
+
+
+def test_private_array_argument_raises_before_any_worker_runs():
+    out, _ = shared_pair((64,), np.float64)
+    with pytest.raises(ValueError, match="not in shared memory"):
+        parallel_for(partition(64, 2), partial(_fill_both, out, np.zeros(64)))
+    assert not out.any()
+
+
+def test_state_made_after_the_pool_forked_steps_bitwise_equal(params):
+    step_cycle(random_state(GridShape(8, 8, 8), params, seed=8), params, workers=2)
+    late = random_state(GridShape(8, 8, 8), params, seed=9)
+    ref = late.copy()
+    step_cycle(late, params, workers=2)
+    step_cycle(ref, params)
+    assert state_bytes(late) == state_bytes(ref)
+
+
+def test_worker_that_dies_raises_runtime_error_naming_its_slab():
+    with pytest.raises(RuntimeError, match=r"died .* running slab\(s\) (0, )?1$"):
+        parallel_for(partition(64, 2), partial(_exit_in, (1,)))
+    out, _ = shared_pair((64,), np.float64)
+    assert os.getpid() not in _worker_pids(out, 2)  # a fresh pool
+
+
+def test_workers_ignore_sigint():
+    out, _ = shared_pair((64,), np.float64)
+    pids = _worker_pids(out, 2)
+    for pid in set(pids):
+        os.kill(pid, signal.SIGINT)
+    assert _worker_pids(out, 2) == pids
+
+
+def test_no_child_is_left_after_the_pool_closes():
+    parallel_for(partition(64, 2), partial(_fail_in, ()))
+    _Pool.shutdown()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
