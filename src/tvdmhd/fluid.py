@@ -140,21 +140,14 @@ def _fast_speed(rho, p, b1sq, bsq, gamma):
     return np.sqrt(0.5 * (tot + np.sqrt(np.maximum(disc, 0))))
 
 
-def _rows(arr: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Planes [lo, hi) of a grid array as a (rows, n1) view (never a copy)."""
-    if not arr.flags.c_contiguous:
-        raise ValueError("state arrays must be C-contiguous")
-    return arr[lo:hi].reshape(-1, arr.shape[-1])
-
-
 def _cfl_slab(u, maxima, gamma, where, i, lo, hi):
     # Slab kernel: maxima[i] = the largest |v| + c_fast over planes [lo, hi) and
     # all axes.  It has the state's dtype, as does every speed, so it is exact.
     _, _, n2, n1 = u.shape
-    rows = [_rows(a, lo, hi) for a in u[:5]]
+    u_rows = u[:5, lo:hi].reshape(5, -1, n1, copy=False)
     speed = 0.0
-    for r0, r1 in chunks(0, (hi - lo) * n2, n1 * u.itemsize, _BLOCK_BYTES):
-        rho, m1, m2, m3, e = (a[r0:r1] for a in rows)
+    for r0, r1 in chunks(0, u_rows.shape[1], n1 * u.itemsize, _BLOCK_BYTES):
+        rho, m1, m2, m3, e = u_rows[:, r0:r1]
         origin = (lo * n2 + r0, n2)
         b1, b2, b3 = row_centers(u, origin[0], origin[0] + r1 - r0)
         p = gas_pressure(rho, m1, m2, m3, e, b1, b2, b3, gamma)

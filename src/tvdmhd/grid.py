@@ -157,8 +157,8 @@ _INV_SOURCES = (0, 3, 1, 2, 4, 7, 5, 6)
 
 # Edge of the cubic blocks a transpose copies.  Per-call ms of one transpose
 # of all eight single-precision arrays on a 2-core host, tiles 8/16/32/64:
-# 64^3 1 worker 11.6/5.5/4.4/3.9; 128^3 1 worker 98/80/55/118, 2 workers
-# 190/46/32/61.
+# 64^3 1 worker 11.6/5.5/4.4/3.9; 128^3 1 worker 98/80/55/118, 2 pool
+# workers (median of 5 interleaved processes) 99/57/39/76.
 _TILE = 32
 
 

@@ -25,10 +25,12 @@ from . import fluid
 from .grid import ConservedState, SchemeParams
 from .parallel import chunks, parallel_for, partition
 
-# Bytes per array of one chunk.  Magnetic ms per cycle in traced perfbench
-# runs on a 2-core host, chunks of 128 / 256 / 512 KiB: serial64_w1 73-104 /
-# 77-106 / 113-134 (row loop 151-176), canon128_w2 674-747 / 464-569 /
-# 440-535 (row loop 1118-1130).
+# Bytes per array of one chunk.  Magnetic ms per cycle (the untraced
+# `StepReport` section) on a 2-core host, single precision, median (range) of
+# 3-7 interleaved processes, chunks of 128 / 256 / 512 KiB: 64^3 on 1 worker
+# 99 (93-101) / 94 (87-109) / 89 (88-89); 128^3 on 2 pool workers
+# 695 (496-757) / 588 (387-751) / 551 (378-622).  The medians lean to 512 KiB
+# within the spread; 256 KiB stays until a benchmark round separates the two.
 _CHUNK_BYTES = 256 << 10
 
 

@@ -85,6 +85,13 @@ def test_positivity_guard_in_builders(params):
         init_condition("uniform", GridShape(8, 8, 8), params, rho=0.0)
 
 
+@pytest.mark.parametrize("option, name", [("rho", "density"), ("p", "pressure")])
+def test_nan_start_state_rejected(params, option, name):
+    with pytest.raises(fluid.PositivityError,
+                       match=rf"^non-finite {name} at cell \(0, 0, 0\) in the uniform"):
+        init_condition("uniform", GridShape(8, 8, 8), params, **{option: float("nan")})
+
+
 # --- snapshots -----------------------------------------------------------------
 
 def test_snapshot_round_trip_bitwise(tmp_path, params):
