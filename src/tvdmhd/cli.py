@@ -11,21 +11,18 @@ import argparse
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from statistics import median
 
 from . import perf, validation
 from .grid import GridShape, SchemeParams
 from .ic import KINDS, init_condition
+from .perf import ConfigError
 from .snapshot import read_snapshot, slice_export, write_snapshot
 from .stepper import run
 
 ENV_WORKERS = "TVDMHD_WORKERS"
-
-
-class ConfigError(ValueError):
-    """Bad configuration text; the message names the key and line."""
 
 
 def default_workers() -> int:
@@ -96,21 +93,13 @@ _PARSERS = {f.name: {"int": int, "float": float, "str": str}[f.type.split(" | ")
 def parse_config(text: str) -> dict:
     """Parse key=value lines into typed values; every error names key and line."""
     values: dict = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
-        key, _, raw = stripped.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if key not in _PARSERS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        try:
-            values[key] = _PARSERS[key](raw)
-        except ValueError:
-            raise ConfigError(
-                f"line {lineno}: invalid value for {key!r}: {raw!r}") from None
+    for record in perf.read_records(text, _PARSERS):
+        for key, (lineno, raw) in record.items():
+            try:
+                values[key] = _PARSERS[key](raw)
+            except ValueError:
+                raise ConfigError(
+                    f"line {lineno}: invalid value for {key!r}: {raw!r}") from None
     return values
 
 
@@ -166,7 +155,12 @@ def bench_command(sizes, repeats, workers, precision, machines_path=None,
 
     Repetition statistic: median and min over the `repeats` timed cycles of
     `validation.cycle_times`; initialization and snapshot IO are excluded.
+    The machines file is read first, so a bad one fails before any timing.
     """
+    machines = perf.load_machines(machines_path)
+    if perf.BASELINE_LABEL not in machines:
+        raise ConfigError(f"the machines file has no {perf.BASELINE_LABEL!r} baseline record")
+    baseline = machines[perf.BASELINE_LABEL]
     width = 4 if precision == "single" else 8
     avail = _available_memory_bytes()
     measured: dict[int, float] = {}
@@ -182,12 +176,13 @@ def bench_command(sizes, repeats, workers, precision, machines_path=None,
         measured[n] = median(times)
         out.write(f"{n}\t{median(times):.3f}\t{min(times):.3f}\t{workers}\n")
 
-    machines = perf.load_machines(machines_path)
-    baseline = machines.get(perf.BASELINE_LABEL)
+    if 128 in measured:
+        machines["host"] = replace(machines.get("host") or perf.MachineSpec("host"),
+                                   reference_runtime_ms_128=measured[128])
     out.write("#\n# machine\truntime_ms\tcode_speedup\tfractional_speedup"
               "\tflops_pct\tbandwidth_pct\n")
     for label, spec in machines.items():
-        if spec.reference_runtime_ms_128 is None or spec.peak_gflops is None:
+        if None in (spec.reference_runtime_ms_128, spec.peak_gflops, spec.peak_gbps):
             continue
         rep = perf.criteria(spec.reference_runtime_ms_128, spec, baseline)
         out.write(f"{label}\t{spec.reference_runtime_ms_128:g}\t{rep.code_speedup:.1f}"
@@ -195,22 +190,8 @@ def bench_command(sizes, repeats, workers, precision, machines_path=None,
                   f"\t{rep.bandwidth_fraction_pct:.1f}\n")
 
     if 128 in measured:
-        host = machines.get("host")
-        if host is not None and host.peak_gflops and host.peak_gbps:
-            rep = perf.criteria(measured[128], host, baseline)
-            out.write(f"host\t{measured[128]:.1f}\t{rep.code_speedup:.1f}"
-                      f"\t{rep.fractional_speedup:.2f}\t{rep.flops_fraction_pct:.1f}"
-                      f"\t{rep.bandwidth_fraction_pct:.1f}\n")
-        host_record = perf.MachineSpec(
-            label="host",
-            peak_gflops=host.peak_gflops if host else None,
-            peak_gbps=host.peak_gbps if host else None,
-            watts=host.watts if host else None,
-            reference_runtime_ms_128=measured[128],
-        )
         out.write("#\n# host record (machine-spec format):\n")
-        for line in perf.format_machine(host_record).splitlines():
-            out.write(line + "\n")
+        out.write(perf.format_machine(machines["host"]))
     return 0
 
 
@@ -302,8 +283,6 @@ def main(argv=None) -> int:
             overrides = {k: getattr(args, k) for k in
                          ("size", "workers", "cycles", "t_end", "precision",
                           "ic", "seed", "out")}
-            if args.t_end is not None:
-                overrides["cycles"] = None
             cfg = load_config(args.config, overrides)
             code = run_command(cfg)
         elif args.command == "bench":
@@ -325,7 +304,7 @@ def main(argv=None) -> int:
         os.dup2(null, sys.stdout.fileno())
         os.close(null)
         return 141
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,6 +30,7 @@ block size and the worker count.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import partial
 from typing import NamedTuple
 
@@ -119,10 +120,14 @@ def vanleer(dl, dr):
     except FloatingPointError:
         # Some dl dr fell below the normal range, where a product keeps only a
         # few digits; there 2 small (big / (dl + dr)) forms no tiny product.
+        # An exact product raised nothing and keeps the first form, so a cell's
+        # result does not depend on whether another cell of the call underflowed.
         with np.errstate(under="ignore"):
             prod, out = _harmonic(dl, dr)
             dl, dr = np.broadcast_arrays(dl, dr)
-            fix = (prod > 0) & (prod < np.finfo(out.dtype).tiny)
+            fix = np.array((prod > 0) & (prod < np.finfo(out.dtype).tiny))
+            fix[fix] = [Fraction(x) * Fraction(y) != Fraction(p) for x, y, p in
+                        zip(dl[fix].tolist(), dr[fix].tolist(), prod[fix].tolist())]
             a, b = dl[fix], dr[fix]
             a_small = np.abs(a) <= np.abs(b)
             out[fix] = 2.0 * np.where(a_small, a, b) * (np.where(a_small, b, a) / (a + b))

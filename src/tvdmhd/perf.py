@@ -8,11 +8,13 @@ box that the bundled reference measurements were published against: those
 totals sit ~7.4% below census x 128^3 - the ratio matches (128/125)^3, i.e.
 an effective 125^3 active-cell count - and they are the source of truth for
 the fraction metrics so the bundled comparison table reproduces exactly.
+
+The module also reads the ``key = value`` text of run configs and machine files.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -83,16 +85,10 @@ class MachineSpec:
                 raise ValueError(f"{name} must be positive, got {v}")
 
 
-def _cells(shape) -> int:
-    if hasattr(shape, "cells"):
-        return shape.cells
-    n1, n2, n3 = shape
-    return n1 * n2 * n3
-
-
-def _is_canonical_box(shape) -> bool:
-    dims = (shape.n1, shape.n2, shape.n3) if hasattr(shape, "n1") else tuple(shape)
-    return dims == (128, 128, 128)
+def _box(shape) -> tuple[int, bool]:
+    """Cell count of a GridShape or (n1, n2, n3) tuple, and whether it is the 128^3 box."""
+    n1, n2, n3 = (shape.n1, shape.n2, shape.n3) if hasattr(shape, "n1") else shape
+    return n1 * n2 * n3, (n1, n2, n3) == (128, 128, 128)
 
 
 @dataclass(frozen=True)
@@ -104,8 +100,9 @@ class FlopEstimate:
 def flops_per_step(shape) -> FlopEstimate:
     """Census flops for one step; the canonical total rides along at the 128^3 box."""
     model = OpCountModel()
-    flops = float(model.flop_per_cell) * _cells(shape)
-    canonical = model.canonical_step_gflop_128 * 1e9 if _is_canonical_box(shape) else None
+    cells, box = _box(shape)
+    flops = float(model.flop_per_cell) * cells
+    canonical = model.canonical_step_gflop_128 * 1e9 if box else None
     return FlopEstimate(flops, canonical)
 
 
@@ -121,10 +118,10 @@ def bytes_per_step(shape, precision: str = "single") -> TrafficEstimate:
     """Census traffic for one step at the given real width (4 or 8 bytes)."""
     model = TrafficModel()
     width = 4 if precision == "single" else 8
-    cells = _cells(shape)
+    cells, box = _box(shape)
     reads = float(model.reads_per_cell) * cells * width
     writes = float(model.writes_per_cell) * cells * width
-    canonical = _is_canonical_box(shape) and precision == "single"
+    canonical = box and precision == "single"
     return TrafficEstimate(
         reads, writes,
         model.canonical_step_read_gb_128 * GB if canonical else None,
@@ -170,55 +167,60 @@ def criteria(runtime_ms: float, machine: MachineSpec, baseline: MachineSpec) -> 
 
 
 # ---------------------------------------------------------------------------
-# machine-spec files: blank-line separated records of "key = value" lines
+# "key = value" text: run configs, and machine files of blank-line separated
+# records
 
-_FIELDS = ("label", "peak_gflops", "peak_gbps", "watts", "reference_runtime_ms_128")
+class ConfigError(ValueError):
+    """Bad configuration text; the message names the key and line."""
 
 
-def parse_machines(text: str) -> dict[str, MachineSpec]:
-    """Parse machine records; missing or empty numeric fields become None."""
-    records: dict[str, MachineSpec] = {}
-    current: dict[str, str] = {}
+def read_records(text: str, keys) -> list[dict[str, tuple[int, str]]]:
+    """The blank-line separated records of text, each as key -> (line, raw value).
 
-    def flush(lineno):
-        if not current:
-            return
-        if "label" not in current:
-            raise ValueError(f"line {lineno}: machine record has no label")
-        kwargs = {"label": current["label"]}
-        for key in _FIELDS[1:]:
-            raw = current.get(key, "")
-            if raw == "":
-                kwargs[key] = None
-            else:
-                try:
-                    kwargs[key] = float(raw)
-                except ValueError:
-                    raise ValueError(f"invalid value for '{key}': {raw!r}") from None
-        records[kwargs["label"]] = MachineSpec(**kwargs)
-        current.clear()
-
+    '#' starts a comment.  A line that is not 'key = value', or whose key is
+    not in keys, raises ConfigError naming the line.
+    """
+    records: list[dict[str, tuple[int, str]]] = [{}]
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
-            flush(lineno)
+            records.append({})
             continue
         if "=" not in stripped:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
-        key, _, value = stripped.partition("=")
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
+        key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _FIELDS:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
-        current[key] = value.strip()
-    flush(len(text.splitlines()) + 1)
-    return records
+        if key not in keys:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        records[-1][key] = (lineno, raw.strip())
+    return [record for record in records if record]
+
+
+def parse_machines(text: str) -> dict[str, MachineSpec]:
+    """Parse machine records; an empty numeric value becomes None.  Errors name the line."""
+    machines: dict[str, MachineSpec] = {}
+    for record in read_records(text, {f.name for f in fields(MachineSpec)}):
+        first = min(lineno for lineno, _ in record.values())
+        if "label" not in record:
+            raise ConfigError(f"line {first}: machine record has no label")
+        values = {}
+        for key, (lineno, raw) in record.items():
+            try:
+                values[key] = raw if key == "label" else float(raw) if raw else None
+            except ValueError:
+                raise ConfigError(f"line {lineno}: invalid value for {key!r}: {raw!r}") from None
+        try:
+            machines[values["label"]] = MachineSpec(**values)
+        except ValueError as exc:
+            raise ConfigError(f"line {first}: {exc}") from None
+    return machines
 
 
 def format_machine(spec: MachineSpec) -> str:
     lines = [f"label = {spec.label}"]
-    for key in _FIELDS[1:]:
-        v = getattr(spec, key)
-        lines.append(f"{key} = {'' if v is None else f'{v:g}'}")
+    for f in fields(MachineSpec)[1:]:
+        v = getattr(spec, f.name)
+        lines.append(f"{f.name} = {'' if v is None else f'{v:g}'}")
     return "\n".join(lines) + "\n"
 
 

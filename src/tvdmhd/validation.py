@@ -17,6 +17,8 @@ import numpy as np
 
 from . import fluid, ic
 from .grid import GridShape, SchemeParams, discrete_divergence, totals
+from .perf import (BASELINE_LABEL, OpCountModel, TrafficModel, bytes_per_step, criteria,
+                   flops_per_step, load_machines)
 from .stepper import run
 
 
@@ -127,18 +129,17 @@ def _at_least(name, value, threshold, note="") -> CheckResult:
     return CheckResult(name, float(value), float(threshold), bool(value >= threshold), note)
 
 
-def _fluid_sweeps(state, params, t_end, workers=1):
+def _fluid_sweeps(state, params, t_end):
     """Repeated x sweeps to exactly t_end, yielding after each (1D fixtures; b = 0)."""
     t = 0.0
     while t < t_end:
         dt = min(fluid.cfl_timestep(state, params), t_end - t)
-        fluid.fluid_sweep(state, dt, params, workers=workers)
+        fluid.fluid_sweep(state, dt, params)
         t += dt
         yield
 
 
-def check_conservation_divergence(n=32, cycles=50, seed=11, workers=1,
-                                  tol=1e-12) -> list[CheckResult]:
+def check_conservation_divergence(n=32, cycles=50, seed=11, tol=1e-12) -> list[CheckResult]:
     """Totals drift and face-flux balance over repeated cycles, double precision."""
     params = SchemeParams(precision="double")
     shape = GridShape(n, n, n)
@@ -160,7 +161,7 @@ def check_conservation_divergence(n=32, cycles=50, seed=11, workers=1,
             worst_drift = max(worst_drift, abs(a - b) / scale)
         worst_div = max(worst_div, float(np.abs(discrete_divergence(state)).max()))
 
-    run(state, params, n_cycles=cycles, workers=workers, on_cycle=measure)
+    run(state, params, n_cycles=cycles, on_cycle=measure)
     return [
         _below("conservation_relative_drift", worst_drift, tol,
                note=f"{n}^3, {cycles} cycles"),
@@ -169,7 +170,7 @@ def check_conservation_divergence(n=32, cycles=50, seed=11, workers=1,
     ]
 
 
-def sod_double_tube(n=512, t_end=0.15, gamma=1.4, workers=1):
+def sod_double_tube(n=512, t_end=0.15, gamma=1.4):
     """Shock tube on a periodic pencil: the classic states mirrored at half domain.
 
     The pencil spans two tube lengths so the wrap seam is quiescent and the two
@@ -187,7 +188,7 @@ def sod_double_tube(n=512, t_end=0.15, gamma=1.4, workers=1):
     state.rho[...] = rho[np.newaxis, np.newaxis, :]
     state.mom1[...] = 0.0
     state.e[...] = (p / (gamma - 1.0))[np.newaxis, np.newaxis, :]
-    for _ in _fluid_sweeps(state, params, t_end, workers=workers):
+    for _ in _fluid_sweeps(state, params, t_end):
         pass
 
     mask = x <= 1.0
@@ -258,7 +259,6 @@ def check_determinism(n=64, cycles=2, worker_counts=(1, 2, 4, 8), seed=5) -> Che
 
 
 def check_counting_model() -> list[CheckResult]:
-    from .perf import OpCountModel, TrafficModel, bytes_per_step, flops_per_step
     ops, traffic = OpCountModel(), TrafficModel()
     shape = (128, 128, 128)
     fl = flops_per_step(shape)
@@ -285,7 +285,6 @@ TABLE_ROWS = {
 
 
 def check_table_reproduction() -> list[CheckResult]:
-    from .perf import BASELINE_LABEL, criteria, load_machines
     machines = load_machines()
     baseline = machines[BASELINE_LABEL]
     dev_ratio = 0.0

@@ -2,14 +2,14 @@ import io
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tvdmhd
-from tvdmhd import cli, fluid, init_condition, read_snapshot, run, validation
+from tvdmhd import cli, fluid, init_condition, perf, read_snapshot, run, validation
 from tvdmhd.cli import ConfigError, RunConfig, load_config, parse_config
 
 
@@ -120,6 +120,61 @@ def test_bench_command_table_and_derived_block():
     assert float(ngpu[3]) == pytest.approx(2.40, abs=0.05)
     assert float(ngpu[4]) == pytest.approx(7.4, abs=0.15)
     assert float(ngpu[5]) == pytest.approx(19.1, abs=0.15)
+
+
+HOSTED = """\
+label = x86(1)
+peak_gflops = 17
+peak_gbps = 19.2
+reference_runtime_ms_128 = 8770
+
+label = blank_bandwidth
+peak_gflops = 10
+reference_runtime_ms_128 = 500
+
+label = host
+peak_gflops = 48
+peak_gbps = 21
+watts = 65
+"""
+
+
+def test_bench_host_row_is_written_like_every_machine(tmp_path, monkeypatch):
+    path = tmp_path / "machines.txt"
+    path.write_text(HOSTED)
+    monkeypatch.setattr(cli, "_available_memory_bytes", lambda: None)
+    monkeypatch.setattr(validation, "cycle_times",
+                        lambda runs, repeats, precision: [[900.0, 1100.0, 1000.0]])
+    buf = io.StringIO()
+    assert cli.bench_command([128], repeats=3, workers=1, precision="single",
+                             machines_path=str(path), out=buf) == 0
+    table, record = buf.getvalue().split("# host record (machine-spec format):\n")
+    rows = {l.split("\t")[0]: l.split("\t")[1:] for l in table.splitlines()
+            if l and not l.startswith("#")}
+    assert set(rows) == {"128", "x86(1)", "host"}  # a blank peak skips the row
+    machines = perf.parse_machines(HOSTED)
+    rep = perf.criteria(1000.0, machines["host"], machines["x86(1)"])
+    assert rows["host"] == ["1000", f"{rep.code_speedup:.1f}", f"{rep.fractional_speedup:.2f}",
+                            f"{rep.flops_fraction_pct:.1f}", f"{rep.bandwidth_fraction_pct:.1f}"]
+    assert perf.parse_machines(record) == {
+        "host": replace(machines["host"], reference_runtime_ms_128=1000.0)}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("label = host\npeak_gflops = 48\n", "the machines file has no 'x86(1)' baseline record"),
+    ("label = x86(1)\npeak_gflops = abc\n", "line 2: invalid value for 'peak_gflops': 'abc'"),
+], ids=["no_baseline", "bad_value"])
+def test_main_bench_rejects_a_bad_machines_file_before_timing(text, message, tmp_path,
+                                                              monkeypatch, capsys):
+    def no_timing(*args):
+        raise AssertionError("a cycle was timed")
+
+    monkeypatch.setattr(validation, "cycle_times", no_timing)
+    path = tmp_path / "machines.txt"
+    path.write_text(text)
+    assert cli.main(["bench", "--sizes", "16", "--workers", "1",
+                     "--machines", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_main_bench_out_writes_what_it_prints(tmp_path, capsys):

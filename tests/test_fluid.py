@@ -102,6 +102,19 @@ def test_vanleer_underflowed_product_stays_bounded():
     assert vanleer(x, x) == x
 
 
+@pytest.mark.parametrize("dtype, cell, other", [
+    (np.float32, (1.8295912e-19, 1.7364175e-20), (1.1e-20, 1.3e-20)),
+    (np.float64, (float.fromhex("0x1.4p-516"), float.fromhex("0x1.d8p-527")), (1e-160, 1.3e-160)),
+])
+def test_vanleer_cell_does_not_depend_on_the_others(dtype, cell, other):
+    # The cell's dl * dr is an exact subnormal, which raises no underflow; the
+    # other cell's underflows.  The row blocks, and so the other cells of a
+    # call, follow the slab bounds, so the cell's slope may not change.
+    alone = vanleer(*(np.array([c], dtype=dtype) for c in cell))
+    together = vanleer(*(np.array(pair, dtype=dtype) for pair in zip(cell, other)))
+    assert together[0] == alone[0]
+
+
 @given(a=st.floats(0.01, 1e3), b=st.floats(0.01, 1e3), s=st.floats(0.01, 100))
 def test_vanleer_scales_homogeneously(a, b, s):
     assert vanleer(s * a, s * b) == pytest.approx(s * vanleer(a, b), rel=1e-12)

@@ -140,5 +140,14 @@ def test_machine_file_unknown_key_rejected():
 
 
 def test_machine_file_record_needs_label():
-    with pytest.raises(ValueError, match="no label"):
-        parse_machines("peak_gflops = 4\n")
+    with pytest.raises(ValueError, match=r"^line 3: machine record has no label$"):
+        parse_machines("label = x\n\npeak_gflops = 4\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("label = x\npeak_gflops = abc\n", r"^line 2: invalid value for 'peak_gflops': 'abc'$"),
+    ("# c\nlabel = x\npeak_gflops = 0\n", r"^line 2: peak_gflops must be positive, got 0.0$"),
+], ids=["bad_value", "zero_peak"])
+def test_machine_file_value_errors_name_the_line(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_machines(text)
