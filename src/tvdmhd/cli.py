@@ -20,7 +20,7 @@ from .grid import GridShape, SchemeParams
 from .ic import KINDS, init_condition
 from .perf import ConfigError
 from .snapshot import read_snapshot, slice_export, write_snapshot
-from .stepper import run
+from .stepper import SECTIONS, run
 
 ENV_WORKERS = "TVDMHD_WORKERS"
 
@@ -154,27 +154,33 @@ def bench_command(sizes, repeats, workers, precision, machines_path=None,
     """Time step cycles per size and derive the comparison metrics.
 
     Repetition statistic: median and min over the `repeats` timed cycles of
-    `validation.cycle_times`; initialization and snapshot IO are excluded.
-    The machines file is read first, so a bad one fails before any timing.
+    `validation.cycle_times`, then the median ms of each cycle section over
+    the same cycles; initialization and snapshot IO are excluded.  The box
+    is uniform, so its limiter masks never vary and branch costs do not show.
+    The machines file and its baseline record are checked first, so a bad
+    one fails before any timing.
     """
     machines = perf.load_machines(machines_path)
     if perf.BASELINE_LABEL not in machines:
         raise ConfigError(f"the machines file has no {perf.BASELINE_LABEL!r} baseline record")
-    baseline = machines[perf.BASELINE_LABEL]
+    baseline = perf.check_baseline(machines[perf.BASELINE_LABEL])
     width = 4 if precision == "single" else 8
     avail = _available_memory_bytes()
     measured: dict[int, float] = {}
 
-    out.write("# size\tmedian_ms\tmin_ms\tworkers\n")
+    out.write("# size\tmedian_ms\tmin_ms\tworkers"
+              + "".join(f"\t{s}_ms" for s in SECTIONS) + "\n")
     for n in sizes:
         # state + solver temporaries; generous factor to stay safe
         need = n ** 3 * width * 60
         if avail is not None and need > avail:
             out.write(f"{n}\tskipped\tskipped\t{workers}\t# insufficient memory\n")
             continue
-        (times,) = validation.cycle_times([(n, workers)], repeats, precision)
+        (reports,) = validation.cycle_times([(n, workers)], repeats, precision)
+        times = [r.wall_ms for r in reports]
         measured[n] = median(times)
-        out.write(f"{n}\t{median(times):.3f}\t{min(times):.3f}\t{workers}\n")
+        sections = "".join(f"\t{median(r.sections[s] for r in reports):.3f}" for s in SECTIONS)
+        out.write(f"{n}\t{median(times):.3f}\t{min(times):.3f}\t{workers}{sections}\n")
 
     if 128 in measured:
         machines["host"] = replace(machines.get("host") or perf.MachineSpec("host"),

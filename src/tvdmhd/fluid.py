@@ -19,12 +19,19 @@ and both stages and the update run on one block of rows before the next
 starts, so each temporary is a block, not a slab: it is reused from cache and
 from the heap instead of streaming through memory and fresh pages (see
 ``_BLOCK_BYTES`` for the measured size).  The five variables of a block are
-stacked in one array, and every row is copied once with ``_GHOST`` periodic
-images at each end; the stencil then runs on the flattened stack with shifted
-slices rather than rolled copies, and values computed across row ends are
-never kept.  Every kept value comes from the same operations on the same
-operands as an unblocked evaluation, so results are bitwise independent of the
-block size and the worker count.
+copied in one assignment into a stack with ``_GHOST`` periodic images at each
+row end, and the cell-centered field is formed straight into the interior of
+a padded block of its own; the stencil then runs on the flattened stacks with
+shifted slices rather than rolled copies, and values computed across row ends
+are never kept.  The full-step update is written straight into the state
+rows, so a sweep that fails its last check leaves the state invalid.  Every
+kept value comes from the same operations on the same operands as an
+unblocked evaluation, so results are bitwise independent of the block size
+and the worker count.
+
+The Van Leer limiter, shared with the magnetic sweep, selects its result by
+bits rather than by a per-cell branch; the values are those of a plain
+``where``.
 """
 
 from __future__ import annotations
@@ -107,7 +114,17 @@ def _harmonic(dl, dr):
     # Only cells with prod > 0 keep the mean, and there dl + dr != 0.
     with np.errstate(divide="ignore", invalid="ignore"):
         mean = 2.0 * prod / (dl + dr)
-    return prod, np.where(prod > 0, mean, prod * 0)
+    # The mean where prod > 0, else prod * 0 (a signed zero, or NaN), picked in
+    # place by bits on the integer view of the same width, with no branch per cell.
+    bits = np.dtype(f"i{mean.itemsize}")
+    keep = np.negative(prod > 0, dtype=bits)  # all ones or all zeros
+    zero = np.asarray(prod * 0, dtype=mean.dtype).view(bits)
+    out = np.asarray(mean)  # 0-d inputs give a scalar mean
+    sel = out.view(bits)
+    sel ^= zero
+    sel &= keep
+    sel ^= zero
+    return prod, out
 
 
 def vanleer(dl, dr):
@@ -154,13 +171,14 @@ def _cfl_slab(u, maxima, gamma, where, i, lo, hi):
     for r0, r1 in chunks(0, u_rows.shape[1], n1 * u.itemsize, _BLOCK_BYTES):
         rho, m1, m2, m3, e = u_rows[:, r0:r1]
         origin = (lo * n2 + r0, n2)
-        b1, b2, b3 = row_centers(u, origin[0], origin[0] + r1 - r0)
-        p = gas_pressure(rho, m1, m2, m3, e, b1, b2, b3, gamma)
+        bc = np.empty((3, r1 - r0, n1), dtype=u.dtype)
+        row_centers(u, origin[0], origin[0] + r1 - r0, bc)
+        sq1, sq2, sq3 = bc ** 2  # each axis below sums them in its own order
+        p = _pressure(rho, (m1, m2, m3), e, 0.5 * (sq1 + sq2 + sq3), gamma)
         check_positive(rho, p, where, origin)
-        for m, b_along, b_t1, b_t2 in ((m1, b1, b2, b3), (m2, b2, b3, b1),
-                                       (m3, b3, b1, b2)):
-            sq = b_along ** 2
-            cf = _fast_speed(rho, p, sq, sq + b_t1 ** 2 + b_t2 ** 2, gamma)
+        for m, along, t1, t2 in ((m1, sq1, sq2, sq3), (m2, sq2, sq3, sq1),
+                                 (m3, sq3, sq1, sq2)):
+            cf = _fast_speed(rho, p, along, along + t1 + t2, gamma)
             sig = np.abs(m / rho) + cf
             top = float(np.max(sig))
             if not top < math.inf:
@@ -187,13 +205,10 @@ def cfl_timestep(state: ConservedState, params: SchemeParams, workers: int = 1) 
     return params.courant * state.shape.dx / speed
 
 
-def _padded(lines) -> np.ndarray:
-    # Stack equal-shape arrays of rows, with _GHOST periodic images at each row end.
-    n = lines[0].shape[-1]
-    out = np.empty((len(lines),) + lines[0].shape[:-1] + (n + 2 * _GHOST,),
-                   dtype=np.result_type(*lines))
-    for dst, src in zip(out, lines):
-        dst[..., _GHOST:-_GHOST] = src
+def _padded(rows: np.ndarray) -> np.ndarray:
+    # A copy of a stack of rows, with _GHOST periodic images at each row end.
+    out = np.empty(rows.shape[:-1] + (rows.shape[-1] + 2 * _GHOST,), dtype=rows.dtype)
+    _interior(out)[...] = rows
     _fill_ghosts(out)
     return out
 
@@ -271,26 +286,38 @@ def _stage(u5, field, gamma, order, where, origin):
     return _interface_flux(u5, _physical_fluxes(u5, field, v, p), c, order)
 
 
+def _flux_change(flux, factor, like):
+    # factor * (F(q) - F(q - 1)) on padded rows shaped like `like`, at the
+    # flattened positions q in [_GHOST, size - _GHOST); the ends are unset.
+    out = np.empty_like(like)
+    np.multiply(factor, flux[1:] - flux[:-1], out=out.reshape(-1)[_GHOST:-_GHOST])
+    return out
+
+
 def _advance(u, flux, factor):
-    # u - factor * (F(q) - F(q - 1)) on padded rows, for the flattened positions
-    # q in [_GHOST, size - _GHOST), with the ghosts refreshed from the new cells.
-    out = np.empty_like(u)
-    np.subtract(u.reshape(-1)[_GHOST:-_GHOST], factor * (flux[1:] - flux[:-1]),
-                out=out.reshape(-1)[_GHOST:-_GHOST])
+    # u - factor * (F(q) - F(q - 1)) on padded rows, with the ghosts refreshed
+    # from the new cells.
+    out = _flux_change(flux, factor, u)
+    inner = out.reshape(-1)[_GHOST:-_GHOST]
+    np.subtract(u.reshape(-1)[_GHOST:-_GHOST], inner, out=inner)
     _fill_ghosts(out)
     return out
 
 
-def _sweep_block(u5, bc, lam, gamma, where, origin):
-    # Both stages and the update of one block of rows; writes the result into u5.
+def _sweep_block(u, u5, lam, gamma, where, origin):
+    # Both stages and the update of the block of rows u5, the fluid rows from
+    # origin[0] on of the state block u; writes the result into u5.
     pu = _padded(u5)
-    field = _field(_padded(bc))
+    bc = np.empty((3,) + pu.shape[1:], dtype=pu.dtype)
+    row_centers(u, origin[0], origin[0] + u5.shape[1], _interior(bc))
+    _fill_ghosts(bc)
+    field = _field(bc)
     half = _advance(pu, _stage(pu, field, gamma, 1, where[0], origin), 0.5 * lam)
-    new = _interior(_advance(pu, _stage(half, field, gamma, 2, where[1], origin), lam))
+    step = _flux_change(_stage(half, field, gamma, 2, where[1], origin), lam, pu)
+    np.subtract(_interior(pu), _interior(step), out=u5)
 
-    p = _pressure(new[0], new[1:4], new[4], _interior(field.pm), gamma)
-    check_positive(new[0], p, where[2], origin)
-    u5[...] = new
+    p = _pressure(u5[0], u5[1:4], u5[4], _interior(field.pm), gamma)
+    check_positive(u5[0], p, where[2], origin)
 
 
 def _sweep_slab(u, lam, gamma, where, _i, lo, hi):
@@ -298,9 +325,7 @@ def _sweep_slab(u, lam, gamma, where, _i, lo, hi):
     _, _, n2, n1 = u.shape
     u_rows = u[:5, lo:hi].reshape(5, -1, n1, copy=False)  # a view: writes go through
     for r0, r1 in chunks(0, u_rows.shape[1], n1 * u.itemsize, _BLOCK_BYTES):
-        g0 = lo * n2 + r0
-        _sweep_block(u_rows[:, r0:r1], row_centers(u, g0, g0 + r1 - r0),
-                     lam, gamma, where, (g0, n2))
+        _sweep_block(u, u_rows[:, r0:r1], lam, gamma, where, (lo * n2 + r0, n2))
 
 
 def fluid_sweep(state: ConservedState, dt: float, params: SchemeParams,

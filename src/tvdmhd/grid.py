@@ -210,24 +210,39 @@ def transpose(state: ConservedState, inverse: bool = False, workers: int = 1) ->
 def face_to_center(state: ConservedState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cell-centered field components: mean of the two bounding faces (periodic)."""
     n3, n2, n1 = state.shape.array_shape
-    return tuple(bc.reshape(n3, n2, n1) for bc in row_centers(state.u, 0, n3 * n2))
+    out = np.empty((3, n3 * n2, n1), dtype=state.dtype)
+    row_centers(state.u, 0, n3 * n2, out)
+    return tuple(bc.reshape(n3, n2, n1) for bc in out)
 
 
-def row_centers(u: np.ndarray, g0: int, g1: int) -> np.ndarray:
-    """Cell-centered field of the rows [g0, g1) of the state block `u`, stacked (3, rows, n1).
+def row_centers(u: np.ndarray, g0: int, g1: int, out: np.ndarray) -> None:
+    """Write the cell-centered field of the rows [g0, g1) of the state block `u` into `out`.
 
-    Row g is the pencil (k, j) = divmod(g, n2).  Each value is the same
-    operation on the same two faces as over the whole grid, so a block of
-    rows gives bitwise the values of the whole-grid field.
+    `out` is (3, g1 - g0, n1), and row g is the pencil (k, j) = divmod(g, n2).
+    The upper b2 face of a row is the lower face of the next row of its plane,
+    which for the plane's last row is its first row; the upper b3 face is the
+    lower face of the same row one plane on, which for the last plane is
+    plane 0.  Each value is the same operation on the same two faces as over
+    the whole grid, so a block of rows gives bitwise the values of the
+    whole-grid field.
     """
     _, n3, n2, n1 = u.shape
-    b1, b2, b3 = (u[c].reshape(-1, n1) for c in (5, 6, 7))
-    k, j = np.divmod(np.arange(g0, g1), n2)
-    out = np.empty((3, g1 - g0, n1), dtype=u.dtype)
-    np.multiply(0.5, b1[g0:g1] + np.roll(b1[g0:g1], -1, axis=1), out=out[0])
-    np.multiply(0.5, b2[g0:g1] + b2[k * n2 + (j + 1) % n2], out=out[1])
-    np.multiply(0.5, b3[g0:g1] + b3[(k + 1) % n3 * n2 + j], out=out[2])
-    return out
+    rows = n3 * n2
+    b1, b2, b3 = (u[c].reshape(rows, n1) for c in (5, 6, 7))
+    c1, c2, c3 = out
+    np.add(b1[g0:g1, :-1], b1[g0:g1, 1:], out=c1[:, :-1])
+    np.add(b1[g0:g1, -1], b1[g0:g1, 0], out=c1[:, -1])
+    # b2: from the next row, then once more for each plane's last row (the
+    # local rows w, w + n2, ...) from the plane's first row.
+    top = min(g1, rows - 1)
+    np.add(b2[g0:top], b2[g0 + 1:top + 1], out=c2[:top - g0])
+    w = (n2 - 1 - g0) % n2
+    np.add(b2[g0 + w:g1:n2], b2[g0 + w + 1 - n2:max(g1 + 1 - n2, 0):n2], out=c2[w::n2])
+    # b3: from the row n2 on; the rows of the last plane from plane 0.
+    mid = min(max(g0, rows - n2), g1)
+    np.add(b3[g0:mid], b3[g0 + n2:mid + n2], out=c3[:mid - g0])
+    np.add(b3[mid:g1], b3[mid + n2 - rows:g1 + n2 - rows], out=c3[mid - g0:])
+    np.multiply(out, 0.5, out=out)
 
 
 def discrete_divergence(state: ConservedState) -> np.ndarray:

@@ -6,7 +6,10 @@ the TVD-limited upwind flux v1*b, and every edge flux is applied a second
 time, with opposite sign, to the two b1 faces it borders.  That antisymmetry
 cancels in the divergence stencil exactly, so the face-flux balance of every
 cell is preserved to roundoff.  Edge fluxes exist one chunk at a time; no
-full-grid electromotive-force array is formed.
+full-grid electromotive-force array is formed.  Periodic neighbours are taken
+by slices: each row of b gets two lower and one upper image along i, so one
+limiter call on the padded slopes serves both movers, and every wrap along i
+and along the coupling axis is a separate slice operation.
 
 Invariant: a chunk spans the whole coupling axis (j for b2, k for b3), so the
 b1 faces it writes are its own; b2 runs on k slabs and b3 on j columns.  The
@@ -26,39 +29,61 @@ from .grid import ConservedState, SchemeParams
 from .parallel import chunks, parallel_for, partition
 
 # Bytes per array of one chunk.  Magnetic ms per cycle (the untraced
-# `StepReport` section) on a 2-core host, single precision, median (range) of
-# 3-7 interleaved processes, chunks of 128 / 256 / 512 KiB: 64^3 on 1 worker
-# 99 (93-101) / 94 (87-109) / 89 (88-89); 128^3 on 2 pool workers
-# 695 (496-757) / 588 (387-751) / 551 (378-622).  The medians lean to 512 KiB
-# within the spread; 256 KiB stays until a benchmark round separates the two.
+# `StepReport` section) on a 2-core host, single precision, solenoidal_random,
+# 256 / 512 KiB chunks:
+# - 64^3 on 1 worker, cycles alternated in one process, median of 12, two
+#   runs: 70.5 / 69.1 and 71.0 / 70.7;
+# - 128^3 on 2 pool workers, 8 interleaved process pairs: median 335 / 326,
+#   512 KiB ahead in 5 pairs, spread 304-414; as a share of the same
+#   process's fluid section (which the chunk does not touch) 0.283 / 0.281.
+# The two do not separate; 256 KiB keeps the smaller working set per process.
 _CHUNK_BYTES = 256 << 10
 
 
 def _edge_flux(b, ve, lam):
     # TVD upwind flux of the face field b through the lower-i edge of each cell,
     # second-order via Van Leer slopes with the local Courant time-centering.
-    b_left = np.roll(b, 1, axis=-1)
-    d = b - b_left
-    nu = np.abs(ve) * lam
-    up = b_left + 0.5 * (1.0 - nu) * fluid.vanleer(np.roll(d, 1, axis=-1), d)
-    dn = b - 0.5 * (1.0 - nu) * fluid.vanleer(d, np.roll(d, -1, axis=-1))
+    # With d_i = b_i - b_{i-1}, the right mover takes VL(d_{i-1}, d_i) and the
+    # left mover VL(d_i, d_{i+1}): one limiter call on d_{-1} .. d_n serves both.
+    n = b.shape[-1]
+    bp = np.empty(b.shape[:-1] + (n + 3,), dtype=b.dtype)  # b_{-2} .. b_n
+    bp[..., 2:-1] = b
+    bp[..., :2] = b[..., -2:]
+    bp[..., -1] = b[..., 0]
+    d = bp[..., 1:] - bp[..., :-1]
+    lim = fluid.vanleer(d[..., :-1], d[..., 1:])
+    half = 0.5 * (1.0 - np.abs(ve) * lam)
+    up = bp[..., 1:-2] + half * lim[..., :-1]
+    dn = b - half * lim[..., 1:]
     return ve * np.where(ve > 0, up, dn)
 
 
 def _advect(b, b1, v1, lam, axis):
     # Advect the face field b of one chunk along i; the edge flux on row n
     # (the lower face of row n along `axis`) is taken from b1 row n and given
-    # to b1 row n - 1.  The chunk must span the whole of `axis`.
+    # to b1 row n - 1.  The chunk must span the whole of `axis`, whose length
+    # is even.
     b, b1, v1 = (np.moveaxis(a, axis, 0) for a in (b, b1, v1))
-    vface = 0.5 * (np.roll(v1, 1, axis=0) + v1)
-    ve = 0.5 * (vface + np.roll(vface, 1, axis=-1))
+    vface = np.empty_like(v1)  # v1 on the lower face along `axis`
+    np.add(v1[-1], v1[0], out=vface[0])
+    np.add(v1[:-1], v1[1:], out=vface[1:])
+    vface *= 0.5
+    ve = np.empty_like(vface)  # and on the lower-i edge of that face
+    np.add(vface[..., 0], vface[..., -1], out=ve[..., 0])
+    np.add(vface[..., 1:], vface[..., :-1], out=ve[..., 1:])
+    ve *= 0.5
     phi = _edge_flux(b, ve, lam)
-    b -= lam * (np.roll(phi, -1, axis=-1) - phi)
+    dphi = np.empty_like(phi)
+    np.subtract(phi[..., 1:], phi[..., :-1], out=dphi[..., :-1])
+    np.subtract(phi[..., 0], phi[..., -1], out=dphi[..., -1])
+    dphi *= lam
+    b -= dphi
     f = lam * phi
     b1[1::2] -= f[1::2]
     b1[0::2] += f[1::2]
     b1[0::2] -= f[0::2]
-    b1[1::2] += np.roll(f[0::2], -1, axis=0)
+    b1[1:-1:2] += f[2::2]
+    b1[-1] += f[0]
 
 
 def _b2_slab(u, lam, where, _i, lo, hi):

@@ -14,6 +14,7 @@ The module also reads the ``key = value`` text of run configs and machine files.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
@@ -139,6 +140,15 @@ class CriteriaReport:
     bandwidth_fraction_pct: float
 
 
+def check_baseline(baseline: MachineSpec) -> MachineSpec:
+    """Return `baseline` if it holds what `criteria` needs of a baseline; else raise ValueError."""
+    if baseline.reference_runtime_ms_128 is None:
+        raise ValueError(f"baseline {baseline.label!r} has no reference runtime")
+    if baseline.peak_gflops is None:
+        raise ValueError(f"baseline {baseline.label!r} is missing peak figures")
+    return baseline
+
+
 def criteria(runtime_ms: float, machine: MachineSpec, baseline: MachineSpec) -> CriteriaReport:
     """Comparison metrics for a per-step runtime of the 128^3 box against a baseline machine.
 
@@ -146,12 +156,9 @@ def criteria(runtime_ms: float, machine: MachineSpec, baseline: MachineSpec) -> 
     """
     if not runtime_ms > 0:
         raise ValueError(f"runtime must be positive, got {runtime_ms}")
-    if baseline.reference_runtime_ms_128 is None:
-        raise ValueError(f"baseline {baseline.label!r} has no reference runtime")
+    check_baseline(baseline)
     if machine.peak_gflops is None or machine.peak_gbps is None:
         raise ValueError(f"machine {machine.label!r} is missing peak figures")
-    if baseline.peak_gflops is None:
-        raise ValueError(f"baseline {baseline.label!r} is missing peak figures")
 
     seconds = runtime_ms / 1e3
     tr = bytes_per_step((128, 128, 128), "single")
@@ -174,15 +181,20 @@ class ConfigError(ValueError):
     """Bad configuration text; the message names the key and line."""
 
 
+_COMMENT = re.compile(r"(?:^|\s)#.*")
+
+
 def read_records(text: str, keys) -> list[dict[str, tuple[int, str]]]:
     """The blank-line separated records of text, each as key -> (line, raw value).
 
-    '#' starts a comment.  A line that is not 'key = value', or whose key is
-    not in keys, raises ConfigError naming the line.
+    '#' starts a comment at the start of a line or after whitespace, so a
+    value may hold a '#' of its own ('out = runs/a#1.snap').  A line that is
+    not 'key = value', or whose key is not in keys, raises ConfigError naming
+    the line.
     """
     records: list[dict[str, tuple[int, str]]] = [{}]
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = _COMMENT.sub("", line, count=1).strip()
         if not stripped:
             records.append({})
             continue

@@ -21,6 +21,8 @@ from .magnetic import magnetic_sweep
 # The legs of one cycle: (sweep axis, transpose direction to apply afterwards).
 SCHEDULE = (("x", "fwd"), ("y", "fwd"), ("z", None),
             ("z", "inv"), ("y", "inv"), ("x", None))
+# The timed sections of a cycle, in the order `StepReport.sections` holds them.
+SECTIONS = ("cfl", "fluid", "magnetic", "transpose")
 
 
 @dataclass
@@ -42,7 +44,7 @@ def step_cycle(state: ConservedState, params: SchemeParams,
     if tuple(state.shape.orientation) != CANONICAL:
         raise ValueError(f"step cycle requires canonical orientation, got {state.shape.orientation}")
 
-    sections = {"cfl": 0.0, "fluid": 0.0, "magnetic": 0.0, "transpose": 0.0}
+    sections = dict.fromkeys(SECTIONS, 0.0)
     t_start = time.perf_counter()
 
     def timed(section, fn, *args, **kwargs):

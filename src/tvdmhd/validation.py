@@ -19,7 +19,7 @@ from . import fluid, ic
 from .grid import GridShape, SchemeParams, discrete_divergence, totals
 from .perf import (BASELINE_LABEL, OpCountModel, TrafficModel, bytes_per_step, criteria,
                    flops_per_step, load_machines)
-from .stepper import run
+from .stepper import StepReport, run
 
 
 # ---------------------------------------------------------------------------
@@ -302,29 +302,32 @@ def check_table_reproduction() -> list[CheckResult]:
     ]
 
 
-def cycle_times(runs, repeats, precision) -> list[list[float]]:
-    """Timed cycle wall ms of each (n, workers) run on a uniform moving n^3 box.
+def cycle_times(runs, repeats, precision) -> list[list[StepReport]]:
+    """Timed cycle reports of each (n, workers) run on a uniform moving n^3 box.
 
     The runs take one cycle each in turn, for two untimed warm-up rounds
     (allocator and frequency settling) and then `repeats` timed rounds, so a
     slow phase of the host falls on every run alike.  Returns the `repeats`
-    times of each run, in the order of `runs`.
+    reports of each run, in the order of `runs`: wall ms and the per-section
+    ms of the same cycles.  The box is uniform, so every limiter mask is
+    constant; a cost that depends on how the masks vary shows only on data
+    such as `solenoidal_random`.
     """
     params = SchemeParams(precision=precision)
     states = [ic.init_condition("uniform", GridShape(n, n, n), params, v=(1.0, 0.0, 0.0))
               for n, _ in runs]
-    times = [[] for _ in runs]
+    reports = [[] for _ in runs]
     for _ in range(2 + repeats):
-        for state, (_, workers), out in zip(states, runs, times):
+        for state, (_, workers), out in zip(states, runs, reports):
             _, (report,) = run(state, params, n_cycles=1, workers=workers)
-            out.append(report.wall_ms)
-    return [t[2:] for t in times]
+            out.append(report)
+    return [r[2:] for r in reports]
 
 
 def check_scaling(sizes=(64, 128), repeats=5, workers=1) -> CheckResult:
     """Median cycle-time ratio between the two sizes (cubic work: expect ~8)."""
-    medians = [median(t) for t in cycle_times([(n, workers) for n in sizes],
-                                               repeats, "single")]
+    medians = [median(r.wall_ms for r in reports)
+               for reports in cycle_times([(n, workers) for n in sizes], repeats, "single")]
     ratio = medians[1] / medians[0]
     return CheckResult("scaling_ratio_128_64", ratio, 10.0,
                        bool(6.0 <= ratio <= 10.0),

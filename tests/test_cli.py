@@ -11,6 +11,7 @@ import pytest
 import tvdmhd
 from tvdmhd import cli, fluid, init_condition, perf, read_snapshot, run, validation
 from tvdmhd.cli import ConfigError, RunConfig, load_config, parse_config
+from tvdmhd.stepper import SECTIONS, StepReport
 
 
 def test_parse_config_round_trip():
@@ -30,6 +31,16 @@ def test_parse_config_types_every_key_by_its_annotation(f):
     want = {"int": 3, "float": 3.0, "str": "3"}[f.type.split(" | ")[0]]
     got = parse_config(f"{f.name} = 3")[f.name]
     assert got == want and type(got) is type(want)
+
+
+def test_parse_config_keeps_a_hash_inside_a_value():
+    assert parse_config("out = runs/a#1.snap") == {"out": "runs/a#1.snap"}
+    assert parse_config("out = runs/a#1.snap  # where it goes\n") == {"out": "runs/a#1.snap"}
+
+
+@pytest.mark.parametrize("line", ["ic = sod_x  # note", "ic = sod_x\t# note", "ic = sod_x #"])
+def test_parse_config_drops_a_comment_after_whitespace(line):
+    assert parse_config(f"# heading\n{line}\n") == {"ic": "sod_x"}
 
 
 def test_parse_config_unknown_key_names_key_and_line():
@@ -143,8 +154,9 @@ def test_bench_host_row_is_written_like_every_machine(tmp_path, monkeypatch):
     path = tmp_path / "machines.txt"
     path.write_text(HOSTED)
     monkeypatch.setattr(cli, "_available_memory_bytes", lambda: None)
-    monkeypatch.setattr(validation, "cycle_times",
-                        lambda runs, repeats, precision: [[900.0, 1100.0, 1000.0]])
+    reports = [StepReport(0.1, ms, {s: ms / 4 for s in SECTIONS})
+               for ms in (900.0, 1100.0, 1000.0)]
+    monkeypatch.setattr(validation, "cycle_times", lambda runs, repeats, precision: [reports])
     buf = io.StringIO()
     assert cli.bench_command([128], repeats=3, workers=1, precision="single",
                              machines_path=str(path), out=buf) == 0
@@ -152,6 +164,7 @@ def test_bench_host_row_is_written_like_every_machine(tmp_path, monkeypatch):
     rows = {l.split("\t")[0]: l.split("\t")[1:] for l in table.splitlines()
             if l and not l.startswith("#")}
     assert set(rows) == {"128", "x86(1)", "host"}  # a blank peak skips the row
+    assert rows["128"] == ["1000.000", "900.000", "1"] + ["250.000"] * len(SECTIONS)
     machines = perf.parse_machines(HOSTED)
     rep = perf.criteria(1000.0, machines["host"], machines["x86(1)"])
     assert rows["host"] == ["1000", f"{rep.code_speedup:.1f}", f"{rep.fractional_speedup:.2f}",
@@ -163,7 +176,11 @@ def test_bench_host_row_is_written_like_every_machine(tmp_path, monkeypatch):
 @pytest.mark.parametrize("text, message", [
     ("label = host\npeak_gflops = 48\n", "the machines file has no 'x86(1)' baseline record"),
     ("label = x86(1)\npeak_gflops = abc\n", "line 2: invalid value for 'peak_gflops': 'abc'"),
-], ids=["no_baseline", "bad_value"])
+    ("label = x86(1)\npeak_gflops = 17\npeak_gbps = 19.2\nreference_runtime_ms_128 =\n",
+     "baseline 'x86(1)' has no reference runtime"),
+    ("label = x86(1)\npeak_gflops =\npeak_gbps = 19.2\nreference_runtime_ms_128 = 8770\n",
+     "baseline 'x86(1)' is missing peak figures"),
+], ids=["no_baseline", "bad_value", "no_baseline_runtime", "no_baseline_peak"])
 def test_main_bench_rejects_a_bad_machines_file_before_timing(text, message, tmp_path,
                                                               monkeypatch, capsys):
     def no_timing(*args):
@@ -174,7 +191,9 @@ def test_main_bench_rejects_a_bad_machines_file_before_timing(text, message, tmp
     path.write_text(text)
     assert cli.main(["bench", "--sizes", "16", "--workers", "1",
                      "--machines", str(path)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert not [line for line in captured.out.splitlines() if not line.startswith("#")]
 
 
 def test_main_bench_out_writes_what_it_prints(tmp_path, capsys):

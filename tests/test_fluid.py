@@ -115,6 +115,54 @@ def test_vanleer_cell_does_not_depend_on_the_others(dtype, cell, other):
     assert together[0] == alone[0]
 
 
+def _where_harmonic(dl, dr):
+    # The limiter's selection written with np.where: the reference of the bit select.
+    prod = dl * dr
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = 2.0 * prod / (dl + dr)
+    return prod, np.where(prod > 0, mean, prod * 0)
+
+
+def _slope_values(dtype, subnormal_products):
+    # Signed zeros, infinities, NaN, products that overflow, and mixed signs;
+    # with subnormal_products also slopes whose product is subnormal, inexact
+    # (the underflow fallback) or exact.
+    info = np.finfo(dtype)
+    vals = [0.0, 1.0, 3.0, 0.25, np.inf, np.nan, float(info.max) / 4, float(np.sqrt(info.max)) * 2]
+    if subnormal_products:
+        vals += [float(np.sqrt(info.tiny)) / 3, float(np.sqrt(info.tiny)) / 5,
+                 float(np.sqrt(info.tiny)) / 4, float(info.smallest_subnormal)]
+    return np.array(vals + [-v for v in vals], dtype=dtype)
+
+
+@pytest.mark.parametrize("subnormal_products", [False, True], ids=["normal", "subnormal"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_vanleer_bit_select_matches_where(dtype, subnormal_products, monkeypatch):
+    vals = _slope_values(dtype, subnormal_products)
+    dl, dr = vals[:, None], vals[None, :]  # every pair, by broadcasting
+    pairs = [(a, b) for a in vals for b in vals]
+    # The overflowing and infinite slopes warn alike in both forms.
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = (vanleer(dl, dr), [vanleer(a, b) for a, b in pairs],
+               [vanleer(np.array(a), np.array(b)) for a, b in pairs])
+        monkeypatch.setattr(fluid, "_harmonic", _where_harmonic)
+        want = (vanleer(dl, dr), [vanleer(a, b) for a, b in pairs],
+                [vanleer(np.array(a), np.array(b)) for a, b in pairs])
+    assert got[0].shape == (vals.size, vals.size) and got[0].dtype == dtype
+    assert got[0].tobytes() == want[0].tobytes()
+    for got_0d, want_0d in zip(got[1] + got[2], want[1] + want[2]):
+        assert type(got_0d) is type(want_0d) is dtype
+        assert got_0d.tobytes() == want_0d.tobytes()
+
+
+@pytest.mark.parametrize("dl, dr", [(1, 3), (-2, 5), (0, 0), (True, True), (1, 3.0)])
+def test_vanleer_integer_and_scalar_inputs_match_where(dl, dr, monkeypatch):
+    got = vanleer(dl, dr)
+    monkeypatch.setattr(fluid, "_harmonic", _where_harmonic)
+    want = vanleer(dl, dr)
+    assert type(got) is type(want) and got.tobytes() == want.tobytes()
+
+
 @given(a=st.floats(0.01, 1e3), b=st.floats(0.01, 1e3), s=st.floats(0.01, 100))
 def test_vanleer_scales_homogeneously(a, b, s):
     assert vanleer(s * a, s * b) == pytest.approx(s * vanleer(a, b), rel=1e-12)
@@ -130,8 +178,8 @@ def _pencil(rho, v1, p, gamma, b=(0.0, 0.0, 0.0)):
     p = np.broadcast_to(np.asarray(p, dtype=float), (n,))
     bc = [np.full(n, bi) for bi in b]
     e = p / (gamma - 1.0) + 0.5 * rho * v1 ** 2 + 0.5 * sum(x ** 2 for x in bc)
-    u5 = fluid._padded([rho, rho * v1, np.zeros(n), np.zeros(n), e])
-    return u5, fluid._field(fluid._padded(bc))
+    u5 = fluid._padded(np.stack([rho, rho * v1, np.zeros(n), np.zeros(n), e]))
+    return u5, fluid._field(fluid._padded(np.stack(bc)))
 
 
 def _sweep_flux(u5, field, gamma):
@@ -236,7 +284,8 @@ def test_freeze_speed_invariant(params):
     bc = [b[0] for b in face_to_center(state)]
     rho, m1, m2, m3, e = (a[0] for a in (state.rho, state.mom1, state.mom2,
                                          state.mom3, state.e))
-    c = _freezing_speed(fluid._padded([rho, m1, m2, m3, e]), fluid._field(fluid._padded(bc)), g)
+    c = _freezing_speed(fluid._padded(np.stack([rho, m1, m2, m3, e])),
+                        fluid._field(fluid._padded(np.stack(bc))), g)
     assert c.shape == (8, 1)
     v1 = np.abs(m1 / rho)
     p = fluid.gas_pressure(rho, m1, m2, m3, e, *bc, g)

@@ -5,7 +5,7 @@ import pytest
 
 from tvdmhd import (GridShape, SchemeParams, allocate_state, discrete_divergence,
                     face_to_center, step_cycle, totals, transpose)
-from tvdmhd.grid import COMPONENT_NAMES
+from tvdmhd.grid import COMPONENT_NAMES, row_centers
 
 from conftest import random_state
 
@@ -163,6 +163,34 @@ def test_face_to_center_linear_field_away_from_seam(params):
     interior = bc1[:, :, :-1]
     expected = 0.25 * (np.arange(15) + 0.5)
     assert np.allclose(interior, expected[np.newaxis, np.newaxis, :], rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("shape", [GridShape(16, 12, 8), GridShape(8, 8, 12)],
+                         ids=["16x12x8", "8x8x12"])
+def test_row_centers_match_the_rolled_whole_grid_field(shape):
+    # Every row range of a small grid with unequal axes: ranges inside one
+    # plane, across plane ends, and into and through the last plane.
+    state = random_state(shape, SchemeParams(precision="single"), seed=4)
+    n3, n2, n1 = shape.array_shape
+    want = np.stack([0.5 * (state.b1 + np.roll(state.b1, -1, axis=2)),
+                     0.5 * (state.b2 + np.roll(state.b2, -1, axis=1)),
+                     0.5 * (state.b3 + np.roll(state.b3, -1, axis=0))]).reshape(3, -1, n1)
+    rows = n3 * n2
+    for g0 in range(rows):
+        for g1 in range(g0 + 1, rows + 1):
+            got = np.full((3, g1 - g0, n1), np.nan, dtype=state.dtype)
+            row_centers(state.u, g0, g1, got)
+            assert got.tobytes() == want[:, g0:g1].tobytes(), (g0, g1)
+
+
+def test_row_centers_write_into_a_strided_block(params):
+    # The sweep passes the interior of a padded block; the ghosts stay untouched.
+    state = random_state(GridShape(8, 8, 8), params, seed=5)
+    padded = np.zeros((3, 20, 12))
+    row_centers(state.u, 30, 50, padded[..., 2:-2])
+    assert (padded[..., :2] == 0).all() and (padded[..., -2:] == 0).all()
+    want = np.stack(face_to_center(state)).reshape(3, -1, 8)[:, 30:50]
+    assert (padded[..., 2:-2] == want).all()
 
 
 # --- discrete divergence ----------------------------------------------------

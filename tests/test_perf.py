@@ -134,6 +134,13 @@ def test_machine_file_round_trip():
     assert back == spec
 
 
+def test_machine_file_hash_starts_a_comment_only_after_whitespace():
+    text = "# bundled\nlabel = x86#2  # the second x86 box\npeak_gflops = 17\t# theoretical\n"
+    assert parse_machines(text) == {"x86#2": MachineSpec("x86#2", peak_gflops=17.0)}
+    with pytest.raises(ValueError, match=r"^line 1: invalid value for 'peak_gflops': '17#'$"):
+        parse_machines("peak_gflops = 17#\nlabel = x\n")
+
+
 def test_machine_file_unknown_key_rejected():
     with pytest.raises(ValueError, match="unknown key"):
         parse_machines("label = x\nspeed = 4\n")
