@@ -121,13 +121,19 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 # commands
 
 def run_command(cfg: RunConfig, out=sys.stdout) -> int:
+    for key in ("cycles", "snapshot_every"):
+        value = getattr(cfg, key)
+        if value is not None and value < 0:
+            raise ConfigError(f"{key!r} must be non-negative, got {value}")
+    if cfg.snapshot_every and not cfg.out:
+        raise ConfigError("'snapshot_every' needs 'out' to name the snapshots")
     params = cfg.params()
     state = init_condition(cfg.ic, cfg.shape(), params, **cfg.ic_options())
     out.write("# cycle\tdt\ttime\twall_ms\n")
 
     def log(report):
         out.write(f"{state.cycle}\t{report.dt:.6g}\t{state.time:.6g}\t{report.wall_ms:.3f}\n")
-        if cfg.snapshot_every and cfg.out and state.cycle % cfg.snapshot_every == 0:
+        if cfg.snapshot_every and state.cycle % cfg.snapshot_every == 0:
             write_snapshot(state, f"{cfg.out}.cycle{state.cycle}")
 
     run(state, params, n_cycles=cfg.cycles if cfg.t_end is None else None,

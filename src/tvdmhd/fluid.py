@@ -45,7 +45,7 @@ import numpy as np
 
 # face_to_center is not called here; it stays bound for perfbench's tracer,
 # which rebinds fluid.face_to_center.
-from .grid import ConservedState, SchemeParams, face_to_center, row_centers  # noqa: F401
+from .grid import ConservedState, GridShape, SchemeParams, face_to_center, row_centers  # noqa: F401
 from .parallel import chunks, parallel_for, partition
 
 # Bytes per variable of one row block.  A block's peak live set is about 90
@@ -66,35 +66,28 @@ class PositivityError(ValueError):
     """The state left the physical range (rho <= 0, p < 0 or non-finite); names the cell."""
 
 
-def _cell(flat: int, shape: tuple, origin: tuple[int, int] | None) -> tuple:
-    # Index of C-order position `flat`.  Grid arrays (3D, or 2D block rows with
-    # origin = (global row of the block's first row, n2)) give (i, j, k).
-    if len(shape) == 3:
-        origin, shape = (0, shape[1]), (shape[0] * shape[1], shape[2])
-    idx = tuple(int(v) for v in np.unravel_index(flat, shape))
-    if origin is None:
-        return idx
-    k, j = divmod(origin[0] + idx[0], origin[1])
-    return (idx[1], j, k)
-
-
-def check_positive(rho: np.ndarray, p: np.ndarray | None, where: str = "",
-                   origin: tuple[int, int] | None = None) -> None:
+def check_positive(rho: np.ndarray, p: np.ndarray | None, shape: GridShape,
+                   where: str = "", row0: int = 0) -> None:
     """Raise PositivityError at the first cell with rho <= 0 or p < 0; NaN fails both.
 
-    `p` may be None to check the density alone.  `origin` locates a (rows, n1)
-    block: row r is (k, j) = divmod(origin[0] + r, origin[1]).
+    `p` may be None to check the density alone.  The arrays hold whole rows of
+    n1 cells of the grid `shape`, in order from state row `row0` = k * n2 + j on.
     """
-    checks = [(rho > 0, rho, "density", "non-positive")]
+    _require(rho > 0, rho, "density", "non-positive", shape, where, row0)
     if p is not None:
-        checks.append((p >= 0, p, "pressure", "negative"))
-    for ok, arr, name, kind in checks:
-        if not ok.all():
-            flat = int(np.argmin(ok))
-            if not np.isfinite(arr.flat[flat]):
-                kind = "non-finite"
-            suffix = f" {where}" if where else ""
-            raise PositivityError(f"{kind} {name} at cell {_cell(flat, ok.shape, origin)}{suffix}")
+        _require(p >= 0, p, "pressure", "negative", shape, where, row0)
+
+
+def _require(ok, arr, name, kind, shape, where, row0):
+    # Raise unless `ok` holds everywhere, naming the physical cell of the first
+    # failing position: state row row0 + flat // n1, position flat % n1.
+    if not ok.all():
+        flat = int(np.argmin(ok))
+        if not np.isfinite(arr.flat[flat]):
+            kind = "non-finite"
+        row, i = divmod(flat, shape.n1)
+        suffix = f" {where}" if where else ""
+        raise PositivityError(f"{kind} {name} at cell {shape.cell(row0 + row, i)}{suffix}")
 
 
 def _pressure(rho, m, e, pm, gamma):
@@ -162,7 +155,7 @@ def _fast_speed(rho, p, b1sq, bsq, gamma):
     return np.sqrt(0.5 * (tot + np.sqrt(np.maximum(disc, 0))))
 
 
-def _cfl_slab(u, maxima, gamma, where, i, lo, hi):
+def _cfl_slab(u, maxima, gamma, where, shape, i, lo, hi):
     # Slab kernel: maxima[i] = the largest |v| + c_fast over planes [lo, hi) and
     # all axes.  It has the state's dtype, as does every speed, so it is exact.
     _, _, n2, n1 = u.shape
@@ -170,20 +163,19 @@ def _cfl_slab(u, maxima, gamma, where, i, lo, hi):
     speed = 0.0
     for r0, r1 in chunks(0, u_rows.shape[1], n1 * u.itemsize, _BLOCK_BYTES):
         rho, m1, m2, m3, e = u_rows[:, r0:r1]
-        origin = (lo * n2 + r0, n2)
+        row0 = lo * n2 + r0
         bc = np.empty((3, r1 - r0, n1), dtype=u.dtype)
-        row_centers(u, origin[0], origin[0] + r1 - r0, bc)
+        row_centers(u, row0, row0 + r1 - r0, bc)
         sq1, sq2, sq3 = bc ** 2  # each axis below sums them in its own order
         p = _pressure(rho, (m1, m2, m3), e, 0.5 * (sq1 + sq2 + sq3), gamma)
-        check_positive(rho, p, where, origin)
+        check_positive(rho, p, shape, where, row0)
         for m, along, t1, t2 in ((m1, sq1, sq2, sq3), (m2, sq2, sq3, sq1),
                                  (m3, sq3, sq1, sq2)):
             cf = _fast_speed(rho, p, along, along + t1 + t2, gamma)
             sig = np.abs(m / rho) + cf
             top = float(np.max(sig))
             if not top < math.inf:
-                cell = _cell(int(np.argmin(np.isfinite(sig))), sig.shape, origin)
-                raise PositivityError(f"non-finite signal speed at cell {cell} {where}")
+                _require(sig < math.inf, sig, "signal speed", "non-finite", shape, where, row0)
             speed = max(speed, top)
     maxima[i] = speed
 
@@ -198,7 +190,7 @@ def cfl_timestep(state: ConservedState, params: SchemeParams, workers: int = 1) 
              f"cycle {state.cycle}")
     part = partition(state.shape.n3, workers)
     maxima = state.spare.reshape(-1)[:len(part)]
-    parallel_for(part, partial(_cfl_slab, state.u, maxima, params.gamma, where))
+    parallel_for(part, partial(_cfl_slab, state.u, maxima, params.gamma, where, state.shape))
     speed = float(maxima.max())
     if speed == 0.0:
         raise ValueError("static state: dt unbounded")
@@ -275,13 +267,13 @@ def _freezing_speed(rho, v1, p, field, gamma):
     return np.max(np.abs(v1) + cf, axis=-1, keepdims=True)  # ghosts repeat cells: same max
 
 
-def _stage(u5, field, gamma, order, where, origin):
+def _stage(u5, field, gamma, order, where, shape, row0):
     # Interface fluxes of one stage on stacked padded rows, laid out as in
-    # _interface_flux.
+    # _interface_flux; the rows are state rows row0 on of the grid `shape`.
     rho, m = u5[0], u5[1:4]
     v = m / rho
     p = _pressure(rho, m, u5[4], field.pm, gamma)
-    check_positive(_interior(rho), _interior(p), where, origin)
+    check_positive(_interior(rho), _interior(p), shape, where, row0)
     c = _freezing_speed(rho, v[0], p, field, gamma)
     return _interface_flux(u5, _physical_fluxes(u5, field, v, p), c, order)
 
@@ -304,28 +296,28 @@ def _advance(u, flux, factor):
     return out
 
 
-def _sweep_block(u, u5, lam, gamma, where, origin):
+def _sweep_block(u, u5, lam, gamma, where, shape, row0):
     # Both stages and the update of the block of rows u5, the fluid rows from
-    # origin[0] on of the state block u; writes the result into u5.
+    # state row row0 on of the state block u; writes the result into u5.
     pu = _padded(u5)
     bc = np.empty((3,) + pu.shape[1:], dtype=pu.dtype)
-    row_centers(u, origin[0], origin[0] + u5.shape[1], _interior(bc))
+    row_centers(u, row0, row0 + u5.shape[1], _interior(bc))
     _fill_ghosts(bc)
     field = _field(bc)
-    half = _advance(pu, _stage(pu, field, gamma, 1, where[0], origin), 0.5 * lam)
-    step = _flux_change(_stage(half, field, gamma, 2, where[1], origin), lam, pu)
+    half = _advance(pu, _stage(pu, field, gamma, 1, where[0], shape, row0), 0.5 * lam)
+    step = _flux_change(_stage(half, field, gamma, 2, where[1], shape, row0), lam, pu)
     np.subtract(_interior(pu), _interior(step), out=u5)
 
     p = _pressure(u5[0], u5[1:4], u5[4], _interior(field.pm), gamma)
-    check_positive(u5[0], p, where[2], origin)
+    check_positive(u5[0], p, shape, where[2], row0)
 
 
-def _sweep_slab(u, lam, gamma, where, _i, lo, hi):
+def _sweep_slab(u, lam, gamma, where, shape, _i, lo, hi):
     # Slab kernel: the fluid update of planes [lo, hi), one row block at a time.
     _, _, n2, n1 = u.shape
     u_rows = u[:5, lo:hi].reshape(5, -1, n1, copy=False)  # a view: writes go through
     for r0, r1 in chunks(0, u_rows.shape[1], n1 * u.itemsize, _BLOCK_BYTES):
-        _sweep_block(u, u_rows[:, r0:r1], lam, gamma, where, (lo * n2 + r0, n2))
+        _sweep_block(u, u_rows[:, r0:r1], lam, gamma, where, shape, lo * n2 + r0)
 
 
 def fluid_sweep(state: ConservedState, dt: float, params: SchemeParams,
@@ -336,9 +328,9 @@ def fluid_sweep(state: ConservedState, dt: float, params: SchemeParams,
     limited fluxes evaluated on the half-step state, so pencil sums telescope
     exactly under periodic wraparound.
     """
-    axis = state.shape.orientation[0]
-    where = tuple(f"in the {axis} sweep{stage}, cycle {state.cycle}"
+    shape = state.shape
+    where = tuple(f"in the {shape.orientation[0]} sweep{stage}, cycle {state.cycle}"
                   for stage in ("", " (half step)", " after the fluid update"))
-    parallel_for(partition(state.shape.n3, workers),
-                 partial(_sweep_slab, state.u, dt / state.shape.dx, params.gamma, where))
+    parallel_for(partition(shape.n3, workers),
+                 partial(_sweep_slab, state.u, dt / shape.dx, params.gamma, where, shape))
     return state

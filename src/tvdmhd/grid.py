@@ -61,6 +61,15 @@ class GridShape:
     def array_shape(self) -> tuple[int, int, int]:
         return (self.n3, self.n2, self.n1)
 
+    def array_axis(self, axis: str) -> int:
+        """Index into `array_shape` of the axis that holds physical `axis` ('x', 'y' or 'z')."""
+        return 2 - self.orientation.index(axis)
+
+    def cell(self, row: int, i: int) -> tuple[int, int, int]:
+        """Physical (x, y, z) of position `i` along state row `row` = k * n2 + j."""
+        index = divmod(row, self.n2) + (i,)
+        return tuple(index[self.array_axis(axis)] for axis in CANONICAL)
+
 
 @dataclass(frozen=True)
 class SchemeParams:
@@ -256,9 +265,7 @@ def discrete_divergence(state: ConservedState) -> np.ndarray:
 
 def _canonical_view(state: ConservedState, arr: np.ndarray) -> np.ndarray:
     # Reorder axes so the view is indexed [z, y, x] regardless of orientation.
-    f, m, s = state.shape.orientation
-    axis_of = {s: 0, m: 1, f: 2}
-    return arr.transpose(axis_of["z"], axis_of["y"], axis_of["x"])
+    return arr.transpose([state.shape.array_axis(axis) for axis in CANONICAL[::-1]])
 
 
 def _fold(view: np.ndarray) -> float:

@@ -36,7 +36,7 @@ def _fill(state: ConservedState, gamma, rho, v1, v2, v3, p, where: str) -> Conse
     """Set conserved variables from broadcastable primitives; b faces must already be in place."""
     shape = state.shape.array_shape
     rho, p = (np.broadcast_to(np.asarray(a, dtype=np.float64), shape) for a in (rho, p))
-    check_positive(rho, p, where)
+    check_positive(rho, p, state.shape, where)
     v1, v2, v3 = np.asarray(v1), np.asarray(v2), np.asarray(v3)
     kinetic = 0.5 * rho * (v1 ** 2 + v2 ** 2 + v3 ** 2)
     sq1, sq2, sq3 = (np.square(bc, dtype=np.float64) for bc in face_to_center(state))

@@ -86,12 +86,12 @@ def _advect(b, b1, v1, lam, axis):
     b1[-1] += f[0]
 
 
-def _b2_slab(u, lam, where, _i, lo, hi):
+def _b2_slab(u, lam, where, shape, _i, lo, hi):
     # Slab kernel: k planes [lo, hi), with the density checked before v1 = mom1 / rho.
     _, _, n2, n1 = u.shape
     for k0, k1 in chunks(lo, hi, n2 * n1 * u.itemsize, _CHUNK_BYTES):
         rho = u[0, k0:k1]
-        fluid.check_positive(rho.reshape(-1, n1), None, where, (k0 * n2, n2))
+        fluid.check_positive(rho, None, shape, where, k0 * n2)
         _advect(u[6, k0:k1], u[5, k0:k1], u[1, k0:k1] / rho, lam, axis=1)
 
 
@@ -114,6 +114,6 @@ def magnetic_sweep(state: ConservedState, dt: float, params: SchemeParams,
     shape = state.shape
     lam = dt / shape.dx
     where = f"entering the {shape.orientation[0]} magnetic update, cycle {state.cycle}"
-    parallel_for(partition(shape.n3, workers), partial(_b2_slab, state.u, lam, where))
+    parallel_for(partition(shape.n3, workers), partial(_b2_slab, state.u, lam, where, shape))
     parallel_for(partition(shape.n2, workers), partial(_b3_slab, state.u, lam))
     return state

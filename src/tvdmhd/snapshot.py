@@ -15,7 +15,8 @@ Snapshot layout (all little-endian):
     56      ...          8 raw component arrays, fastest-axis-major, in the
                          fixed order rho, mom1..3, e, b1..3
 
-Snapshots round-trip bitwise.  Reading a higher format version fails cleanly.
+Snapshots round-trip bitwise.  Reading a higher format version fails cleanly, as
+does a file whose length is not exactly header plus payload.
 """
 
 from __future__ import annotations
@@ -70,9 +71,11 @@ def read_snapshot(path: str | Path) -> ConservedState:
         dtype = np.dtype(np.float32 if width == 4 else np.float64).newbyteorder("<")
         state = ConservedState.zeros(shape, dtype, time_, cycle)
         got = fh.readinto(state.u)
-    if got < state.u.nbytes:
-        name = COMPONENT_NAMES[got // (shape.cells * width)]
-        raise SnapshotError(f"{path}: truncated payload at component {name}")
+        if got < state.u.nbytes:
+            name = COMPONENT_NAMES[got // (shape.cells * width)]
+            raise SnapshotError(f"{path}: truncated payload at component {name}")
+        if fh.read(1):
+            raise SnapshotError(f"{path}: bytes past the end of the payload")
     return state
 
 
@@ -85,12 +88,11 @@ def slice_export(state: ConservedState, plane: tuple[str, int], path: str | Path
     along the two in-plane axes, fastest first.
     """
     axis, index = plane
-    orientation = tuple(state.shape.orientation)
-    if axis not in orientation:
+    shape = state.shape
+    if axis not in shape.orientation:
         raise ValueError(f"unknown plane axis {axis!r}")
-    role = orientation.index(axis)  # 0 fastest .. 2 slowest
-    array_axis = 2 - role
-    n = state.shape.array_shape[array_axis]
+    array_axis = shape.array_axis(axis)
+    n = shape.array_shape[array_axis]
     if not 0 <= index < n:
         raise ValueError(f"plane index {index} out of range [0, {n})")
 
@@ -102,9 +104,9 @@ def slice_export(state: ConservedState, plane: tuple[str, int], path: str | Path
     take = [slice(None)] * 3
     take[array_axis] = index
     take = tuple(take)
-    in_plane = [r for r in range(3) if r != role]  # roles, fastest first
-    names = [f"b_{orientation[r]}" for r in in_plane]
-    values = [bc[r][take] for r in in_plane]
+    # The in-plane field components, fastest first: bc[r] lies along orientation[r].
+    names, values = zip(*[(f"b_{a}", b[take]) for a, b in zip(shape.orientation, bc)
+                          if a != axis])
     plane_2d = entropy[take]
 
     rows, cols = plane_2d.shape

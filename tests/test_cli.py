@@ -104,6 +104,29 @@ def test_run_command_snapshot_every_matches_run(tmp_path):
         assert arr.dtype == want.dtype and arr.tobytes() == want.tobytes(), name
 
 
+@pytest.mark.parametrize("flags, config, message", [
+    (["--cycles", "-3", "--out", "{out}"], "", "'cycles' must be non-negative, got -3"),
+    (["--out", "{out}"], "snapshot_every = -2", "'snapshot_every' must be non-negative, got -2"),
+    ([], "snapshot_every = 2", "'snapshot_every' needs 'out' to name the snapshots"),
+])
+def test_run_rejects_negative_counts_and_snapshots_without_out(tmp_path, capsys, flags,
+                                                               config, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"size = 8\nworkers = 1\n{config}\n")
+    out = tmp_path / "a.snap"
+    argv = ["run", "--config", str(cfg)] + [f.format(out=out) for f in flags]
+    assert cli.main(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("a.snap*"))
+
+
+def test_run_zero_cycles_writes_the_start_state(tmp_path):
+    out = tmp_path / "a.snap"
+    assert cli.main(["run", "--size", "8", "--workers", "1", "--cycles", "0",
+                     "--out", str(out)]) == 0
+    assert read_snapshot(out).cycle == 0
+
+
 def test_run_command_stops_at_t_end():
     cfg = RunConfig(size=8, cycles=None, t_end=1.0, ic="solenoidal_random", seed=2,
                     workers=1)

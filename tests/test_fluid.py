@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from tvdmhd import (GridShape, PositivityError, SchemeParams, allocate_state,
                     cfl_timestep, face_to_center, fluid, fluid_sweep, init_condition,
-                    magnetic_sweep, step_cycle, totals, vanleer)
+                    magnetic_sweep, step_cycle, totals, transpose, vanleer)
 from tvdmhd.fluid import check_positive
 
 from conftest import random_state
@@ -30,10 +32,10 @@ def test_fast_speed_transverse_field_closed_form():
 
 
 def test_check_positive_negative_pressure_names_cell():
-    p = np.ones((4, 4, 4))
+    p = np.ones((8, 8, 8))
     p[1, 2, 3] = -0.5
     with pytest.raises(PositivityError, match=r"^negative pressure at cell \(3, 2, 1\)$"):
-        check_positive(np.ones((4, 4, 4)), p)
+        check_positive(np.ones((8, 8, 8)), p, GridShape(8, 8, 8))
 
 
 def test_fast_speed_dominates_alfven_and_sound():
@@ -185,7 +187,8 @@ def _pencil(rho, v1, p, gamma, b=(0.0, 0.0, 0.0)):
 def _sweep_flux(u5, field, gamma):
     """The full-step stage's fluxes; [var][i] is the flux between cells i and i + 1."""
     flat = np.zeros(u5.size)
-    flat[1:-2] = fluid._stage(u5, field, gamma, 2, "", None)
+    grid = GridShape(fluid._interior(u5).shape[-1], 8, 8)
+    flat[1:-2] = fluid._stage(u5, field, gamma, 2, "", grid, 0)
     return fluid._interior(flat.reshape(u5.shape))
 
 
@@ -442,3 +445,62 @@ def test_magnetic_entry_check_names_non_finite_density(params):
     with pytest.raises(PositivityError, match=r"non-finite density at cell \(2, 1, 0\) "
                                               r"entering the x magnetic update"):
         magnetic_sweep(state, 0.1, params)
+
+
+# --- error locations in every orientation --------------------------------------
+# Four of the six legs of a cycle run on a transposed grid; each check must
+# still name the physical (x, y, z) cell.  The grid's axes are unequal, so a
+# cell named in array order or a permutation of it cannot pass.
+
+def _state_with_bad_cell(params, cell, axis, workers, **values):
+    """Uniform 16 x 8 x 12 state with `values` at physical `cell`, turned so `axis` is fastest."""
+    state = init_condition("uniform", GridShape(16, 8, 12), params)
+    x, y, z = cell
+    for name, value in values.items():
+        getattr(state, name)[z, y, x] = value
+    for _ in range("xyz".index(axis)):
+        transpose(state, workers=workers)
+    assert state.shape.orientation[0] == axis
+    return state
+
+
+# check -> (values at the cell, call, message before " at cell", message after it).
+# A density bump of 2 empties its cell in the half step at dt = 4; a dip of 0.5
+# survives both stages at dt = 1.5 and is emptied by the full update.
+_CHECKS = {
+    "cfl": ({"e": -1.0}, lambda s, p, w: cfl_timestep(s, p, workers=w),
+            "negative pressure", "in the cfl timestep ({a} fastest)"),
+    "first stage": ({"e": -1.0}, lambda s, p, w: fluid_sweep(s, 0.1, p, workers=w),
+                    "negative pressure", "in the {a} sweep"),
+    "half step": ({"rho": 2.0}, lambda s, p, w: fluid_sweep(s, 4.0, p, workers=w),
+                  "non-positive density", "in the {a} sweep (half step)"),
+    "after the update": ({"rho": 0.5}, lambda s, p, w: fluid_sweep(s, 1.5, p, workers=w),
+                         "non-positive density", "in the {a} sweep after the fluid update"),
+    "magnetic entry": ({"rho": -1.0}, lambda s, p, w: magnetic_sweep(s, 0.1, p, workers=w),
+                       "non-positive density", "entering the {a} magnetic update"),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+@pytest.mark.parametrize("check", list(_CHECKS))
+@pytest.mark.parametrize("cell", [(4, 3, 2), (13, 6, 9)])  # slab 0 / slab 1 of 2 on every axis
+def test_every_check_names_the_physical_cell(params, cell, check, axis, workers):
+    values, call, kind, where = _CHECKS[check]
+    state = _state_with_bad_cell(params, cell, axis, workers, **values)
+    message = f"{kind} at cell {cell} {where.format(a=axis)}, cycle 0"
+    with pytest.raises(PositivityError, match=f"^{re.escape(message)}$"):
+        call(state, params, workers)
+
+
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+def test_cfl_non_finite_signal_speed_names_the_physical_cell(axis):
+    # As test_cfl_non_finite_signal_speed, on a turned grid; on 1 worker, as the
+    # errstate that silences the overflow holds in this process only.
+    params32 = SchemeParams(precision="single")
+    state = _state_with_bad_cell(params32, (4, 3, 2), axis, 1,
+                                 rho=np.float32(1e-45), mom1=1e-6, e=1e34)
+    with pytest.raises(PositivityError, match=rf"^non-finite signal speed at cell \(4, 3, 2\) "
+                                              rf"in the cfl timestep \({axis} fastest\), cycle 0$"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            cfl_timestep(state, params32)

@@ -159,6 +159,16 @@ def test_snapshot_truncated_payload(tmp_path, params):
         read_snapshot(path)
 
 
+@pytest.mark.parametrize("extra", [1, 1000])
+def test_snapshot_bytes_past_the_payload_rejected(tmp_path, params, extra):
+    state = random_state(GridShape(8, 8, 8), params, seed=4)
+    path = tmp_path / "long.snap"
+    write_snapshot(state, path)
+    path.write_bytes(path.read_bytes() + b"\x00" * extra)
+    with pytest.raises(SnapshotError, match="bytes past the end of the payload"):
+        read_snapshot(path)
+
+
 def test_snapshot_future_version_rejected(tmp_path, params):
     state = random_state(GridShape(8, 8, 8), params, seed=5)
     path = tmp_path / "future.snap"

@@ -1,10 +1,13 @@
+import importlib.util
 import inspect
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tvdmhd import (GridShape, SchemeParams, discrete_divergence, init_condition,
-                    run, step_cycle, stepper, totals, transpose)
+from tvdmhd import (GridShape, SchemeParams, discrete_divergence, fluid, grid,
+                    init_condition, magnetic, run, step_cycle, stepper, totals, transpose)
 
 from conftest import state_bytes
 
@@ -145,3 +148,28 @@ def test_section_timings_cover_wall_time(params):
     total = sum(report.sections.values())
     assert total <= report.wall_ms
     assert total >= 0.98 * report.wall_ms
+
+
+def test_perfbench_tracer_spans_every_layer_and_keeps_the_cycle_bitwise(params, monkeypatch):
+    # The benchmark's tracer rebinds solver names (stepper.fluid_sweep,
+    # fluid.face_to_center, fluid.parallel_for, ...); one it cannot find fails here.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
+    spec.loader.exec_module(spans)
+
+    state = init_condition("solenoidal_random", GridShape(16, 16, 16), params, seed=2)
+    ref = state.copy()
+    step_cycle(ref, params, workers=2)
+    tracer = spans.Tracer()
+    tracer.install(stepper, fluid, magnetic, grid)
+    try:
+        step_cycle(state, params, workers=2)
+    finally:
+        tracer.uninstall()
+
+    assert {s.name for s in tracer.spans} >= {
+        "fluid.cfl", "fluid.sweep", "magnetic.sweep", "grid.transpose",
+        "parallel.fork", "parallel.slab"}
+    assert state_bytes(state) == state_bytes(ref)
