@@ -23,6 +23,8 @@ from .snapshot import read_snapshot, slice_export, write_snapshot
 from .stepper import SECTIONS, run
 
 ENV_WORKERS = "TVDMHD_WORKERS"
+# Cycles `run` takes when the config gives neither `cycles` nor `t_end`.
+DEFAULT_CYCLES = 10
 
 
 def default_workers() -> int:
@@ -54,7 +56,7 @@ class RunConfig:
     velocity: float | None = None
     profile: str | None = None
     workers: int = field(default_factory=default_workers)
-    cycles: int | None = 10
+    cycles: int | None = None
     t_end: float | None = None
     out: str | None = None
     snapshot_every: int = 0
@@ -127,6 +129,8 @@ def run_command(cfg: RunConfig, out=sys.stdout) -> int:
             raise ConfigError(f"{key!r} must be non-negative, got {value}")
     if cfg.snapshot_every and not cfg.out:
         raise ConfigError("'snapshot_every' needs 'out' to name the snapshots")
+    if cfg.cycles is not None and cfg.t_end is not None:
+        raise ConfigError("give one stop rule, 'cycles' or 't_end', not both")
     params = cfg.params()
     state = init_condition(cfg.ic, cfg.shape(), params, **cfg.ic_options())
     out.write("# cycle\tdt\ttime\twall_ms\n")
@@ -136,8 +140,8 @@ def run_command(cfg: RunConfig, out=sys.stdout) -> int:
         if cfg.snapshot_every and state.cycle % cfg.snapshot_every == 0:
             write_snapshot(state, f"{cfg.out}.cycle{state.cycle}")
 
-    run(state, params, n_cycles=cfg.cycles if cfg.t_end is None else None,
-        t_end=cfg.t_end, workers=cfg.workers, on_cycle=log)
+    cycles = DEFAULT_CYCLES if cfg.cycles is None and cfg.t_end is None else cfg.cycles
+    run(state, params, n_cycles=cycles, t_end=cfg.t_end, workers=cfg.workers, on_cycle=log)
     if cfg.out:
         write_snapshot(state, cfg.out)
         out.write(f"# snapshot written to {cfg.out}\n")

@@ -101,8 +101,9 @@ class ConservedState:
 
     The named components are views of `u`, in COMPONENT_NAMES order; the solver
     mutates them in place.  `spare` is the block transposes write into (and
-    `cfl_timestep` its scratch), so a view taken before a transpose lies in
-    `spare` after it and is overwritten by the next transpose.  States are
+    `cfl_timestep` its scratch, and `init_condition` the scratch of the start
+    state), so a view taken before a transpose lies in `spare` after it and
+    is overwritten by the next transpose.  States are
     made by `zeros` (through `allocate_state`, `copy` and `read_snapshot`),
     which places `u` and `spare` in one shared mapping.
     """

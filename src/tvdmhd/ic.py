@@ -1,15 +1,23 @@
 """Initial conditions.
 
 Every builder writes the face fields of a canonical-orientation state and
-returns the primitives (rho, v1, v2, v3, p), each a scalar or an array that
-broadcasts over the grid; `init_condition` then fills the conserved variables
-on one path.  That path checks the density and pressure with the solver's own
+returns its primitives as a function of a k-slab: `primitives(k0, k1)` gives
+(rho, v1, v2, v3, p) on the planes [k0, k1), each a scalar or an array that
+broadcasts over them.  `init_condition` then fills the conserved variables on
+one path.  That path checks the density and pressure with the solver's own
 `check_positive`, so a non-positive or non-finite value fails with the cell
 and the initial condition named.  The total energy is assembled in float64 as
 internal + kinetic + magnetic (with cell-centered field values), so the gas
 pressure recovered by the solver matches the requested one to roundoff.  Face
 fields that need to be divergence-free are built as the discrete curl of an
 edge vector potential, which zeroes the face-flux balance identically.
+
+The state is built one k-slab (a contiguous run of z planes) at a time:
+every float64 temporary is at most `_SLAB_BYTES` per field, so the arithmetic
+runs in cache and the build's own memory does not grow with the grid (below
+8 MiB at 96^3).  Each value comes from the same operations on the same
+operands as over the whole grid, so the state is bitwise independent of the
+slab size.
 
 Cell centers sit at ((i + 1/2) dx, ...); lower faces and edges sit on the
 integer lattice (i dx, ...).
@@ -19,11 +27,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fluid import check_positive
-from .grid import ConservedState, GridShape, SchemeParams, allocate_state, face_to_center
+from .fluid import PositivityError, check_positive
+from .grid import ConservedState, GridShape, SchemeParams, allocate_state, row_centers
 
 KINDS = ("uniform", "advect_pulse", "sod_x", "brio_wu_x", "solenoidal_random",
          "orszag_tang_xy")
+
+# Bytes of float64 per field per slab.  solenoidal_random at 128^3 single on
+# a 2-core host (2 MiB L2 per core), median s of init in interleaved fresh
+# processes: 128 KiB 1.24, 512 KiB 1.22, 1 MiB 1.08, 4 MiB 1.33 (5 each);
+# again 512 KiB 0.96, 1 MiB 0.93 (10 each, quartiles overlapping).  Of the
+# two, 512 KiB keeps the build's memory lower.
+_SLAB_BYTES = 512 << 10
+
+
+def _slabs(shape: GridShape) -> list[tuple[int, int]]:
+    # Plane ranges [k0, k1) covering the grid, each of at most _SLAB_BYTES per
+    # float64 field (at least one plane).
+    planes = max(1, _SLAB_BYTES // (8 * shape.n1 * shape.n2))
+    return [(k0, min(k0 + planes, shape.n3)) for k0 in range(0, shape.n3, planes)]
 
 
 def _coords(shape: GridShape, offset: float):
@@ -32,31 +54,73 @@ def _coords(shape: GridShape, offset: float):
     return x, y[:, np.newaxis], z[:, np.newaxis, np.newaxis]
 
 
-def _fill(state: ConservedState, gamma, rho, v1, v2, v3, p, where: str) -> ConservedState:
-    """Set conserved variables from broadcastable primitives; b faces must already be in place."""
-    shape = state.shape.array_shape
-    rho, p = (np.broadcast_to(np.asarray(a, dtype=np.float64), shape) for a in (rho, p))
-    check_positive(rho, p, state.shape, where)
-    v1, v2, v3 = np.asarray(v1), np.asarray(v2), np.asarray(v3)
-    kinetic = 0.5 * rho * (v1 ** 2 + v2 ** 2 + v3 ** 2)
-    sq1, sq2, sq3 = (np.square(bc, dtype=np.float64) for bc in face_to_center(state))
-    state.e[...] = p / (gamma - 1.0) + kinetic + 0.5 * (sq1 + sq2 + sq3)
-    del kinetic, sq1, sq2, sq3  # free these float64 grids before the momenta are formed
-    state.rho[...] = rho
-    state.mom1[...] = rho * v1
-    state.mom2[...] = rho * v2
-    state.mom3[...] = rho * v3
+def _fill(state: ConservedState, gamma, primitives, where: str) -> ConservedState:
+    """Set conserved variables slab by slab from `primitives(k0, k1)`; faces must be in place.
+
+    Every density is checked before a pressure failure is raised, as one
+    whole-grid `check_positive` would.
+    """
+    shape = state.shape
+    _, n2, n1 = shape.array_shape
+    failure = None
+    for k0, k1 in _slabs(shape):
+        planes, row0 = (k1 - k0, n2, n1), k0 * n2
+        rho, v1, v2, v3, p = primitives(k0, k1)
+        rho, p = (np.broadcast_to(np.asarray(a, dtype=np.float64), planes) for a in (rho, p))
+        try:
+            check_positive(rho, p, shape, where, row0)
+        except PositivityError as exc:
+            failure = failure or exc
+        if failure is not None:
+            # After the first failure, a density failure here or later still wins.
+            check_positive(rho, None, shape, where, row0)
+            continue
+        v1, v2, v3 = np.asarray(v1), np.asarray(v2), np.asarray(v3)
+        centers = np.empty((3, (k1 - k0) * n2, n1), dtype=state.dtype)
+        row_centers(state.u, row0, k1 * n2, centers)
+        kinetic = 0.5 * rho * (v1 ** 2 + v2 ** 2 + v3 ** 2)
+        sq1, sq2, sq3 = (np.square(bc, dtype=np.float64).reshape(planes) for bc in centers)
+        u = state.u[:, k0:k1]
+        u[4] = p / (gamma - 1.0) + kinetic + 0.5 * (sq1 + sq2 + sq3)
+        del centers, kinetic, sq1, sq2, sq3  # free these before the momenta are formed
+        u[0] = rho
+        u[1] = rho * v1
+        u[2] = rho * v2
+        u[3] = rho * v3
+    if failure is not None:
+        raise failure
     return state
 
 
-def _curl_faces(shape: GridShape, a1, a2, a3):
-    """Face fields from an edge vector potential: exactly divergence-free."""
+def _curl_faces(shape: GridShape, faces: np.ndarray, potential) -> None:
+    """Write the curl of an edge vector potential into `faces` (3, n3, n2, n1).
+
+    The faces are exactly divergence-free.  `potential(k0, k1)` gives
+    (a1, a2, a3) on the planes [k0, k1), each broadcasting over them.  The
+    faces of slab [k0, k1) need the potential on planes k0..k1, where plane
+    n3 is plane 0 (periodic).  Each plane is evaluated once: the plane a slab
+    shares with the next, and plane 0, are carried over.
+    """
+    n3, n2, n1 = shape.array_shape
     dx = shape.dx
-    a1, a2, a3 = (np.broadcast_to(a, shape.array_shape) for a in (a1, a2, a3))
-    b1 = (np.roll(a3, -1, axis=1) - a3 - np.roll(a2, -1, axis=0) + a2) / dx
-    b2 = (np.roll(a1, -1, axis=0) - a1 - np.roll(a3, -1, axis=2) + a3) / dx
-    b3 = (np.roll(a2, -1, axis=2) - a2 - np.roll(a1, -1, axis=1) + a1) / dx
-    return b1, b2, b3
+    head = tail = None  # copies of the potential on plane 0 and on the shared plane k0
+    for k0, k1 in _slabs(shape):
+        lo, hi = (k0 if tail is None else k0 + 1), min(k1 + 1, n3)
+        parts = [[np.broadcast_to(a, (hi - lo, n2, n1)) for a in potential(lo, hi)]]
+        if tail is None:
+            head = [a[:1].copy() for a in parts[0]]
+        else:
+            parts.insert(0, tail)
+        if k1 == n3:
+            parts.append(head)
+        a1, a2, a3 = (np.concatenate(planes) for planes in zip(*parts))
+        tail = [a[-1:].copy() for a in (a1, a2, a3)]
+        del parts
+        l1, l2, l3 = (a[:-1] for a in (a1, a2, a3))  # planes k0 .. k1 - 1
+        faces[0, k0:k1] = (np.roll(l3, -1, axis=1) - l3 - a2[1:] + l2) / dx
+        faces[1, k0:k1] = (a1[1:] - l1 - np.roll(l3, -1, axis=2) + l3) / dx
+        faces[2, k0:k1] = (np.roll(l2, -1, axis=2) - l2 - np.roll(l1, -1, axis=1) + l1) / dx
+        del a1, a2, a3, l1, l2, l3  # free this slab's planes before the next slab's exist
 
 
 def _set_faces(state: ConservedState, b1, b2, b3) -> None:
@@ -65,16 +129,20 @@ def _set_faces(state: ConservedState, b1, b2, b3) -> None:
     state.b3[...] = b3
 
 
-def _smooth_field(rng, xn, yn, zn, modes: int) -> np.ndarray:
+def _smooth_modes(rng, modes: int) -> list:
+    """The (kx, ky, kz, amp, phase) draws of one smooth field."""
+    return [(*rng.integers(-2, 3, size=3), rng.uniform(0.3, 1.0), rng.uniform(0, 2 * np.pi))
+            for _ in range(modes)]
+
+
+def _smooth_field(draws, xn, yn, zn) -> np.ndarray:
     """Random superposition of low-wavenumber sines; values O(1)."""
     out = np.zeros(np.broadcast_shapes(xn.shape, yn.shape, zn.shape))
-    for _ in range(modes):
-        kx, ky, kz = rng.integers(-2, 3, size=3)
-        amp = rng.uniform(0.3, 1.0)
-        phase = rng.uniform(0, 2 * np.pi)
-        # Not `out +=`: bitwise the same, but slower and more page faults at 128^3.
+    for kx, ky, kz, amp, phase in draws:
+        # Not `out +=`: bitwise the same, but slower on 4-plane slabs of 128^3
+        # (137 vs 191 ms per field, medians of 40 alternations, 2-core host).
         out = out + amp * np.sin(2 * np.pi * (kx * xn + ky * yn + kz * zn) + phase)
-    return out / modes
+    return out / len(draws)
 
 
 def init_condition(kind: str, shape: GridShape, params: SchemeParams,
@@ -82,18 +150,19 @@ def init_condition(kind: str, shape: GridShape, params: SchemeParams,
     """Build the named initial condition; unknown kinds are rejected.
 
     Raises PositivityError at the first cell with a non-positive or
-    non-finite density, or a negative or non-finite pressure.
+    non-finite density, or else at the first with a negative or non-finite
+    pressure.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown initial condition kind {kind!r}")
     state = allocate_state(shape, params)
     primitives = globals()[f"_ic_{kind}"](state, **options)
-    return _fill(state, params.gamma, *primitives, f"in the {kind} initial condition")
+    return _fill(state, params.gamma, primitives, f"in the {kind} initial condition")
 
 
 def _ic_uniform(state, rho=1.0, p=1.0, v=(0.0, 0.0, 0.0), b=(0.0, 0.0, 0.0)):
     _set_faces(state, *b)
-    return rho, v[0], v[1], v[2], p
+    return lambda k0, k1: (rho, v[0], v[1], v[2], p)
 
 
 def _ic_advect_pulse(state, amplitude=0.5, width=None, velocity=1.0,
@@ -111,14 +180,15 @@ def _ic_advect_pulse(state, amplitude=0.5, width=None, velocity=1.0,
         rho = rho0 + amplitude * np.sin(2 * np.pi * x / length)
     else:
         raise ValueError(f"unknown pulse profile {profile!r}")
-    return rho, velocity, 0.0, 0.0, p0
+    return lambda k0, k1: (rho, velocity, 0.0, 0.0, p0)
 
 
 def _ic_sod_x(state, left=(1.0, 1.0), right=(0.125, 0.1)):
     """Classic shock-tube states split at the half point of the x axis."""
     x, _, _ = _coords(state.shape, 0.5)
     dense = x < state.shape.n1 * state.shape.dx / 2.0
-    return np.where(dense, left[0], right[0]), 0.0, 0.0, 0.0, np.where(dense, left[1], right[1])
+    rho, p = np.where(dense, left[0], right[0]), np.where(dense, left[1], right[1])
+    return lambda k0, k1: (rho, 0.0, 0.0, 0.0, p)
 
 
 def _ic_brio_wu_x(state, b_normal=0.75, b_left=1.0, b_right=-1.0):
@@ -128,7 +198,8 @@ def _ic_brio_wu_x(state, b_normal=0.75, b_left=1.0, b_right=-1.0):
     # b2 faces are offset from centers along y only, so the cell's x test applies;
     # b1 is uniform and b2 has no y variation, so the face-flux balance is zero.
     _set_faces(state, b_normal, np.where(dense, b_left, b_right), 0.0)
-    return np.where(dense, 1.0, 0.125), 0.0, 0.0, 0.0, np.where(dense, 1.0, 0.1)
+    rho, p = np.where(dense, 1.0, 0.125), np.where(dense, 1.0, 0.1)
+    return lambda k0, k1: (rho, 0.0, 0.0, 0.0, p)
 
 
 def _ic_solenoidal_random(state, seed=0, fluid_amplitude=0.2, b_amplitude=0.2, modes=3,
@@ -136,21 +207,32 @@ def _ic_solenoidal_random(state, seed=0, fluid_amplitude=0.2, b_amplitude=0.2, m
     """Smooth random solenoidal field plus smooth random fluid perturbations."""
     shape = state.shape
     rng = np.random.default_rng(seed)
+    # Potentials a1..a3, then rho, p, v1, v2, v3: every draw is made up front.
+    draws = [_smooth_modes(rng, modes) for _ in range(8)]
     lengths = (shape.n1 * shape.dx, shape.n2 * shape.dx, shape.n3 * shape.dx)
 
-    corners = [c / n for c, n in zip(_coords(shape, 0.0), lengths)]
-    b = _curl_faces(shape, *[_smooth_field(rng, *corners, modes) for _ in range(3)])
-    peak = max(np.abs(bi).max() for bi in b)
+    cx, cy, cz = (c / n for c, n in zip(_coords(shape, 0.0), lengths))
+    # The unscaled float64 faces wait in the spare block (8 * itemsize >= 24
+    # bytes per cell) until the peak |b| over all of them is known.
+    faces = state.spare.reshape(-1).view(np.float64)[:3 * shape.cells]
+    faces = faces.reshape((3,) + shape.array_shape)
+    _curl_faces(shape, faces, lambda k0, k1: [_smooth_field(d, cx, cy, cz[k0:k1])
+                                              for d in draws[:3]])
+    slabs = _slabs(shape)
+    peak = max(np.abs(faces[:, k0:k1]).max() for k0, k1 in slabs)
     scale = b_amplitude / peak if peak > 0 else 0.0
-    _set_faces(state, *(bi * scale for bi in b))
-    del b  # the unscaled faces go before the fluid fields exist
+    for k0, k1 in slabs:
+        state.u[5:, k0:k1] = faces[:, k0:k1] * scale
 
-    centers = [c / n for c, n in zip(_coords(shape, 0.5), lengths)]
-    rho, p = (1.0 + 0.5 * fluid_amplitude * _smooth_field(rng, *centers, modes)
-              for _ in range(2))
-    v1, v2, v3 = (m + fluid_amplitude * _smooth_field(rng, *centers, modes)
-                  for m in mean_velocity)
-    return rho, v1, v2, v3, p
+    x, y, z = (c / n for c, n in zip(_coords(shape, 0.5), lengths))
+
+    def primitives(k0, k1):
+        rho, p = (1.0 + 0.5 * fluid_amplitude * _smooth_field(d, x, y, z[k0:k1])
+                  for d in draws[3:5])
+        v1, v2, v3 = (m + fluid_amplitude * _smooth_field(d, x, y, z[k0:k1])
+                      for m, d in zip(mean_velocity, draws[5:]))
+        return rho, v1, v2, v3, p
+    return primitives
 
 
 def _ic_orszag_tang_xy(state):
@@ -165,7 +247,8 @@ def _ic_orszag_tang_xy(state):
     xc, yc, _ = _coords(shape, 0.0)
     a3 = (b0 * ly / (2 * np.pi)) * np.cos(2 * np.pi * yc / ly) \
         + (b0 * lx / (4 * np.pi)) * np.cos(4 * np.pi * xc / lx)
-    _set_faces(state, *_curl_faces(shape, 0.0, 0.0, a3))
+    _curl_faces(shape, state.u[5:], lambda k0, k1: (0.0, 0.0, a3))
 
     x, y, _ = _coords(shape, 0.5)
-    return rho0, -np.sin(2 * np.pi * y / ly), np.sin(2 * np.pi * x / lx), 0.0, p0
+    v1, v2 = -np.sin(2 * np.pi * y / ly), np.sin(2 * np.pi * x / lx)
+    return lambda k0, k1: (rho0, v1, v2, 0.0, p0)

@@ -138,6 +138,30 @@ def test_run_command_stops_at_t_end():
     assert all(t < 1.0 for t in times[:-1])
 
 
+def test_run_without_a_stop_rule_takes_ten_cycles():
+    cfg = RunConfig(size=8, ic="uniform", workers=1)
+    assert cfg.cycles is None and cfg.t_end is None
+    buf = io.StringIO()
+    assert cli.run_command(cfg, out=buf) == 0
+    lines = [l for l in buf.getvalue().splitlines() if not l.startswith("#")]
+    assert [int(l.split("\t")[0]) for l in lines] == list(range(1, 11))
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--cycles", "1", "--t-end", "2.0"], ""),
+    (["--t-end", "2.0"], "cycles = 1"),
+    ([], "cycles = 1\nt_end = 2.0"),
+])
+def test_run_rejects_both_stop_rules(tmp_path, capsys, flags, config):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"size = 8\nworkers = 1\n{config}\n")
+    out = tmp_path / "a.snap"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'cycles'" in err and "'t_end'" in err
+    assert not out.exists()
+
+
 def test_bench_command_table_and_derived_block():
     buf = io.StringIO()
     assert cli.bench_command([16], repeats=2, workers=1, precision="single",

@@ -7,14 +7,15 @@ cos and exp, so theirs pin those too.  A change that claims to keep behaviour
 must leave every digest as it is; a digest is never regenerated to make a
 refactor pass.  The 64^3 double-precision case spans several cache blocks of
 the fluid sweep and both slabs, and the 64x16x32 case has unequal axes in
-every orientation.
+every orientation.  The start states are built in k-slabs; every one must
+also come out the same when each slab is a single plane.
 """
 
 import hashlib
 
 import pytest
 
-from tvdmhd import GridShape, SchemeParams, init_condition, run
+from tvdmhd import GridShape, SchemeParams, ic, init_condition, run
 
 from conftest import random_state, state_bytes
 
@@ -125,13 +126,33 @@ IC_GOLDEN = [
      "671fc58eb964987b79c49be1ba1ec444ffa595f3e774457b52b9f799c5becbe0"),
     ("solenoidal_random", (16, 12, 8, 0.25), "double", "options",
      "6f70d6195e38059db57da32a9e1795ab5d8d09b7bd1f4b74f48f7eca62adda2e"),
+    # Several slabs at the default slab size: 64^3 double is four slabs of 16
+    # planes; 48x40x36 is one slab of 34 planes and a partial one of 2.
+    ("solenoidal_random", (64, 64, 64, 1.0), "double", "defaults",
+     "2f8694528e7aeb2c609371e54dd7036be0e63fcf58f67ba96ae1f56f3258123d"),
+    ("solenoidal_random", (48, 40, 36, 0.5), "single", "options",
+     "b14ba4aafca8fc3f70bbee83b89af4fa57a0eb1c5fb3dd56b15603c0e4a36049"),
+    ("orszag_tang_xy", (48, 40, 36, 0.5), "single", "defaults",
+     "acf619d632bd5eed6a273d54d069446fef5c191558fa8e0d9c95e2ece0837ce0"),
 ]
 
 
-@pytest.mark.parametrize("kind, dims, precision, options, digest", IC_GOLDEN,
-                         ids=[f"{k}-{'x'.join(map(str, d[:3]))}-dx{d[3]}-{p}-{o}"
-                              for k, d, p, o, _ in IC_GOLDEN])
-def test_initial_condition_digest(kind, dims, precision, options, digest):
+IC_IDS = [f"{k}-{'x'.join(map(str, d[:3]))}-dx{d[3]}-{p}-{o}" for k, d, p, o, _ in IC_GOLDEN]
+
+
+def _ic_digest(kind, dims, precision, options):
     opts = IC_OPTIONS[kind] if options == "options" else {}
     state = init_condition(kind, GridShape(*dims), SchemeParams(precision=precision), **opts)
-    assert hashlib.sha256(state_bytes(state)).hexdigest() == digest
+    return hashlib.sha256(state_bytes(state)).hexdigest()
+
+
+@pytest.mark.parametrize("kind, dims, precision, options, digest", IC_GOLDEN, ids=IC_IDS)
+def test_initial_condition_digest(kind, dims, precision, options, digest):
+    assert _ic_digest(kind, dims, precision, options) == digest
+
+
+@pytest.mark.parametrize("kind, dims, precision, options, digest", IC_GOLDEN, ids=IC_IDS)
+def test_initial_condition_digest_with_one_plane_slabs(monkeypatch, kind, dims, precision,
+                                                       options, digest):
+    monkeypatch.setattr(ic, "_SLAB_BYTES", 1)
+    assert _ic_digest(kind, dims, precision, options) == digest

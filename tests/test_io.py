@@ -1,15 +1,16 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvdmhd import (GridShape, SchemeParams, discrete_divergence, face_to_center,
-                    init_condition, read_snapshot, slice_export, totals, transpose,
-                    write_snapshot)
+from tvdmhd import (GridShape, SchemeParams, allocate_state, discrete_divergence,
+                    face_to_center, init_condition, read_snapshot, slice_export, totals,
+                    transpose, write_snapshot)
 from tvdmhd.snapshot import MAGIC, SnapshotError
-from tvdmhd import fluid
+from tvdmhd import fluid, ic
 
 from conftest import random_state, state_bytes
 
@@ -90,6 +91,50 @@ def test_nan_start_state_rejected(params, option, name):
     with pytest.raises(fluid.PositivityError,
                        match=rf"^non-finite {name} at cell \(0, 0, 0\) in the uniform"):
         init_condition("uniform", GridShape(8, 8, 8), params, **{option: float("nan")})
+
+
+@pytest.mark.parametrize("slab_bytes", [ic._SLAB_BYTES, 1], ids=["default-slabs", "one-plane"])
+def test_start_state_failure_names_the_first_cell_for_any_slab_size(monkeypatch, slab_bytes):
+    # Recorded from the whole-grid build.
+    monkeypatch.setattr(ic, "_SLAB_BYTES", slab_bytes)
+    with pytest.raises(fluid.PositivityError, match=r"^non-positive density at cell "
+                       r"\(2, 3, 17\) in the solenoidal_random initial condition$"):
+        init_condition("solenoidal_random", GridShape(32, 32, 32), SchemeParams(),
+                       seed=0, fluid_amplitude=2.5)
+
+
+@pytest.mark.parametrize("bad_rho, message", [
+    (True, r"^non-positive density at cell \(3, 2, 5\) here$"),
+    (False, r"^negative pressure at cell \(1, 1, 0\) here$"),
+], ids=["density-on-plane-5", "pressure-only"])
+@pytest.mark.parametrize("slab_bytes", [ic._SLAB_BYTES, 1], ids=["one-slab", "one-plane"])
+def test_fill_reports_a_density_failure_before_an_earlier_pressure_failure(
+        monkeypatch, params, slab_bytes, bad_rho, message):
+    # The pressure fails on planes 0 and 6, the density (when bad) on plane 5:
+    # as in one whole-grid check, every density is checked first.
+    monkeypatch.setattr(ic, "_SLAB_BYTES", slab_bytes)
+    shape = GridShape(8, 8, 8)
+    rho, p = np.ones(shape.array_shape), np.ones(shape.array_shape)
+    p[0, 1, 1] = p[6, 0, 0] = -1.0
+    if bad_rho:
+        rho[5, 2, 3] = 0.0
+    state = allocate_state(shape, params)
+    with pytest.raises(fluid.PositivityError, match=message):
+        ic._fill(state, params.gamma, lambda k0, k1: (rho[k0:k1], 0.0, 0.0, 0.0, p[k0:k1]),
+                 "here")
+
+
+def test_solenoidal_random_build_memory_is_bounded():
+    # Built in k-slabs, every temporary is slab-sized: a 96^3 grid is 14 slabs
+    # of 7 planes, 516 KiB per float64 field.
+    shape, params = GridShape(96, 96, 96), SchemeParams(precision="single")
+    tracemalloc.start()
+    try:
+        init_condition("solenoidal_random", shape, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 # --- snapshots -----------------------------------------------------------------
