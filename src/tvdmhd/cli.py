@@ -49,7 +49,7 @@ class RunConfig:
     courant: float = 0.9
     precision: str = "double"
     ic: str = "solenoidal_random"
-    seed: int = 0
+    seed: int | None = None
     amplitude: float | None = None
     b_amplitude: float | None = None
     width: float | None = None
@@ -72,19 +72,15 @@ class RunConfig:
                             precision=self.precision)
 
     def ic_options(self) -> dict:
-        opts = {}
-        if self.ic == "solenoidal_random":
-            opts["seed"] = self.seed
-            if self.amplitude is not None:
-                opts["fluid_amplitude"] = self.amplitude
-            if self.b_amplitude is not None:
-                opts["b_amplitude"] = self.b_amplitude
-        elif self.ic == "advect_pulse":
-            for key in ("amplitude", "width", "velocity", "profile"):
-                v = getattr(self, key)
-                if v is not None:
-                    opts[key] = v
+        """The initial-condition keys that are set; the kind's builder refuses any others."""
+        opts = {key: getattr(self, key) for key in _IC_KEYS if getattr(self, key) is not None}
+        if self.ic == "solenoidal_random" and "amplitude" in opts:
+            opts["fluid_amplitude"] = opts.pop("amplitude")
         return opts
+
+
+# The config keys that set initial-condition options.
+_IC_KEYS = ("seed", "amplitude", "b_amplitude", "width", "velocity", "profile")
 
 
 # Value parser of each config key, from its field annotation ('int | None' -> int).
@@ -225,14 +221,15 @@ def validate_command(full=False, out=sys.stdout) -> int:
 
 
 def slice_command(args, out=sys.stdout) -> int:
+    """Slice a snapshot or a built start state, with gamma from the same config and flags."""
+    if args.snapshot and (args.size is not None or args.ic is not None):
+        raise ConfigError("--size and --ic build a start state; a --snapshot slice takes neither")
+    cfg = load_config(args.config, {"size": args.size, "ic": args.ic, "gamma": args.gamma})
     if args.snapshot:
         state = read_snapshot(args.snapshot)
-        gamma = args.gamma
     else:
-        cfg = load_config(args.config, {"size": args.size, "ic": args.ic})
         state = init_condition(cfg.ic, cfg.shape(), cfg.params(), **cfg.ic_options())
-        gamma = cfg.gamma
-    slice_export(state, (args.axis, args.index), args.out, gamma=gamma)
+    slice_export(state, (args.axis, args.index), args.out, gamma=cfg.gamma)
     out.write(f"# slice written to {args.out}\n")
     return 0
 
@@ -290,7 +287,7 @@ def main(argv=None) -> int:
     p_slice.add_argument("--ic", choices=KINDS, default=None)
     p_slice.add_argument("--axis", choices=("x", "y", "z"), default="z")
     p_slice.add_argument("--index", type=int, default=0)
-    p_slice.add_argument("--gamma", type=float, default=5.0 / 3.0)
+    p_slice.add_argument("--gamma", type=float, default=None)
     p_slice.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)

@@ -5,12 +5,13 @@ returns its primitives as a function of a k-slab: `primitives(k0, k1)` gives
 (rho, v1, v2, v3, p) on the planes [k0, k1), each a scalar or an array that
 broadcasts over them.  `init_condition` then fills the conserved variables on
 one path.  That path checks the density and pressure with the solver's own
-`check_positive`, so a non-positive or non-finite value fails with the cell
-and the initial condition named.  The total energy is assembled in float64 as
-internal + kinetic + magnetic (with cell-centered field values), so the gas
-pressure recovered by the solver matches the requested one to roundoff.  Face
-fields that need to be divergence-free are built as the discrete curl of an
-edge vector potential, which zeroes the face-flux balance identically.
+`check_positive`, and the total energy for finiteness, so a non-positive or
+non-finite value fails with the cell and the initial condition named.  The
+total energy is assembled in float64 as internal + kinetic + magnetic (with
+cell-centered field values), so the gas pressure recovered by the solver
+matches the requested one to roundoff.  Face fields that need to be
+divergence-free are built as the discrete curl of an edge vector potential,
+which zeroes the face-flux balance identically.
 
 The state is built one k-slab (a contiguous run of z planes) at a time:
 every float64 temporary is at most `_SLAB_BYTES` per field, so the arithmetic
@@ -25,10 +26,13 @@ integer lattice (i dx, ...).
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .fluid import PositivityError, check_positive
 from .grid import ConservedState, GridShape, SchemeParams, allocate_state, row_centers
+from .parallel import chunks
 
 KINDS = ("uniform", "advect_pulse", "sod_x", "brio_wu_x", "solenoidal_random",
          "orszag_tang_xy")
@@ -37,15 +41,8 @@ KINDS = ("uniform", "advect_pulse", "sod_x", "brio_wu_x", "solenoidal_random",
 # a 2-core host (2 MiB L2 per core), median s of init in interleaved fresh
 # processes: 128 KiB 1.24, 512 KiB 1.22, 1 MiB 1.08, 4 MiB 1.33 (5 each);
 # again 512 KiB 0.96, 1 MiB 0.93 (10 each, quartiles overlapping).  Of the
-# two, 512 KiB keeps the build's memory lower.
+# two, 512 KiB keeps the build's memory lower.  Read at each build.
 _SLAB_BYTES = 512 << 10
-
-
-def _slabs(shape: GridShape) -> list[tuple[int, int]]:
-    # Plane ranges [k0, k1) covering the grid, each of at most _SLAB_BYTES per
-    # float64 field (at least one plane).
-    planes = max(1, _SLAB_BYTES // (8 * shape.n1 * shape.n2))
-    return [(k0, min(k0 + planes, shape.n3)) for k0 in range(0, shape.n3, planes)]
 
 
 def _coords(shape: GridShape, offset: float):
@@ -58,12 +55,13 @@ def _fill(state: ConservedState, gamma, primitives, where: str) -> ConservedStat
     """Set conserved variables slab by slab from `primitives(k0, k1)`; faces must be in place.
 
     Every density is checked before a pressure failure is raised, as one
-    whole-grid `check_positive` would.
+    whole-grid `check_positive` would, and every pressure before a non-finite
+    energy is.
     """
     shape = state.shape
     _, n2, n1 = shape.array_shape
-    failure = None
-    for k0, k1 in _slabs(shape):
+    failure = nonfinite = None
+    for k0, k1 in chunks(0, shape.n3, 8 * n1 * n2, _SLAB_BYTES):
         planes, row0 = (k1 - k0, n2, n1), k0 * n2
         rho, v1, v2, v3, p = primitives(k0, k1)
         rho, p = (np.broadcast_to(np.asarray(a, dtype=np.float64), planes) for a in (rho, p))
@@ -78,17 +76,29 @@ def _fill(state: ConservedState, gamma, primitives, where: str) -> ConservedStat
         v1, v2, v3 = np.asarray(v1), np.asarray(v2), np.asarray(v3)
         centers = np.empty((3, (k1 - k0) * n2, n1), dtype=state.dtype)
         row_centers(state.u, row0, k1 * n2, centers)
-        kinetic = 0.5 * rho * (v1 ** 2 + v2 ** 2 + v3 ** 2)
-        sq1, sq2, sq3 = (np.square(bc, dtype=np.float64).reshape(planes) for bc in centers)
         u = state.u[:, k0:k1]
-        u[4] = p / (gamma - 1.0) + kinetic + 0.5 * (sq1 + sq2 + sq3)
-        del centers, kinetic, sq1, sq2, sq3  # free these before the momenta are formed
-        u[0] = rho
-        u[1] = rho * v1
-        u[2] = rho * v2
-        u[3] = rho * v3
-    if failure is not None:
-        raise failure
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite energy is reported
+            kinetic = 0.5 * rho * (v1 ** 2 + v2 ** 2 + v3 ** 2)
+            sq1, sq2, sq3 = (np.square(bc, dtype=np.float64).reshape(planes) for bc in centers)
+            magnetic = 0.5 * (sq1 + sq2 + sq3)
+            u[4] = p / (gamma - 1.0) + kinetic + magnetic
+            ok = np.isfinite(u[4])
+            if nonfinite is None and not ok.all():
+                # Name the first term that is not finite at the first such cell; the
+                # energy alone can be, when the state's precision cannot hold it.
+                flat = int(np.argmin(ok))
+                terms = (("density", rho), ("pressure", p), ("velocity", kinetic),
+                         ("magnetic field", magnetic), ("energy", u[4]))
+                name = next(n for n, t in terms if not np.isfinite(t.flat[flat]))
+                cell = shape.cell(row0 + flat // n1, flat % n1)
+                nonfinite = PositivityError(f"non-finite {name} at cell {cell} {where}")
+            del centers, kinetic, sq1, sq2, sq3, magnetic  # free these before the momenta
+            u[0] = rho
+            u[1] = rho * v1
+            u[2] = rho * v2
+            u[3] = rho * v3
+    if failure or nonfinite:
+        raise failure or nonfinite
     return state
 
 
@@ -104,7 +114,7 @@ def _curl_faces(shape: GridShape, faces: np.ndarray, potential) -> None:
     n3, n2, n1 = shape.array_shape
     dx = shape.dx
     head = tail = None  # copies of the potential on plane 0 and on the shared plane k0
-    for k0, k1 in _slabs(shape):
+    for k0, k1 in chunks(0, n3, 8 * n1 * n2, _SLAB_BYTES):
         lo, hi = (k0 if tail is None else k0 + 1), min(k1 + 1, n3)
         parts = [[np.broadcast_to(a, (hi - lo, n2, n1)) for a in potential(lo, hi)]]
         if tail is None:
@@ -149,14 +159,21 @@ def init_condition(kind: str, shape: GridShape, params: SchemeParams,
                    **options) -> ConservedState:
     """Build the named initial condition; unknown kinds are rejected.
 
-    Raises PositivityError at the first cell with a non-positive or
-    non-finite density, or else at the first with a negative or non-finite
-    pressure.
+    The options a kind takes are its builder's keyword parameters; any other
+    is refused before the state is allocated.  Raises PositivityError at the
+    first cell with a non-positive or non-finite density, or else at the first
+    with a negative or non-finite pressure, or else at the first with a
+    non-finite energy, naming the velocity or field that made it so.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown initial condition kind {kind!r}")
+    builder = globals()[f"_ic_{kind}"]
+    takes = list(inspect.signature(builder).parameters)[1:]  # after `state`
+    for name in options:
+        if name not in takes:
+            raise ValueError(f"the {kind} initial condition takes no option {name!r}")
     state = allocate_state(shape, params)
-    primitives = globals()[f"_ic_{kind}"](state, **options)
+    primitives = builder(state, **options)
     return _fill(state, params.gamma, primitives, f"in the {kind} initial condition")
 
 
@@ -218,7 +235,7 @@ def _ic_solenoidal_random(state, seed=0, fluid_amplitude=0.2, b_amplitude=0.2, m
     faces = faces.reshape((3,) + shape.array_shape)
     _curl_faces(shape, faces, lambda k0, k1: [_smooth_field(d, cx, cy, cz[k0:k1])
                                               for d in draws[:3]])
-    slabs = _slabs(shape)
+    slabs = list(chunks(0, shape.n3, 8 * shape.n1 * shape.n2, _SLAB_BYTES))
     peak = max(np.abs(faces[:, k0:k1]).max() for k0, k1 in slabs)
     scale = b_amplitude / peak if peak > 0 else 0.0
     for k0, k1 in slabs:

@@ -49,11 +49,10 @@ import numpy as np
 
 
 def partition(n3: int, workers: int) -> tuple[tuple[int, int], ...]:
-    """Split [0, n3) into `workers` contiguous (lo, hi) ranges with sizes differing by <= 1."""
+    """Split [0, n3) into min(workers, n3) contiguous (lo, hi) ranges, sizes differing by <= 1."""
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")
-    if workers > n3:
-        raise ValueError(f"more workers than slabs: {workers} workers for {n3} planes")
+    workers = min(workers, n3)
     base, extra = divmod(n3, workers)
     ranges = []
     lo = 0

@@ -23,50 +23,38 @@ GB = 1.0e9
 BASELINE_LABEL = "x86(1)"
 
 
-@dataclass(frozen=True)
 class OpCountModel:
     """Per-cell per-step operation census; divisions and square roots count 1 flop."""
 
-    add: int = 466
-    sub: int = 598
-    mul: int = 1174
-    div: int = 125
-    sqrt: int = 3
-    canonical_step_gflop_128: float = 4.62
-
-    @property
-    def flop_per_cell(self) -> int:
-        return self.add + self.sub + self.mul + self.div + self.sqrt
+    add = 466
+    sub = 598
+    mul = 1174
+    div = 125
+    sqrt = 3
+    flop_per_cell = add + sub + mul + div + sqrt
+    canonical_step_gflop_128 = 4.62
 
 
-@dataclass(frozen=True)
 class TrafficModel:
     """Per-cell real reads/writes of each kernel and their per-step multiplicities."""
 
-    cfl_reads: int = 11
-    fluid_reads: int = 10
-    fluid_writes: int = 5
-    magnetic_reads: int = 14
-    magnetic_writes: int = 6
-    transpose_reads: int = 8
-    transpose_writes: int = 8
-    n_cfl: int = 1
-    n_fluid: int = 6
-    n_magnetic: int = 6
-    n_transpose: int = 4
-    canonical_step_read_gb_128: float = 1.46
-    canonical_step_write_gb_128: float = 0.77
-
-    @property
-    def reads_per_cell(self) -> int:
-        return (self.n_cfl * self.cfl_reads + self.n_fluid * self.fluid_reads
-                + self.n_magnetic * self.magnetic_reads
-                + self.n_transpose * self.transpose_reads)
-
-    @property
-    def writes_per_cell(self) -> int:
-        return (self.n_fluid * self.fluid_writes + self.n_magnetic * self.magnetic_writes
-                + self.n_transpose * self.transpose_writes)
+    cfl_reads = 11
+    fluid_reads = 10
+    fluid_writes = 5
+    magnetic_reads = 14
+    magnetic_writes = 6
+    transpose_reads = 8
+    transpose_writes = 8
+    n_cfl = 1
+    n_fluid = 6
+    n_magnetic = 6
+    n_transpose = 4
+    reads_per_cell = (n_cfl * cfl_reads + n_fluid * fluid_reads + n_magnetic * magnetic_reads
+                      + n_transpose * transpose_reads)
+    writes_per_cell = (n_fluid * fluid_writes + n_magnetic * magnetic_writes
+                       + n_transpose * transpose_writes)
+    canonical_step_read_gb_128 = 1.46
+    canonical_step_write_gb_128 = 0.77
 
 
 @dataclass
@@ -100,10 +88,9 @@ class FlopEstimate:
 
 def flops_per_step(shape) -> FlopEstimate:
     """Census flops for one step; the canonical total rides along at the 128^3 box."""
-    model = OpCountModel()
     cells, box = _box(shape)
-    flops = float(model.flop_per_cell) * cells
-    canonical = model.canonical_step_gflop_128 * 1e9 if box else None
+    flops = float(OpCountModel.flop_per_cell) * cells
+    canonical = OpCountModel.canonical_step_gflop_128 * 1e9 if box else None
     return FlopEstimate(flops, canonical)
 
 
@@ -117,16 +104,15 @@ class TrafficEstimate:
 
 def bytes_per_step(shape, precision: str = "single") -> TrafficEstimate:
     """Census traffic for one step at the given real width (4 or 8 bytes)."""
-    model = TrafficModel()
     width = 4 if precision == "single" else 8
     cells, box = _box(shape)
-    reads = float(model.reads_per_cell) * cells * width
-    writes = float(model.writes_per_cell) * cells * width
+    reads = float(TrafficModel.reads_per_cell) * cells * width
+    writes = float(TrafficModel.writes_per_cell) * cells * width
     canonical = box and precision == "single"
     return TrafficEstimate(
         reads, writes,
-        model.canonical_step_read_gb_128 * GB if canonical else None,
-        model.canonical_step_write_gb_128 * GB if canonical else None,
+        TrafficModel.canonical_step_read_gb_128 * GB if canonical else None,
+        TrafficModel.canonical_step_write_gb_128 * GB if canonical else None,
     )
 
 

@@ -251,7 +251,6 @@ def check_determinism(n=64, cycles=2, worker_counts=(1, 2, 4, 8), seed=5) -> Che
 
 
 def check_counting_model() -> list[CheckResult]:
-    ops, traffic = OpCountModel(), TrafficModel()
     shape = (128, 128, 128)
     fl = flops_per_step(shape)
     tr = bytes_per_step(shape, "single")
@@ -259,9 +258,9 @@ def check_counting_model() -> list[CheckResult]:
     byte_dev = abs((tr.read_bytes + tr.write_bytes)
                    / (tr.canonical_read_bytes + tr.canonical_write_bytes) - 1.0)
     return [
-        _below("flop_census_per_cell", abs(ops.flop_per_cell - 2366), 0),
+        _below("flop_census_per_cell", abs(OpCountModel.flop_per_cell - 2366), 0),
         _below("traffic_census_per_cell",
-               abs(traffic.reads_per_cell - 187) + abs(traffic.writes_per_cell - 98), 0),
+               abs(TrafficModel.reads_per_cell - 187) + abs(TrafficModel.writes_per_cell - 98), 0),
         _below("flop_model_vs_canonical", flop_dev, 0.08, note="128^3"),
         _below("traffic_model_vs_canonical", byte_dev, 0.08, note="128^3"),
     ]

@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 import tvdmhd
-from tvdmhd import cli, fluid, init_condition, perf, read_snapshot, run, validation
+from tvdmhd import (cli, fluid, init_condition, perf, read_snapshot, run, validation,
+                    write_snapshot)
 from tvdmhd.cli import ConfigError, RunConfig, load_config, parse_config
 from tvdmhd.stepper import SECTIONS, StepReport
 
@@ -307,6 +309,102 @@ def test_main_slice_from_ic(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# i\tj\tentropy")
     assert len(lines) == 1 + 16 * 16
+
+
+def _entropy_at(path, i, j=0):
+    for line in Path(path).read_text().splitlines()[1:]:
+        cols = line.split("\t")
+        if (int(cols[0]), int(cols[1])) == (i, j):
+            return float(cols[2])
+    raise AssertionError(f"no row ({i}, {j}) in {path}")
+
+
+def test_slice_of_a_built_state_takes_gamma_from_the_flag_then_the_config(tmp_path):
+    # x = 5 of sod_x is the low state, rho 0.125 and p 0.1.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gamma = 1.4\n")
+    runs = {"flag-3": ["--gamma", "3.0"], "config-1.4": ["--config", str(cfg)],
+            "flag-over-config": ["--config", str(cfg), "--gamma", "3.0"], "default": []}
+    entropy = {}
+    for name, flags in runs.items():
+        out = tmp_path / f"{name}.tsv"
+        assert cli.main(["slice", "--ic", "sod_x", "--size", "8", "--out", str(out)]
+                        + flags) == 0
+        entropy[name] = _entropy_at(out, 5)
+    assert entropy["flag-3"] == entropy["flag-over-config"] == pytest.approx(0.1 / 0.125 ** 3)
+    assert entropy["config-1.4"] == pytest.approx(0.1 / 0.125 ** 1.4)
+    assert entropy["default"] == pytest.approx(0.1 / 0.125 ** (5 / 3))
+
+
+def test_slice_of_a_snapshot_takes_gamma_from_the_config(tmp_path):
+    snap = tmp_path / "a.snap"
+    write_snapshot(init_condition("sod_x", tvdmhd.GridShape(8, 8, 8), tvdmhd.SchemeParams()),
+                   snap)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gamma = 1.4\n")
+    assert cli.main(["slice", "--snapshot", str(snap), "--out", str(tmp_path / "a.tsv")]) == 0
+    assert cli.main(["slice", "--snapshot", str(snap), "--config", str(cfg),
+                     "--out", str(tmp_path / "b.tsv")]) == 0
+    assert _entropy_at(tmp_path / "a.tsv", 5) == pytest.approx(0.1 / 0.125 ** (5 / 3))
+    # The energy was built with 5/3, so gamma 1.4 recovers p = 0.4 * 0.1 / (2/3).
+    assert _entropy_at(tmp_path / "b.tsv", 5) == pytest.approx(0.06 / 0.125 ** 1.4)
+
+
+@pytest.mark.parametrize("flags", [["--size", "8"], ["--ic", "sod_x"]])
+def test_slice_of_a_snapshot_refuses_size_and_ic(tmp_path, capsys, flags):
+    snap = tmp_path / "a.snap"
+    write_snapshot(init_condition("sod_x", tvdmhd.GridShape(8, 8, 8), tvdmhd.SchemeParams()),
+                   snap)
+    out = tmp_path / "a.tsv"
+    assert cli.main(["slice", "--snapshot", str(snap), "--out", str(out)] + flags) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+# The builder of each kind takes exactly these initial-condition keys.
+IC_KEY_VALUES = {"seed": "1", "amplitude": "0.1", "b_amplitude": "0.1", "width": "2.0",
+                 "velocity": "0.5", "profile": "sine"}
+IC_KEYS_TAKEN = {"solenoidal_random": {"seed", "amplitude", "b_amplitude"},
+                 "advect_pulse": {"amplitude", "width", "velocity", "profile"}}
+
+
+@pytest.mark.parametrize("kind", tvdmhd.ic.KINDS)
+@pytest.mark.parametrize("key", IC_KEY_VALUES)
+def test_run_reads_or_refuses_every_ic_key(tmp_path, capsys, kind, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"ic = {kind}\nsize = 8\nworkers = 1\ncycles = 0\n"
+                   f"{key} = {IC_KEY_VALUES[key]}\n")
+    buf = io.StringIO()
+    if key in IC_KEYS_TAKEN.get(kind, ()):
+        assert cli.run_command(load_config(str(cfg), {}), out=buf) == 0
+        assert buf.getvalue().startswith("# cycle")
+        return
+    message = f"the {kind} initial condition takes no option '{key}'"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cli.run_command(load_config(str(cfg), {}), out=buf)
+    assert buf.getvalue() == ""  # refused before the header
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_ic_options_pass_every_key_that_is_set():
+    assert RunConfig().seed is None and RunConfig().ic_options() == {}
+    cfg = RunConfig(ic="sod_x", amplitude=1.0, width=2.0, seed=3)
+    assert cfg.ic_options() == {"seed": 3, "amplitude": 1.0, "width": 2.0}
+    cfg = RunConfig(ic="solenoidal_random", amplitude=0.3, b_amplitude=0.1)
+    assert cfg.ic_options() == {"fluid_amplitude": 0.3, "b_amplitude": 0.1}
+
+
+def test_run_refuses_a_non_finite_start_state_before_the_header(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("ic = advect_pulse\nsize = 8\nworkers = 1\nvelocity = inf\n")
+    message = "non-finite velocity at cell (0, 0, 0) in the advect_pulse initial condition"
+    buf = io.StringIO()
+    with pytest.raises(fluid.PositivityError, match=re.escape(message)):
+        cli.run_command(load_config(str(cfg), {}), out=buf)
+    assert buf.getvalue() == ""
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_main_bad_config_returns_error(tmp_path):

@@ -93,6 +93,59 @@ def test_nan_start_state_rejected(params, option, name):
         init_condition("uniform", GridShape(8, 8, 8), params, **{option: float("nan")})
 
 
+@pytest.mark.parametrize("kind, option", [
+    ("sod_x", "amplitude"), ("uniform", "seed"), ("advect_pulse", "b_amplitude"),
+    ("orszag_tang_xy", "width"), ("solenoidal_random", "profile"), ("brio_wu_x", "state"),
+])
+def test_option_the_builder_does_not_take_is_refused(monkeypatch, params, kind, option):
+    def no_allocation(*args):
+        raise AssertionError("allocated before the options were checked")
+    monkeypatch.setattr(ic, "allocate_state", no_allocation)
+    with pytest.raises(ValueError, match=rf"^the {kind} initial condition takes no option "
+                                         rf"'{option}'$"):
+        init_condition(kind, GridShape(8, 8, 8), params, **{option: 1.0})
+
+
+@pytest.mark.parametrize("kind, options, name, precision", [
+    ("advect_pulse", {"velocity": float("inf")}, "velocity", "double"),
+    ("uniform", {"v": (0.0, float("nan"), 0.0)}, "velocity", "double"),
+    ("uniform", {"b": (float("nan"), 0.0, 0.0)}, "magnetic field", "double"),
+    ("uniform", {"b": (0.0, 0.0, float("-inf"))}, "magnetic field", "double"),
+    ("uniform", {"rho": float("inf")}, "density", "double"),
+    ("uniform", {"p": float("inf")}, "pressure", "double"),
+    ("advect_pulse", {"velocity": 1e20}, "energy", "single"),  # beyond float32 only
+])
+def test_non_finite_start_state_names_the_cell(kind, options, name, precision):
+    with pytest.raises(fluid.PositivityError,
+                       match=rf"^non-finite {name} at cell \(0, 0, 0\) in the {kind} "
+                             r"initial condition$"):
+        init_condition(kind, GridShape(8, 8, 8), SchemeParams(precision=precision), **options)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("density", r"^non-positive density at cell \(3, 2, 5\) here$"),
+    ("pressure", r"^negative pressure at cell \(3, 2, 5\) here$"),
+    (None, r"^non-finite velocity at cell \(1, 1, 0\) here$"),
+], ids=["density-on-plane-5", "pressure-on-plane-5", "velocity-only"])
+@pytest.mark.parametrize("slab_bytes", [ic._SLAB_BYTES, 1], ids=["one-slab", "one-plane"])
+def test_fill_reports_a_non_finite_velocity_after_any_positivity_failure(
+        monkeypatch, params, slab_bytes, bad, message):
+    # The velocity is infinite on planes 0 and 6; the density or pressure
+    # fails on plane 5, after the first infinite velocity.
+    monkeypatch.setattr(ic, "_SLAB_BYTES", slab_bytes)
+    shape = GridShape(8, 8, 8)
+    rho, p, v1 = (np.ones(shape.array_shape) for _ in range(3))
+    v1[0, 1, 1] = v1[6, 0, 0] = np.inf
+    if bad == "density":
+        rho[5, 2, 3] = 0.0
+    elif bad == "pressure":
+        p[5, 2, 3] = -1.0
+    state = allocate_state(shape, params)
+    with pytest.raises(fluid.PositivityError, match=message):
+        ic._fill(state, params.gamma,
+                 lambda k0, k1: (rho[k0:k1], v1[k0:k1], 0.0, 0.0, p[k0:k1]), "here")
+
+
 @pytest.mark.parametrize("slab_bytes", [ic._SLAB_BYTES, 1], ids=["default-slabs", "one-plane"])
 def test_start_state_failure_names_the_first_cell_for_any_slab_size(monkeypatch, slab_bytes):
     # Recorded from the whole-grid build.

@@ -1,12 +1,17 @@
 import os
 import signal
+import subprocess
+import sys
+import time
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tvdmhd
 from tvdmhd import (GridShape, PositivityError, cfl_timestep, fluid_sweep, init_condition,
                     magnetic_sweep, parallel_for, partition, step_cycle)
 from tvdmhd.parallel import _Pool, chunks, shared_pair
@@ -39,18 +44,14 @@ def test_chunks_cut_range_into_whole_units_within_budget(lo, hi, unit, budget, w
     assert list(chunks(lo, hi, unit, budget)) == want
 
 
-def test_partition_rejects_too_many_workers():
-    with pytest.raises(ValueError, match="more workers than slabs"):
-        partition(4, 8)
+def test_partition_caps_workers_at_one_plane_each():
+    assert partition(4, 8) == ((0, 1), (1, 2), (2, 3), (3, 4))
 
 
 @given(n=st.integers(1, 300), workers=st.integers(1, 32))
 def test_partition_properties(n, workers):
-    if workers > n:
-        with pytest.raises(ValueError):
-            partition(n, workers)
-        return
     part = partition(n, workers)
+    assert len(part) == min(n, workers)
     assert part[0][0] == 0 and part[-1][1] == n
     for (alo, ahi), (blo, bhi) in zip(part, part[1:]):
         assert ahi == blo and ahi > alo
@@ -118,6 +119,16 @@ def test_sweep_bitwise_identical_across_worker_counts(params):
         assert blob == ref
 
 
+def test_more_workers_than_planes_steps_bitwise_equal(params):
+    # 12 workers for the 8 columns of the b3 pass: the partition caps them.
+    shape = GridShape(16, 8, 16)
+    many = init_condition("solenoidal_random", shape, params)
+    one = many.copy()
+    step_cycle(many, params, workers=12)
+    step_cycle(one, params)
+    assert state_bytes(many) == state_bytes(one)
+
+
 def test_closure_bodies_run_in_the_calling_process():
     pids = []
     parallel_for(partition(64, 4), lambda i, lo, hi: pids.append(os.getpid()))
@@ -138,6 +149,11 @@ def _fail_in(failing, i, lo, hi):
 def _exit_in(dying, i, lo, hi):
     if i in dying:
         os._exit(3)
+
+
+def _raise_unpicklable_in(failing, i, lo, hi):
+    if i in failing:
+        raise RuntimeError(lambda: None)  # a local object: the reply cannot pickle it
 
 
 def _fill_both(out, private, i, lo, hi):
@@ -201,6 +217,66 @@ def test_worker_that_dies_raises_runtime_error_naming_its_slab():
         parallel_for(partition(64, 2), partial(_exit_in, (1,)))
     out, _ = shared_pair((64,), np.float64)
     assert os.getpid() not in _worker_pids(out, 2)  # a fresh pool
+
+
+def test_unpicklable_exception_raises_runtime_error_naming_its_slab():
+    with pytest.raises(RuntimeError, match=r"^slab 1: .*[Pp]ickle"):
+        parallel_for(partition(64, 2), partial(_raise_unpicklable_in, (1,)))
+    out, _ = shared_pair((64,), np.float64)
+    _worker_pids(out, 2)  # the pool still serves the next call
+    assert (out != 0).all()
+
+
+_POOL_THEN_SLEEP = """
+import os, sys, time
+from tvdmhd import GridShape, SchemeParams, cfl_timestep, init_condition
+from tvdmhd.parallel import _Pool
+
+state = init_condition("uniform", GridShape(8, 8, 8), SchemeParams(), v=(1.0, 0.0, 0.0))
+cfl_timestep(state, SchemeParams(), workers=2)
+with open(sys.argv[1] + ".tmp", "w") as fh:
+    fh.write(" ".join(str(w.pid) for w in _Pool.current.workers))
+os.rename(sys.argv[1] + ".tmp", sys.argv[1])
+time.sleep(120)
+"""
+
+
+def _running(pid):
+    # False once the process has exited, as a zombie too.
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_no_worker_outlives_a_parent_killed_with_sigkill(tmp_path):
+    # The pids go to a file: a pipe the workers inherit would stay open after the kill.
+    pids_file = tmp_path / "pids"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(tvdmhd.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    parent = subprocess.Popen([sys.executable, "-c", _POOL_THEN_SLEEP, str(pids_file)],
+                              env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    pids = []
+    try:
+        deadline = time.monotonic() + 60
+        while not pids_file.exists():
+            assert parent.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        pids = [int(pid) for pid in pids_file.read_text().split()]
+        assert pids
+        parent.kill()
+        parent.wait()
+        deadline = time.monotonic() + 10
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, pids))
+    finally:
+        parent.kill()
+        parent.wait()
+        for pid in filter(_running, pids):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_workers_ignore_sigint():

@@ -20,6 +20,12 @@ def test_traffic_census_per_cell():
     assert model.writes_per_cell == 6 * 5 + 6 * 6 + 4 * 8 == 98
 
 
+@pytest.mark.parametrize("model, field", [(OpCountModel, "add"), (TrafficModel, "cfl_reads")])
+def test_census_models_are_constants(model, field):
+    with pytest.raises(TypeError):
+        model(**{field: 1})
+
+
 def test_flops_per_step_canonical_box():
     est = flops_per_step((128, 128, 128))
     assert est.model_flops == 2366 * 2_097_152 == 4_961_861_632
