@@ -37,11 +37,11 @@ from .parallel import chunks
 KINDS = ("uniform", "advect_pulse", "sod_x", "brio_wu_x", "solenoidal_random",
          "orszag_tang_xy")
 
-# Bytes of float64 per field per slab.  solenoidal_random at 128^3 single on
-# a 2-core host (2 MiB L2 per core), median s of init in interleaved fresh
-# processes: 128 KiB 1.24, 512 KiB 1.22, 1 MiB 1.08, 4 MiB 1.33 (5 each);
-# again 512 KiB 0.96, 1 MiB 0.93 (10 each, quartiles overlapping).  Of the
-# two, 512 KiB keeps the build's memory lower.  Read at each build.
+# Bytes of float64 per field per slab.  solenoidal_random at 128^3 single,
+# seed 0, on a 2-core host (2 MiB L2 per core), median s of init in
+# alternated fresh processes (12 each): 512 KiB 0.76 (quartiles 0.68-0.81),
+# 1 MiB 0.78 (0.72-0.84).  They do not separate, and 512 KiB keeps the
+# build's memory lower.  Read at each build.
 _SLAB_BYTES = 512 << 10
 
 
@@ -146,12 +146,23 @@ def _smooth_modes(rng, modes: int) -> list:
 
 
 def _smooth_field(draws, xn, yn, zn) -> np.ndarray:
-    """Random superposition of low-wavenumber sines; values O(1)."""
+    """Random superposition of low-wavenumber sines; values O(1).
+
+    `xn`, `yn`, `zn` are coordinates >= 0 broadcasting as [k, j, i].  A mode
+    whose wavenumber along an axis is 0 is evaluated on one point of that
+    axis, and only the sum broadcasts it over the slab.  This is exact: with
+    a zero wavenumber, `0 * coord` is +0.0 at every point of the axis, so each
+    value comes from the same operations on the same operands as over the
+    full shape.
+    """
     out = np.zeros(np.broadcast_shapes(xn.shape, yn.shape, zn.shape))
     for kx, ky, kz, amp, phase in draws:
+        x = xn if kx else xn[..., :1]
+        y = yn if ky else yn[..., :1, :]
+        z = zn if kz else zn[..., :1, :, :]
         # Not `out +=`: bitwise the same, but slower on 4-plane slabs of 128^3
         # (137 vs 191 ms per field, medians of 40 alternations, 2-core host).
-        out = out + amp * np.sin(2 * np.pi * (kx * xn + ky * yn + kz * zn) + phase)
+        out = out + amp * np.sin(2 * np.pi * (kx * x + ky * y + kz * z) + phase)
     return out / len(draws)
 
 
@@ -222,6 +233,9 @@ def _ic_brio_wu_x(state, b_normal=0.75, b_left=1.0, b_right=-1.0):
 def _ic_solenoidal_random(state, seed=0, fluid_amplitude=0.2, b_amplitude=0.2, modes=3,
                           mean_velocity=(0.25, 0.15, 0.1)):
     """Smooth random solenoidal field plus smooth random fluid perturbations."""
+    if modes < 1:
+        raise ValueError(f"the solenoidal_random initial condition needs modes >= 1, "
+                         f"got modes={modes!r}")
     shape = state.shape
     rng = np.random.default_rng(seed)
     # Potentials a1..a3, then rho, p, v1, v2, v3: every draw is made up front.

@@ -43,6 +43,46 @@ def test_solenoidal_random_is_seeded(params):
     assert state_bytes(a) != state_bytes(c)
 
 
+@pytest.mark.parametrize("modes", [0, -1])
+def test_solenoidal_random_needs_a_mode(monkeypatch, params, modes):
+    def no_field(*args):
+        raise AssertionError("a field was built before modes was checked")
+    monkeypatch.setattr(ic, "_smooth_field", no_field)
+    with pytest.raises(ValueError, match=rf"^the solenoidal_random initial condition needs "
+                                         rf"modes >= 1, got modes={modes}$"):
+        init_condition("solenoidal_random", GridShape(8, 8, 8), params, modes=modes)
+
+
+def _full_shape_field(draws, xn, yn, zn):
+    # Every mode evaluated at every cell of the broadcast shape.
+    out = np.zeros(np.broadcast_shapes(xn.shape, yn.shape, zn.shape))
+    for kx, ky, kz, amp, phase in draws:
+        out = out + amp * np.sin(2 * np.pi * (kx * xn + ky * yn + kz * zn) + phase)
+    return out / len(draws)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5], ids=["corners", "centers"])
+@pytest.mark.parametrize("k0, k1", [(3, 4), (5, 11)], ids=["one-plane", "six-planes"])
+def test_smooth_field_is_bitwise_the_full_shape_sum(offset, k0, k1):
+    # All 125 wavevectors of {-2..2}^3, alone and summed.  At the corners a
+    # coordinate is 0.0, where a negative wavenumber gives -0.0; one phase is 0.0.
+    shape = GridShape(8, 12, 16, 0.5)
+    lengths = (shape.n1 * shape.dx, shape.n2 * shape.dx, shape.n3 * shape.dx)
+    xn, yn, zn = (c / n for c, n in zip(ic._coords(shape, offset), lengths))
+    zn = zn[k0:k1]
+    rng = np.random.default_rng(11)
+    ks = np.array(list(np.ndindex(5, 5, 5)), dtype=np.int64) - 2
+    draws = [(kx, ky, kz, rng.uniform(0.3, 1.0), rng.uniform(0, 2 * np.pi)) for kx, ky, kz in ks]
+    draws[62] = (*draws[62][:4], 0.0)  # k = (0, 0, 0)
+    draws[57] = (*draws[57][:4], 0.0)  # k = (0, -1, 0)
+    for mode in draws:
+        got = ic._smooth_field([mode], xn, yn, zn)
+        assert got.shape == (k1 - k0, shape.n2, shape.n1)
+        assert got.tobytes() == _full_shape_field([mode], xn, yn, zn).tobytes(), mode[:3]
+    assert ic._smooth_field(draws, xn, yn, zn).tobytes() == \
+        _full_shape_field(draws, xn, yn, zn).tobytes()
+
+
 def test_sod_states(params):
     state = init_condition("sod_x", GridShape(16, 8, 8), params)
     assert (state.rho[:, :, :8] == 1.0).all()

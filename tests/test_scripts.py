@@ -1,8 +1,11 @@
 """The example scripts run end to end from a checkout."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -28,3 +31,21 @@ def test_orszag_tang_demo_writes_a_slice_per_stride(tmp_path):
     assert [line.split()[:2] for line in out.splitlines()] == [["cycle", "1"], ["cycle", "2"]]
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "ot_cycle0.tsv", "ot_cycle1.tsv", "ot_cycle2.tsv"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cycle_faults_prints_a_line_per_cycle(workers):
+    lines = _run("cycle_faults.py", "--size", "16", "--workers", str(workers),
+                 "--cycles", "2").splitlines()
+    assert len(lines) == 2
+    for cycle, line in enumerate(lines, start=1):
+        fields = dict(token.split("=") for token in line.split())
+        assert list(fields) == ["cycle", "wall_ms", "cfl_ms", "fluid_ms", "magnetic_ms",
+                                "transpose_ms", "minflt_self", "minflt_workers"]
+        assert fields["cycle"] == str(cycle)
+        assert int(fields["minflt_self"]) >= 0
+        if workers == 1:  # no pool is forked
+            assert fields["minflt_workers"] == "-"
+        else:  # one worker per slab, at most one per core
+            counts = [int(c) for c in fields["minflt_workers"].split(",")]
+            assert len(counts) == min(workers, os.cpu_count()) and min(counts) >= 0
