@@ -70,6 +70,31 @@ def chunks(lo: int, hi: int, unit_bytes: int, budget: int):
         yield start, min(start + step, hi)
 
 
+# The process's scratch arena: one flat byte buffer that grows to the largest
+# request and is never freed, so a kernel that takes its temporaries from it
+# allocates nothing once the arena has grown.  A forked worker inherits the
+# parent's arena copy-on-write and from then on keeps its own.
+_arena = np.empty(0, np.uint8)
+_ALIGN = 64  # bytes: one cache line
+
+
+def scratch(dtype, *sizes: int) -> list[np.ndarray]:
+    """1-d arrays of `sizes` elements of `dtype`, carved in order from the start of the arena.
+
+    Each starts on a cache-line boundary and none overlap.  Every call carves
+    from the same bytes, so the arrays of one call hold until the next call.
+    """
+    global _arena
+    itemsize = np.dtype(dtype).itemsize
+    nbytes = [n * itemsize for n in sizes]
+    starts = list(itertools.accumulate((-(-b // _ALIGN) * _ALIGN for b in nbytes), initial=0))
+    if starts[-1] > _arena.nbytes:
+        grown = np.empty(starts[-1] + _ALIGN, np.uint8)
+        offset = -grown.ctypes.data % _ALIGN
+        _arena = grown[offset:offset + starts[-1]]
+    return [_arena[s:s + b].view(dtype) for s, b in zip(starts, nbytes)]
+
+
 def parallel_for(part: tuple[tuple[int, int], ...],
                  body: Callable[[int, int, int], None]) -> None:
     """Run body(slab_index, lo, hi) once per (lo, hi) range of `part`; return after all finish.

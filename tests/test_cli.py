@@ -295,7 +295,8 @@ def test_validate_command_returns_zero_when_every_check_passes(monkeypatch):
 
 def test_tvd_check_negative_control(monkeypatch):
     # An unlimited central slope is not TVD; the check must catch it.
-    monkeypatch.setattr(fluid, "vanleer", lambda a, b: 0.5 * (a + b))
+    monkeypatch.setattr(fluid, "_limit",
+                        lambda a, b, out, *scratch: np.multiply(0.5, a + b, out=out))
     result = validation.check_tvd(n=64, steps=12)
     assert not result.passed
     assert result.value > 1e-6

@@ -14,20 +14,28 @@ from conftest import random_state
 
 
 # --- fast speed -----------------------------------------------------------------
-# fluid._fast_speed(rho, p, b1^2, b^2, gamma): the speed of both the sweep and the cfl step
+# fluid._fast_speed(rho, p, b1^2, b^2, gamma, out, a2, tot): the speed of both the
+# sweep and the cfl step
+
+def _fast_speed(rho, p, b1sq, bsq, gamma):
+    """fluid._fast_speed into fresh arrays of the inputs' broadcast shape."""
+    shape = np.broadcast(rho, p, b1sq, bsq).shape
+    out, a2, tot = (np.empty(shape) for _ in range(3))
+    return fluid._fast_speed(rho, p, b1sq, bsq, gamma, out, a2, tot)
+
 
 def test_fast_speed_reduces_to_sound_speed():
-    assert fluid._fast_speed(1.0, 1.0, 0.0, 0.0, 5.0 / 3.0) == pytest.approx(np.sqrt(5.0 / 3.0), rel=1e-14)
+    assert _fast_speed(1.0, 1.0, 0.0, 0.0, 5.0 / 3.0) == pytest.approx(np.sqrt(5.0 / 3.0), rel=1e-14)
 
 
 def test_fast_speed_pure_alfven_along_axis():
     # a = 0: c_f = |b1| / sqrt(rho)
-    assert fluid._fast_speed(1.0, 0.0, 1.0, 1.0, 5.0 / 3.0) == pytest.approx(1.0, rel=1e-14)
+    assert _fast_speed(1.0, 0.0, 1.0, 1.0, 5.0 / 3.0) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_fast_speed_transverse_field_closed_form():
     # b1 = 0: c_f^2 = a^2 + b^2/rho = 1 + 1 = 2
-    got = fluid._fast_speed(1.0, 0.6, 0.0, 1.0, 5.0 / 3.0)
+    got = _fast_speed(1.0, 0.6, 0.0, 1.0, 5.0 / 3.0)
     assert got == pytest.approx(np.sqrt(2.0), rel=1e-14)
 
 
@@ -44,7 +52,7 @@ def test_fast_speed_dominates_alfven_and_sound():
     p = 0.1 + rng.random(100)
     b = rng.standard_normal((3, 100))
     b1sq = b[0] ** 2
-    cf = fluid._fast_speed(rho, p, b1sq, b1sq + b[1] ** 2 + b[2] ** 2, 5.0 / 3.0)
+    cf = _fast_speed(rho, p, b1sq, b1sq + b[1] ** 2 + b[2] ** 2, 5.0 / 3.0)
     assert (cf >= np.sqrt(5.0 / 3.0 * p / rho) - 1e-12).all()
     assert (cf >= np.abs(b[0]) / np.sqrt(rho) - 1e-12).all()
 
@@ -117,12 +125,12 @@ def test_vanleer_cell_does_not_depend_on_the_others(dtype, cell, other):
     assert together[0] == alone[0]
 
 
-def _where_harmonic(dl, dr):
+def _where_harmonic(dl, dr, out, *scratch):
     # The limiter's selection written with np.where: the reference of the bit select.
     prod = dl * dr
     with np.errstate(divide="ignore", invalid="ignore"):
         mean = 2.0 * prod / (dl + dr)
-    return prod, np.where(prod > 0, mean, prod * 0)
+    out[...] = np.where(prod > 0, mean, prod * 0)
 
 
 def _slope_values(dtype, subnormal_products):
@@ -173,28 +181,43 @@ def test_vanleer_scales_homogeneously(a, b, s):
 # --- the sweep's interface flux and freezing speed ------------------------------
 
 def _pencil(rho, v1, p, gamma, b=(0.0, 0.0, 0.0)):
-    """One pencil as the sweep stacks a block: padded (u5, field)."""
+    """One pencil as the sweep loads a block: (u5, bc), its five variables and centered field."""
     rho = np.asarray(rho, dtype=float)
     n = rho.size
     v1 = np.broadcast_to(np.asarray(v1, dtype=float), (n,))
     p = np.broadcast_to(np.asarray(p, dtype=float), (n,))
     bc = [np.full(n, bi) for bi in b]
     e = p / (gamma - 1.0) + 0.5 * rho * v1 ** 2 + 0.5 * sum(x ** 2 for x in bc)
-    u5 = fluid._padded(np.stack([rho, rho * v1, np.zeros(n), np.zeros(n), e]))
-    return u5, fluid._field(fluid._padded(np.stack(bc)))
+    return np.stack([rho, rho * v1, np.zeros(n), np.zeros(n), e]), np.stack(bc)
 
 
-def _sweep_flux(u5, field, gamma):
+def _block(u5, bc):
+    """The sweep's workspace for the rows of u5 (5, [rows,] n), loaded with them and bc."""
+    u5, bc = (a.reshape(len(a), -1, a.shape[-1]) for a in (u5, bc))
+    ws = fluid._block(u5.shape[1], u5.shape[2], u5.dtype)
+    fluid._interior(ws.u)[...] = u5
+    fluid._fill_ghosts(ws.u)
+    fluid._interior(ws.bc)[...] = bc
+    fluid._field(ws)
+    return ws
+
+
+def _sweep_flux(u5, bc, gamma):
     """The full-step stage's fluxes; [var][i] is the flux between cells i and i + 1."""
-    flat = np.zeros(u5.size)
-    grid = GridShape(fluid._interior(u5).shape[-1], 8, 8)
-    flat[1:-2] = fluid._stage(u5, field, gamma, 2, "", grid, 0)
-    return fluid._interior(flat.reshape(u5.shape))
+    ws = _block(u5, bc)
+    flat = np.zeros(ws.u.size)
+    grid = GridShape(u5.shape[-1], 8, 8)
+    flat[1:-2] = fluid._stage(ws, gamma, 2, "", grid, 0)
+    return fluid._interior(flat.reshape(ws.u.shape))[:, 0]
 
 
-def _freezing_speed(u5, field, gamma):
-    p = fluid._pressure(u5[0], u5[1:4], u5[4], field.pm, gamma)
-    return fluid._freezing_speed(u5[0], u5[1] / u5[0], p, field, gamma)
+def _freezing_speed(u5, bc, gamma):
+    """Each row's freezing speed, (rows, 1); (1,) for a pencil."""
+    ws = _block(u5, bc)
+    rho, m = ws.u[0], ws.u[1:4]
+    p = fluid._pressure(rho, m, ws.u[4], ws.pm, gamma, ws.p, ws.tmp)
+    c = fluid._freezing_speed(rho, m[0] / rho, p, ws, gamma).copy()
+    return c if u5.ndim == 3 else c[0]
 
 
 def test_relaxed_flux_constant_state_gives_analytic_flux(params):
@@ -287,8 +310,7 @@ def test_freeze_speed_invariant(params):
     bc = [b[0] for b in face_to_center(state)]
     rho, m1, m2, m3, e = (a[0] for a in (state.rho, state.mom1, state.mom2,
                                          state.mom3, state.e))
-    c = _freezing_speed(fluid._padded(np.stack([rho, m1, m2, m3, e])),
-                        fluid._field(fluid._padded(np.stack(bc))), g)
+    c = _freezing_speed(np.stack([rho, m1, m2, m3, e]), np.stack(bc), g)
     assert c.shape == (8, 1)
     v1 = np.abs(m1 / rho)
     p = fluid.gas_pressure(rho, m1, m2, m3, e, *bc, g)

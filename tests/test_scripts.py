@@ -33,10 +33,11 @@ def test_orszag_tang_demo_writes_a_slice_per_stride(tmp_path):
         "ot_cycle0.tsv", "ot_cycle1.tsv", "ot_cycle2.tsv"]
 
 
+@pytest.mark.parametrize("totals", [[], ["--no-totals"]], ids=["totals", "no-totals"])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_cycle_faults_prints_a_line_per_cycle(workers):
+def test_cycle_faults_prints_a_line_per_cycle(workers, totals):
     lines = _run("cycle_faults.py", "--size", "16", "--workers", str(workers),
-                 "--cycles", "2").splitlines()
+                 "--cycles", "2", *totals).splitlines()
     assert len(lines) == 2
     for cycle, line in enumerate(lines, start=1):
         fields = dict(token.split("=") for token in line.split())
