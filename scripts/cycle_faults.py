@@ -1,13 +1,11 @@
 #!/usr/bin/env python3
 """Print each cycle's time, section times and minor page faults per process.
 
-Builds the `solenoidal_random` start state, takes its totals once (as the
-benchmark does before its first cycle; `--no-totals` skips this, as `tvdmhd
-run` does), then steps it.  One line per cycle:
-the wall ms, the ms of each `StepReport.sections` entry, and the minor faults
-the cycle cost this process and each pool worker (`minflt` of
-/proc/<pid>/stat; Linux only).  With 1 worker no pool is forked, so the
-worker list is empty.
+Builds the `solenoidal_random` start state and steps it, as `tvdmhd run`
+does.  One line per cycle: the wall ms, the ms of each `StepReport.sections`
+entry, and the minor faults the cycle cost this process and each pool worker
+(`minflt` of /proc/<pid>/stat; Linux only).  With 1 worker no pool is
+forked, so the worker list is empty.
 
     python scripts/cycle_faults.py --size 64 --workers 1 --cycles 5
 """
@@ -18,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from tvdmhd import GridShape, SchemeParams, init_condition, parallel, step_cycle, totals
+from tvdmhd import GridShape, SchemeParams, init_condition, parallel, step_cycle
 
 
 def minor_faults(pid) -> int:
@@ -34,15 +32,11 @@ def main() -> int:
     ap.add_argument("--cycles", type=int, required=True)
     ap.add_argument("--precision", choices=("single", "double"), default="single")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--no-totals", action="store_true",
-                    help="step without taking the totals first")
     args = ap.parse_args()
 
     params = SchemeParams(precision=args.precision)
     n = args.size
     state = init_condition("solenoidal_random", GridShape(n, n, n), params, seed=args.seed)
-    if not args.no_totals:
-        totals(state)
     before = {"self": minor_faults("self")}
     for _ in range(args.cycles):
         report = step_cycle(state, params, args.workers)

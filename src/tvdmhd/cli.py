@@ -73,10 +73,7 @@ class RunConfig:
 
     def ic_options(self) -> dict:
         """The initial-condition keys that are set; the kind's builder refuses any others."""
-        opts = {key: getattr(self, key) for key in _IC_KEYS if getattr(self, key) is not None}
-        if self.ic == "solenoidal_random" and "amplitude" in opts:
-            opts["fluid_amplitude"] = opts.pop("amplitude")
-        return opts
+        return {key: getattr(self, key) for key in _IC_KEYS if getattr(self, key) is not None}
 
 
 # The config keys that set initial-condition options.

@@ -15,8 +15,9 @@ would contaminate the energy split on contact data and break the exact
 reduction of uniform-velocity advection to a scalar TVD scheme.
 
 Blocking.  A slab is viewed as rows (pencils) over its flattened (k, j) axis,
-and both stages and the update run on one block of rows before the next
-starts, so each temporary is a block, not a slab, and stays in cache (see
+and `_rows`, the one row walk of the cfl and the sweep, yields it in blocks of
+rows; both stages and the update run on one block before the next starts, so
+each temporary is a block, not a slab, and stays in cache (see
 ``_BLOCK_BYTES`` for the measured size).  Every temporary is an ``out=`` view
 into the process's scratch arena (`parallel.scratch`), carved for each block
 from the arena's start, so once a process has swept its largest block it
@@ -183,36 +184,39 @@ def _fast_speed(rho, p, b1sq, bsq, gamma, out, a2, tot):
     return np.sqrt(np.multiply(0.5, np.add(tot, out, out=out), out=out), out=out)
 
 
+def _rows(u, lo, hi):
+    # Per block of rows of planes [lo, hi): its five fluid variables (a view), its first row.
+    _, _, n2, n1 = u.shape
+    u_rows = u[:5, lo:hi].reshape(5, -1, n1, copy=False)
+    for r0, r1 in chunks(0, u_rows.shape[1], n1 * u.itemsize, _BLOCK_BYTES):
+        yield u_rows[:, r0:r1], lo * n2 + r0
+
+
 def _cfl_slab(u, maxima, gamma, where, shape, i, lo, hi):
     # Slab kernel: maxima[i] = the largest |v| + c_fast over planes [lo, hi) and
     # all axes.  It has the state's dtype, as does every speed, so it is exact.
-    # Scratch per block of rows: seven row-block arrays, the centered field
-    # squared in place, then p, and per axis bsq (reused as tot), c_f and a2
-    # (reused as the signal speed).  Passes per cell (one ufunc over one
-    # row-block array): the field and p 24, each axis 20, 84 in all.
-    _, _, n2, n1 = u.shape
-    u_rows = u[:5, lo:hi].reshape(5, -1, n1, copy=False)
+    # The three axes run as one (3, rows, n1) stack.  Scratch per block: 15
+    # row-block arrays, sq 5, bsq 3, cf 3, a2 3 and p 1.  Passes per cell (one
+    # ufunc over one row-block array): the field, bsq and p 30, the axes 54.
     speed = 0.0
-    for r0, r1 in chunks(0, u_rows.shape[1], n1 * u.itemsize, _BLOCK_BYTES):
-        rho, m1, m2, m3, e = u_rows[:, r0:r1]
-        row0 = lo * n2 + r0
-        (work,) = scratch(u.dtype, 7 * rho.size)
-        bc, (p, bsq, cf, a2) = np.split(work.reshape(7, r1 - r0, n1), [3])
-        row_centers(u, row0, row0 + r1 - r0, bc)
-        sq1, sq2, sq3 = np.square(bc, out=bc)  # each axis below sums them in its own order
-        pm = np.add(np.add(sq1, sq2, out=bsq), sq3, out=bsq)
-        np.multiply(0.5, pm, out=pm)
-        _pressure(rho, (m1, m2, m3), e, pm, gamma, p, cf)
+    for u5, row0 in _rows(u, lo, hi):
+        rho, m, e = u5[0], u5[1:4], u5[4]
+        (work,) = scratch(u.dtype, 15 * rho.size)
+        sq, bsq, cf, a2, (p,) = np.split(work.reshape((15,) + rho.shape), [5, 8, 11, 14])
+        row_centers(u, row0, row0 + len(rho), sq[:3])
+        np.square(sq[:3], out=sq[:3])
+        sq[3:] = sq[:2]  # sq[a:a + 3] runs from axis a on: bsq[a] sums as its sweep does
+        np.add(np.add(sq[:3], sq[1:4], out=bsq), sq[2:], out=bsq)
+        pm = np.multiply(0.5, bsq[0], out=a2[0])  # a2[0] and cf[0] are free until the speeds
+        _pressure(rho, m, e, pm, gamma, p, cf[0])
         check_positive(rho, p, shape, where, row0)
-        for m, along, t1, t2 in ((m1, sq1, sq2, sq3), (m2, sq2, sq3, sq1),
-                                 (m3, sq3, sq1, sq2)):
-            np.add(np.add(along, t1, out=bsq), t2, out=bsq)
-            _fast_speed(rho, p, along, bsq, gamma, cf, a2, bsq)
-            sig = np.add(np.abs(np.divide(m, rho, out=a2), out=a2), cf, out=a2)
-            top = float(np.max(sig))
-            if not top < math.inf:
-                _require(sig < math.inf, sig, "signal speed", "non-finite", shape, where, row0)
-            speed = max(speed, top)
+        _fast_speed(rho, p, sq[:3], bsq, gamma, cf, a2, bsq)
+        sig = np.add(np.abs(np.divide(m, rho, out=a2), out=a2), cf, out=a2)
+        top = float(np.max(sig))
+        if not top < math.inf:
+            for s in sig:  # the first failing cell of axis 1, then of axis 2, ...
+                _require(s < math.inf, s, "signal speed", "non-finite", shape, where, row0)
+        speed = max(speed, top)
     maxima[i] = speed
 
 
@@ -407,10 +411,8 @@ def _sweep_block(u, u5, lam, gamma, where, shape, row0):
 
 def _sweep_slab(u, lam, gamma, where, shape, _i, lo, hi):
     # Slab kernel: the fluid update of planes [lo, hi), one row block at a time.
-    _, _, n2, n1 = u.shape
-    u_rows = u[:5, lo:hi].reshape(5, -1, n1, copy=False)  # a view: writes go through
-    for r0, r1 in chunks(0, u_rows.shape[1], n1 * u.itemsize, _BLOCK_BYTES):
-        _sweep_block(u, u_rows[:, r0:r1], lam, gamma, where, shape, lo * n2 + r0)
+    for u5, row0 in _rows(u, lo, hi):
+        _sweep_block(u, u5, lam, gamma, where, shape, row0)
 
 
 def fluid_sweep(state: ConservedState, dt: float, params: SchemeParams,

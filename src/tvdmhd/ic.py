@@ -226,11 +226,10 @@ def _ic_brio_wu_x(state, b_normal=0.75, b_left=1.0, b_right=-1.0):
     # b2 faces are offset from centers along y only, so the cell's x test applies;
     # b1 is uniform and b2 has no y variation, so the face-flux balance is zero.
     _set_faces(state, b_normal, np.where(dense, b_left, b_right), 0.0)
-    rho, p = np.where(dense, 1.0, 0.125), np.where(dense, 1.0, 0.1)
-    return lambda k0, k1: (rho, 0.0, 0.0, 0.0, p)
+    return _ic_sod_x(state)  # Sod's density and pressure states
 
 
-def _ic_solenoidal_random(state, seed=0, fluid_amplitude=0.2, b_amplitude=0.2, modes=3,
+def _ic_solenoidal_random(state, seed=0, amplitude=0.2, b_amplitude=0.2, modes=3,
                           mean_velocity=(0.25, 0.15, 0.1)):
     """Smooth random solenoidal field plus smooth random fluid perturbations."""
     if modes < 1:
@@ -258,9 +257,9 @@ def _ic_solenoidal_random(state, seed=0, fluid_amplitude=0.2, b_amplitude=0.2, m
     x, y, z = (c / n for c, n in zip(_coords(shape, 0.5), lengths))
 
     def primitives(k0, k1):
-        rho, p = (1.0 + 0.5 * fluid_amplitude * _smooth_field(d, x, y, z[k0:k1])
+        rho, p = (1.0 + 0.5 * amplitude * _smooth_field(d, x, y, z[k0:k1])
                   for d in draws[3:5])
-        v1, v2, v3 = (m + fluid_amplitude * _smooth_field(d, x, y, z[k0:k1])
+        v1, v2, v3 = (m + amplitude * _smooth_field(d, x, y, z[k0:k1])
                       for m, d in zip(mean_velocity, draws[5:]))
         return rho, v1, v2, v3, p
     return primitives

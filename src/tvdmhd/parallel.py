@@ -11,9 +11,9 @@ budget.
 Executor.  A body that is a kernel task, ``functools.partial(kernel, ...)`` of
 a module-level function, runs on a pool of worker processes, so slabs compute
 in parallel without sharing one interpreter lock.  Slab ``i`` goes to worker
-``i % P``, with ``P = min(slabs, os.cpu_count())``, in one message per worker
-per call.  Any other body (a closure) runs in the calling process, slab by
-slab, as does every single-range call.
+``i % P``, with ``P = min(slabs, CPUs)`` and CPUs those the process may run on,
+in one message per worker per call.  Any other body (a closure) runs in the
+calling process, slab by slab, as does every single-range call.
 
 - Memory.  The workers write the state in place: every state block is one
   half of an anonymous shared mapping made by `shared_pair`, which both the
@@ -23,7 +23,7 @@ slab, as does every single-range call.
   copy in a worker would lose its writes.
 - Lifetime.  The pool is forked with `os.fork` (an anonymous mapping is
   inherited only by fork) on the first call that needs it, and is reused by
-  every later call, so it holds at most ``os.cpu_count()`` workers.  A
+  every later call, so it holds at most one worker per CPU it may run on.  A
   task that names a mapping made after the workers forked re-forks the pool,
   and the old workers exit, releasing the mappings the parent has dropped.
   The pool is closed at interpreter exit, and a worker exits when its task
@@ -263,7 +263,8 @@ class _Pool:
     @classmethod
     def run(cls, part, body) -> None:
         """Run a kernel task over `part` on the pool, forking or re-forking it as needed."""
-        procs = min(len(part), os.cpu_count() or 1)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        procs = min(len(part), cpus or 1)
         shares = [[(i, lo, hi) for i, (lo, hi) in enumerate(part) if i % procs == p]
                   for p in range(procs)]
         messages, newest = [], -1

@@ -393,7 +393,7 @@ def test_ic_options_pass_every_key_that_is_set():
     cfg = RunConfig(ic="sod_x", amplitude=1.0, width=2.0, seed=3)
     assert cfg.ic_options() == {"seed": 3, "amplitude": 1.0, "width": 2.0}
     cfg = RunConfig(ic="solenoidal_random", amplitude=0.3, b_amplitude=0.1)
-    assert cfg.ic_options() == {"fluid_amplitude": 0.3, "b_amplitude": 0.1}
+    assert cfg.ic_options() == {"amplitude": 0.3, "b_amplitude": 0.1}
 
 
 def test_run_refuses_a_non_finite_start_state_before_the_header(tmp_path, capsys):

@@ -82,6 +82,36 @@ def test_cfl_scales_with_dx(params):
     assert cfl_timestep(b, params) == pytest.approx(cfl_timestep(a, params) / 4, rel=1e-13)
 
 
+def _cfl_per_axis(state, params):
+    """The cfl dt over the whole grid, one axis at a time, each summing |b|^2 in its own order."""
+    gamma = params.gamma
+    rho, m1, m2, m3, e = (state.u[c] for c in range(5))
+    sq1, sq2, sq3 = (np.square(bc) for bc in face_to_center(state))
+    work = np.empty((3,) + rho.shape, rho.dtype)
+    pm = 0.5 * ((sq1 + sq2) + sq3)
+    p = fluid._pressure(rho, (m1, m2, m3), e, pm, gamma, work[0], work[1]).copy()
+    speed = 0.0
+    for m, along, t1, t2 in ((m1, sq1, sq2, sq3), (m2, sq2, sq3, sq1), (m3, sq3, sq1, sq2)):
+        bsq = (along + t1) + t2
+        cf = fluid._fast_speed(rho, p, along, bsq, gamma, *work)
+        speed = max(speed, float(np.max(np.abs(m / rho) + cf)))
+    return params.courant * state.shape.dx / speed
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("turns", [0, 1])
+@pytest.mark.parametrize("precision", ["single", "double"])
+def test_cfl_is_bitwise_the_per_axis_evaluation(precision, turns, workers):
+    params = SchemeParams(precision=precision)
+    state = random_state(GridShape(48, 20, 28), params)
+    for _ in range(turns):
+        transpose(state, workers=workers)
+    # A row block ends inside a plane, so row_centers starts blocks mid-plane.
+    n2, n1 = state.shape.n2, state.shape.n1
+    assert (fluid._BLOCK_BYTES // (n1 * state.dtype.itemsize)) % n2 != 0
+    assert cfl_timestep(state, params, workers).hex() == _cfl_per_axis(state, params).hex()
+
+
 # --- vanleer ---------------------------------------------------------------
 
 def test_vanleer_fixed_points():

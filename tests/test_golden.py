@@ -52,7 +52,7 @@ IC_OPTIONS = {
     "advect_pulse": dict(profile="sine", amplitude=0.3, velocity=-0.5),
     "sod_x": dict(left=(2.0, 3.0), right=(0.5, 0.2)),
     "brio_wu_x": dict(b_normal=0.5, b_left=0.8, b_right=-0.6),
-    "solenoidal_random": dict(seed=5, modes=2, b_amplitude=0.5, fluid_amplitude=0.1,
+    "solenoidal_random": dict(seed=5, modes=2, b_amplitude=0.5, amplitude=0.1,
                               mean_velocity=(0.0, 0.0, 0.2)),
 }
 

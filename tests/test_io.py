@@ -193,7 +193,7 @@ def test_start_state_failure_names_the_first_cell_for_any_slab_size(monkeypatch,
     with pytest.raises(fluid.PositivityError, match=r"^non-positive density at cell "
                        r"\(2, 3, 17\) in the solenoidal_random initial condition$"):
         init_condition("solenoidal_random", GridShape(32, 32, 32), SchemeParams(),
-                       seed=0, fluid_amplitude=2.5)
+                       seed=0, amplitude=2.5)
 
 
 @pytest.mark.parametrize("bad_rho, message", [

@@ -171,7 +171,7 @@ def test_pool_writes_shared_memory_slab_i_on_worker_i_mod_p():
     out, _ = shared_pair((64,), np.float64)
     pids = _worker_pids(out, 8)
     assert (out.reshape(8, 8).T == pids).all()
-    procs = min(8, os.cpu_count())
+    procs = min(8, len(os.sched_getaffinity(0)))  # the CPUs this process may run on
     assert len(set(pids)) == procs and os.getpid() not in pids
     assert pids == [pids[i % procs] for i in range(8)]
 
@@ -277,6 +277,31 @@ def test_no_worker_outlives_a_parent_killed_with_sigkill(tmp_path):
         parent.wait()
         for pid in filter(_running, pids):
             os.kill(pid, signal.SIGKILL)
+
+
+_PINNED_TO_ONE_CPU = """
+import os
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from tvdmhd import GridShape, SchemeParams, init_condition, step_cycle
+from tvdmhd.parallel import _Pool
+
+params = SchemeParams()
+one, two = (init_condition("solenoidal_random", GridShape(16, 16, 16), params) for _ in "12")
+step_cycle(one, params, 1)
+step_cycle(two, params, 2)
+assert len(_Pool.current.workers) == 1, f"{len(_Pool.current.workers)} workers on one CPU"
+assert one.shape == two.shape and one.u.tobytes() == two.u.tobytes()
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_a_process_pinned_to_one_cpu_forks_one_worker():
+    # The subprocess pins only itself; 2 workers then run both slabs on one pool worker.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(tvdmhd.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _PINNED_TO_ONE_CPU], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_workers_ignore_sigint():
