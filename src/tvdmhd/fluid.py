@@ -19,18 +19,20 @@ and `_rows`, the one row walk of the cfl and the sweep, yields it in blocks of
 rows; both stages and the update run on one block before the next starts, so
 each temporary is a block, not a slab, and stays in cache (see
 ``_BLOCK_BYTES`` for the measured size).  Every temporary is an ``out=`` view
-into the process's scratch arena (`parallel.scratch`), carved for each block
-from the arena's start, so once a process has swept its largest block it
-allocates nothing per sweep (`_block` gives the lifetime plan).  The five
-variables of a block are copied in one assignment into a stack with
-``_GHOST`` periodic images at each row end, and the cell-centered field is
-formed straight into the interior of a padded block of its own; the stencil
-then runs on the flattened stacks with shifted slices rather than rolled
-copies, and values computed across row ends are never kept.  The full-step
-update is written straight into the state rows, so a sweep that fails its
-last check leaves the state invalid.  Every kept value comes from the same
-operations on the same operands as an unblocked evaluation, so results are
-bitwise independent of the block size and the worker count.
+into the process's scratch arena (`parallel.scratch`).  The views of a block
+of a given size, with its shifted slices and ghost runs, are carved once per
+process and cached (`parallel.workspace`; `_Block` gives the lifetime plan),
+so a block pays no set-up and a process allocates nothing per sweep.  The
+five variables of a block are copied in one assignment into a stack with
+``_GHOST`` periodic images at each row end, beside the cell-centered field,
+which is formed contiguous and copied in; one copy of raw bytes per row end
+fills the images of all eight.  The stencil then runs on the flattened stacks
+with shifted slices rather than rolled copies, and values computed across row
+ends are never kept.  The full-step update is written straight into the state
+rows, so a sweep that fails its last check leaves the state invalid.  Every
+kept value comes from the same operations on the same operands as an
+unblocked evaluation, so results are bitwise independent of the block size
+and the worker count.
 
 The Van Leer limiter, shared with the magnetic sweep, selects its result by
 bits rather than by a per-cell branch; the values are those of a plain
@@ -42,22 +44,23 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
 # face_to_center is not called here; it stays bound for perfbench's tracer,
 # which rebinds fluid.face_to_center.
 from .grid import ConservedState, GridShape, SchemeParams, face_to_center, row_centers  # noqa: F401
-from .parallel import chunks, parallel_for, partition, scratch
+from .parallel import chunks, parallel_for, partition, scratch, workspace
 
 # Bytes per variable of one row block.  The block's workspace in the scratch
-# arena is about 45 such arrays (see `_block`), so the size trades cache reuse
+# arena is about 45 such arrays (see `_Block`), so the size trades cache reuse
 # against per-block call overhead.  Cycle ms on a 2-core host (2 MiB L2 per
 # core), 64^3 single on 1 worker, cycles of the three sizes alternated in one
 # process, median of 16, two runs; 32 / 48 / 64 KiB: 258 / 237 / 243 and
 # 273 / 292 / 277.  The fluid arena is 1.5 / 2.25 / 3.0 MiB.  No size
-# separates, so 48 KiB stays; 64 KiB would cost each process 0.75 MiB more.
+# separated, so 48 KiB stayed; 64 KiB would cost each process 0.75 MiB more.
+# With cached workspaces, 48 against 32 KiB: fluid ms 152 / 168, 48 KiB
+# faster in 12 of 16 cycles.
 _BLOCK_BYTES = 48 << 10
 # Periodic images at each end of a padded row: the stencil of a flux
 # difference reaches two cells to either side.
@@ -170,16 +173,19 @@ def vanleer(dl, dr):
     return out[()] if out.ndim == 0 else out
 
 
-def _fast_speed(rho, p, b1sq, bsq, gamma, out, a2, tot):
+def _fast_speed(rho, p, b1sq, bsq, gamma, out, a2, a4, tot, tmp):
     # Fast magnetosonic speed along the axis, with a^2 = gamma p / rho:
     # c_f^2 = [a^2 + b^2/rho + sqrt((a^2 + b^2/rho)^2 - 4 a^2 b1^2/rho)] / 2.
     # Unchecked: callers have already checked rho and p.  b1sq = b1^2 along
-    # the axis, bsq = b1^2 + b2^2 + b3^2 summed in that order.  Written into
-    # out; a2 and tot are scratch of its shape, and tot may be bsq itself.
+    # the axis, bsq = b1^2 + b2^2 + b3^2 summed in that order; both may stack
+    # axes that rho and p broadcast over.  Written into out.  a2 and a4 are
+    # scratch of p's shape, so a^2 and 4 a^2 are formed once for the stack (a2
+    # may be p); tot and tmp are scratch of out's (tot may be bsq).  Where the
+    # shapes agree, a4 and tmp may be a2.
     np.divide(np.multiply(gamma, p, out=a2), rho, out=a2)
     np.add(a2, np.divide(bsq, rho, out=tot), out=tot)
-    np.divide(np.multiply(np.multiply(4.0, a2, out=a2), b1sq, out=a2), rho, out=a2)
-    np.subtract(np.multiply(tot, tot, out=out), a2, out=out)  # the discriminant
+    np.divide(np.multiply(np.multiply(4.0, a2, out=a4), b1sq, out=tmp), rho, out=tmp)
+    np.subtract(np.multiply(tot, tot, out=out), tmp, out=out)  # the discriminant
     np.sqrt(np.maximum(out, 0, out=out), out=out)
     return np.sqrt(np.multiply(0.5, np.add(tot, out, out=out), out=out), out=out)
 
@@ -192,26 +198,42 @@ def _rows(u, lo, hi):
         yield u_rows[:, r0:r1], lo * n2 + r0
 
 
+class _CflBlock:
+    """The cfl's workspace for a block of `rows` rows of n1 cells: 15 row-block arrays.
+
+    Made once per process for each (rows, n1, dtype) by `parallel.workspace`.
+    """
+
+    def __init__(self, rows: int, n1: int, dtype):
+        (work,) = scratch(dtype, 15 * rows * n1)
+        sq, self.bsq, self.cf, self.sig, (self.p,) = np.split(work.reshape(15, rows, n1),
+                                                              [5, 8, 11, 14])
+        # sq[a:a + 3] runs from axis a on, so bsq[a] sums as its sweep does.
+        self.sq, self.sq_from1, self.sq_from2 = sq[:3], sq[1:4], sq[2:]
+        self.sq_images, self.sq_head = sq[3:], sq[:2]
+
+
 def _cfl_slab(u, maxima, gamma, where, shape, i, lo, hi):
     # Slab kernel: maxima[i] = the largest |v| + c_fast over planes [lo, hi) and
     # all axes.  It has the state's dtype, as does every speed, so it is exact.
-    # The three axes run as one (3, rows, n1) stack.  Scratch per block: 15
-    # row-block arrays, sq 5, bsq 3, cf 3, a2 3 and p 1.  Passes per cell (one
-    # ufunc over one row-block array): the field, bsq and p 30, the axes 54.
+    # The three axes run as one (3, rows, n1) stack.  Passes per cell (one
+    # ufunc over one row-block array): the field, bsq and p 30, the axes 48,
+    # of which a^2 and 4 a^2 take 3, once for the three axes.
     speed = 0.0
     for u5, row0 in _rows(u, lo, hi):
         rho, m, e = u5[0], u5[1:4], u5[4]
-        (work,) = scratch(u.dtype, 15 * rho.size)
-        sq, bsq, cf, a2, (p,) = np.split(work.reshape((15,) + rho.shape), [5, 8, 11, 14])
-        row_centers(u, row0, row0 + len(rho), sq[:3])
-        np.square(sq[:3], out=sq[:3])
-        sq[3:] = sq[:2]  # sq[a:a + 3] runs from axis a on: bsq[a] sums as its sweep does
-        np.add(np.add(sq[:3], sq[1:4], out=bsq), sq[2:], out=bsq)
-        pm = np.multiply(0.5, bsq[0], out=a2[0])  # a2[0] and cf[0] are free until the speeds
+        ws = workspace(_CflBlock, *rho.shape, u.dtype)
+        sq, bsq, cf, sig, p = ws.sq, ws.bsq, ws.cf, ws.sig, ws.p
+        row_centers(u, row0, row0 + len(rho), sq)
+        np.square(sq, out=sq)
+        ws.sq_images[...] = ws.sq_head
+        np.add(np.add(sq, ws.sq_from1, out=bsq), ws.sq_from2, out=bsq)
+        pm = np.multiply(0.5, bsq[0], out=sig[0])  # sig[0] and cf[0] are free until the speeds
         _pressure(rho, m, e, pm, gamma, p, cf[0])
         check_positive(rho, p, shape, where, row0)
-        _fast_speed(rho, p, sq[:3], bsq, gamma, cf, a2, bsq)
-        sig = np.add(np.abs(np.divide(m, rho, out=a2), out=a2), cf, out=a2)
+        # a^2 in place of p, 4 a^2 in cf[0], which is free until the discriminant.
+        _fast_speed(rho, p, sq, bsq, gamma, cf, p, cf[0], bsq, sig)
+        np.add(np.abs(np.divide(m, rho, out=sig), out=sig), cf, out=sig)
         top = float(np.max(sig))
         if not top < math.inf:
             for s in sig:  # the first failing cell of axis 1, then of axis 2, ...
@@ -237,77 +259,96 @@ def cfl_timestep(state: ConservedState, params: SchemeParams, workers: int = 1) 
     return params.courant * state.shape.dx / speed
 
 
-def _fill_ghosts(x: np.ndarray) -> None:
-    # The _GHOST periodic images at each end of every row of the C-contiguous
-    # padded stack x, each run of _GHOST values copied as one item of raw bytes.
+def _ghost_runs(x: np.ndarray, lower: int = _GHOST, upper: int = _GHOST):
+    # The (images, cells) pairs whose copies fill the periodic images of every
+    # row of the C-contiguous padded stack x: `lower` images before a row's
+    # cells and `upper` after, each run of images one item of raw bytes.
     rows = x.reshape(-1, x.shape[-1])
-    run = np.dtype((np.void, _GHOST * x.itemsize))
-    rows[:, :_GHOST].view(run)[...] = rows[:, -2 * _GHOST:-_GHOST].view(run)
-    rows[:, -_GHOST:].view(run)[...] = rows[:, _GHOST:2 * _GHOST].view(run)
+    n = rows.shape[1] - lower - upper
+    low, up = (np.dtype((np.void, k * x.itemsize)) for k in (lower, upper))
+    return ((rows[:, :lower].view(low), rows[:, n:n + lower].view(low)),
+            (rows[:, lower + n:].view(up), rows[:, lower:lower + upper].view(up)))
+
+
+def _fill_ghosts(runs) -> None:
+    for images, cells in runs:
+        np.copyto(images, cells)
 
 
 def _interior(x: np.ndarray) -> np.ndarray:
     return x[..., _GHOST:-_GHOST]
 
 
-class _Block(NamedTuple):
-    """The workspace of one row block: arena views, several sharing memory (see `_block`)."""
+class _Block:
+    """The workspace of one row block: arena views, several sharing memory.
 
-    u: np.ndarray      # (5, R, P) padded rows: the block, then its half step
-    bc: np.ndarray     # (3, R, P) padded cell-centered field
-    sq1: np.ndarray    # (R, P) bc1 * bc1
-    total: np.ndarray  # (R, P) bc1^2 + bc2^2 + bc3^2
-    pm: np.ndarray     # (R, P) magnetic pressure, total / 2
-    b1b: np.ndarray    # (3, R, P) bc1 * (bc1, bc2, bc3)
-    c: np.ndarray      # (R, 1) freezing speed of each row
-    wp: np.ndarray     # (5 R P,) right movers, then the stage's fluxes
-    wm: np.ndarray     # (5 R P,) left movers
-    v: np.ndarray      # (3, R, P) velocities
-    p: np.ndarray      # (R, P) gas pressure, then p + pm
-    tmp: np.ndarray    # (R, P)
-    f5: np.ndarray     # (5, R, P) physical fluxes
-    a2: np.ndarray     # (R, P) _fast_speed scratch, and bc2^2 for the field
-    tot: np.ndarray    # (R, P) the same, and bc3^2
-    cf: np.ndarray     # (R, P) fast speed
-    d: np.ndarray      # (5 R P,) mover slopes; then the full step's flux change
-    lim: np.ndarray    # (5 R P,) limited slopes
-    prod: np.ndarray   # (5 R P,) limiter scratch, shared with its integer mask
-    zero: np.ndarray   # (5 R P,) limiter scratch
-    mask: np.ndarray   # (5 R P,) booleans
+    Made once per process for each (rows, n1, dtype) by `parallel.workspace`,
+    together with every view, shifted slice and ghost run a block uses, so a
+    block pays no set-up of its own.
+    """
 
-
-def _block(rows: int, n1: int, dtype) -> _Block:
-    # Carve the workspace of a block of `rows` rows of n1 cells, padded to
-    # P = n1 + 2 _GHOST, from the start of the arena.  In units of one padded
-    # array M = rows * P: u 5, the field (bc, sq1, total, pm, b1b) 9 and the
-    # movers wp, wm 10 live through both stages; four 5M stacks s0-s3 and a
-    # boolean 5M mask hold each stage's short-lived values, so the arena takes
-    # about 45 M.  Lifetimes in the stacks, in order of use:
-    #   field:     bc2^2, bc3^2 in s2 (a2, tot)
-    #   stage:     v, p, tmp in s0; f5 in s1; a2, tot, cf in s2; all dead once
-    #              wp and wm are formed
-    #   limiter:   d in s0, lim in s1, prod (and its integer mask) in s2, zero in s3
-    #   half step: the flux change in s0, subtracted in place from u
-    #   update:    the flux change in s0 (d); the final pressure in s1
-    m = rows * (n1 + 2 * _GHOST)
-    n = 5 * m
-    itemsize = np.dtype(dtype).itemsize
-    (u, bc, sq1, total, pm, b1b, c, wp, wm, s0, s1, s2, s3, mask) = scratch(
-        dtype, n, 3 * m, m, m, m, 3 * m, rows, n, n, n, n, n, n, -(-n // itemsize))
-    padded = (rows, n1 + 2 * _GHOST)
-    v, (p, tmp) = np.split(s0[:n].reshape((5,) + padded), [3])
-    a2, tot, cf = s2[:3 * m].reshape((3,) + padded)
-    return _Block(u.reshape((5,) + padded), bc.reshape((3,) + padded), sq1.reshape(padded),
-                  total.reshape(padded), pm.reshape(padded), b1b.reshape((3,) + padded),
-                  c.reshape(rows, 1), wp, wm, v, p, tmp, s1.reshape((5,) + padded),
-                  a2, tot, cf, s0, s1, s2, s3, mask.view(bool)[:n])
+    def __init__(self, rows: int, n1: int, dtype):
+        # Rows are padded to P = n1 + 2 _GHOST.  In units of one padded array
+        # M = rows * P: the block u 5 and its field bc 3 (one stack, so one
+        # ghost fill serves both), the field products (sq1, total, pm, b1b) 6
+        # and the movers wp, wm 10 live through both stages; four 5M stacks
+        # s0-s3 and a boolean 5M mask hold each stage's short-lived values, so
+        # the arena takes about 45 M.  Lifetimes in the stacks, in order of use:
+        #   load:      the centred field, contiguous, in s3
+        #   field:     bc2^2, bc3^2 in s2 (a2, tot)
+        #   stage:     v, p, tmp in s0; f5 in s1; a2, tot, cf (then c_rows) in
+        #              s2; all dead once wp and wm are formed
+        #   limiter:   d in s0, lim in s1, prod (and its integer mask) in s2, zero in s3
+        #   half step: the flux change in s0, subtracted in place from u
+        #   update:    the flux change in s0; the final pressure in s1
+        padded = (rows, n1 + 2 * _GHOST)
+        m = rows * padded[1]
+        n = 5 * m
+        (ub, sq1, total, pm, b1b, c, wp, wm, s0, s1, s2, s3, mask) = scratch(
+            dtype, 8 * m, m, m, m, 3 * m, rows, n, n, n, n, n, n,
+            -(-n // np.dtype(dtype).itemsize))
+        ub = ub.reshape((8,) + padded)
+        self.u, self.bc = ub[:5], ub[5:]  # (5, R, P) the block, then its half step; the field
+        self.rho, self.m, self.e = self.u[0], self.u[1:4], self.u[4]
+        self.u_in, self.bc_in = _interior(self.u), _interior(self.bc)
+        self.centres = s3[:3 * rows * n1].reshape(3, rows, n1)
+        self.ghosts, self.u_ghosts = _ghost_runs(ub), _ghost_runs(self.u)
+        # The frozen field's products: bc1^2, |bc|^2, the magnetic pressure
+        # and bc1 * (bc1, bc2, bc3).
+        self.sq1, self.total, self.pm = (x.reshape(padded) for x in (sq1, total, pm))
+        self.b1b = b1b.reshape((3,) + padded)
+        self.c = c.reshape(rows, 1)  # freezing speed of each row
+        # A stage: velocities, pressure (then p + pm) and scratch; the physical
+        # fluxes; the fast speed's scratch (a2 also bc2^2, tot also bc3^2).
+        self.v, (self.p, self.tmp) = np.split(s0.reshape((5,) + padded), [3])
+        self.rho_in, self.p_in = _interior(self.rho), _interior(self.p)
+        self.f5 = s1.reshape((5,) + padded)
+        self.a2, self.tot, self.cf = s2[:3 * m].reshape((3,) + padded)
+        self.c_rows = self.cf  # then the freezing speed, spread along each row
+        # The movers and their slopes on the padded rows flattened to positions
+        # q; entry s of the flux is the interface between positions s + 1 and
+        # s + 2 (see _interface_flux).
+        self.wp, self.wm = wp, wm
+        self.cu, self.wm5 = wp.reshape(self.u.shape), wm.reshape(self.u.shape)
+        self.fp, self.fm = wp[1:-2], wm[2:-1]
+        self.wp_hi, self.wp_lo, self.wm_hi, self.wm_lo = wp[1:], wp[:-1], wm[1:], wm[:-1]
+        self.d, self.dl, self.dc, self.dr = s0[:-1], s0[:-3], s0[1:-2], s0[2:-1]
+        self.lim, prod = s1[:-3], s2[:-3]
+        self.limiter = (self.lim, prod, s3[:-3], mask.view(bool)[:n - 3],
+                        prod.view(f"i{prod.itemsize}"))
+        # The flux change F(q) - F(q - 1) at positions [_GHOST, size - _GHOST),
+        # and the rows it updates.
+        self.flux_hi, self.flux_lo = wp[2:-2], wp[1:-3]
+        self.step, self.u_inner = s0[_GHOST:-_GHOST], self.u.reshape(-1)[_GHOST:-_GHOST]
+        self.step_in = _interior(s0.reshape(self.u.shape))
+        # The update's pressure check, on unpadded rows.
+        self.p_out, self.tmp_out = s1[:2 * rows * n1].reshape(2, rows, n1)
+        self.pm_in = _interior(self.pm)
 
 
 def _field(ws: _Block) -> None:
-    # Fill the ghosts of ws.bc, then the products of the frozen field shared by
-    # both stages.
+    # The products of the frozen field ws.bc (ghosts filled) shared by both stages.
     bc = ws.bc
-    _fill_ghosts(bc)
     np.multiply(bc[0], bc[0], out=ws.sq1)
     np.add(ws.sq1, np.multiply(bc[1], bc[1], out=ws.a2), out=ws.total)
     np.add(ws.total, np.multiply(bc[2], bc[2], out=ws.tot), out=ws.total)
@@ -319,13 +360,13 @@ def _physical_fluxes(ws: _Block) -> None:
     # ws.f5 = the five fluxes, stacked like u: rho v1, m v1 + (p*, 0, 0) - b1 b,
     # and (e + p*) v1 - b1 (b . v), with p* = p + pm, from ws.v and ws.p; both
     # are overwritten.
-    m, e, v, f5 = ws.u[1:4], ws.u[4], ws.v, ws.f5
+    m, v, f5 = ws.m, ws.v, ws.f5
     pstar = np.add(ws.p, ws.pm, out=ws.p)
     f5[0] = m[0]
     np.multiply(m, v[0], out=f5[1:4])
     f5[1] += pstar
     np.subtract(f5[1:4], ws.b1b, out=f5[1:4])
-    ev = np.multiply(np.add(e, pstar, out=pstar), v[0], out=pstar)
+    ev = np.multiply(np.add(ws.e, pstar, out=pstar), v[0], out=pstar)
     bv = np.multiply(ws.bc, v, out=v)
     bdotv = np.add(np.add(bv[0], bv[1], out=bv[0]), bv[2], out=bv[0])
     np.subtract(ev, np.multiply(ws.bc[0], bdotv, out=bdotv), out=f5[4])
@@ -336,76 +377,89 @@ def _interface_flux(ws: _Block, order: int) -> np.ndarray:
     # the interface between positions s + 1 and s + 2, returned as a view of
     # ws.wp.  Entries whose stencil crosses a row end are garbage and are never
     # kept.
-    cu = np.multiply(ws.c, ws.u, out=ws.wp.reshape(ws.u.shape))
-    np.subtract(cu, ws.f5, out=ws.wm.reshape(ws.u.shape))
+    # Each row's speed spread over the row first: a product with a broadcast
+    # (rows, 1) operand would run row by row.
+    np.copyto(ws.c_rows, ws.c)
+    cu = np.multiply(ws.c_rows, ws.u, out=ws.cu)
+    np.subtract(cu, ws.f5, out=ws.wm5)
     np.add(ws.f5, cu, out=cu)
-    wp = np.multiply(0.5, ws.wp, out=ws.wp)
-    wm = np.multiply(0.5, ws.wm, out=ws.wm)
-    fp, fm = wp[1:-2], wm[2:-1]
+    np.multiply(0.5, ws.wp, out=ws.wp)
+    np.multiply(0.5, ws.wm, out=ws.wm)
+    fp, fm, lim = ws.fp, ws.fm, ws.lim
     if order == 2:
-        work = (ws.lim[:-3], ws.prod[:-3], ws.zero[:-3], ws.mask[:-3],
-                ws.prod[:-3].view(f"i{ws.prod.itemsize}"))
-        dwp = np.subtract(wp[1:], wp[:-1], out=ws.d[:-1])
-        lim = _limit(dwp[:-2], dwp[1:-1], *work)
+        # Slopes of the right movers, then the left: the limiter takes the
+        # slopes on either side of each mover's cell.
+        np.subtract(ws.wp_hi, ws.wp_lo, out=ws.d)
+        _limit(ws.dl, ws.dc, *ws.limiter)
         np.add(fp, np.multiply(0.5, lim, out=lim), out=fp)
-        g = np.subtract(wm[:-1], wm[1:], out=ws.d[:-1])
-        lim = _limit(g[2:], g[1:-1], *work)
+        np.subtract(ws.wm_lo, ws.wm_hi, out=ws.d)
+        _limit(ws.dr, ws.dc, *ws.limiter)
         np.add(fm, np.multiply(0.5, lim, out=lim), out=fm)
     return np.subtract(fp, fm, out=fp)
 
 
 def _freezing_speed(rho, v1, p, ws: _Block, gamma) -> np.ndarray:
     # ws.c = the relaxing speed of each row: max over the row of |v1| + c_fast.
-    cf = _fast_speed(rho, p, ws.sq1, ws.total, gamma, ws.cf, ws.a2, ws.tot)
-    sig = np.add(np.abs(v1, out=ws.a2), cf, out=ws.a2)
-    return np.max(sig, axis=-1, keepdims=True, out=ws.c)  # ghosts repeat cells: same max
+    a2 = ws.a2
+    cf = _fast_speed(rho, p, ws.sq1, ws.total, gamma, ws.cf, a2, a2, ws.tot, a2)
+    sig = np.add(np.abs(v1, out=a2), cf, out=a2)
+    # Ghosts repeat cells: the same max.  A ufunc reduction skips np.max's
+    # Python wrapper, about 2 us a call.
+    return np.maximum.reduce(sig, axis=-1, keepdims=True, out=ws.c)
 
 
 def _stage(ws: _Block, gamma, order, where, shape, row0) -> np.ndarray:
     # Interface fluxes of one stage on the padded rows ws.u, laid out as in
     # _interface_flux; the rows are state rows row0 on of the grid `shape`.
-    rho, m = ws.u[0], ws.u[1:4]
+    rho, m = ws.rho, ws.m
     v = np.divide(m, rho, out=ws.v)
-    p = _pressure(rho, m, ws.u[4], ws.pm, gamma, ws.p, ws.tmp)
-    check_positive(_interior(rho), _interior(p), shape, where, row0)
+    p = _pressure(rho, m, ws.e, ws.pm, gamma, ws.p, ws.tmp)
+    # The ghosts are bitwise copies of cells, so the padded rows' minima are
+    # the cells'; only a failure needs the interior, to name the cell.
+    if not (rho.min() > 0 and p.min() >= 0):
+        check_positive(ws.rho_in, ws.p_in, shape, where, row0)
     _freezing_speed(rho, v[0], p, ws, gamma)
     _physical_fluxes(ws)
     return _interface_flux(ws, order)
 
 
-def _flux_change(flux, factor, out):
-    # factor * (F(q) - F(q - 1)) into the flattened positions q in
-    # [_GHOST, size - _GHOST) of the padded rows `out`; the ends are unset.
-    inner = out.reshape(-1)[_GHOST:-_GHOST]
-    np.multiply(factor, np.subtract(flux[1:], flux[:-1], out=inner), out=inner)
-    return out
+def _flux_change(ws: _Block, factor) -> None:
+    # ws.step = factor * (F(q) - F(q - 1)) of the last stage's fluxes, at the
+    # flattened positions q in [_GHOST, size - _GHOST) of the padded rows.
+    np.multiply(factor, np.subtract(ws.flux_hi, ws.flux_lo, out=ws.step), out=ws.step)
 
 
 def _sweep_block(u, u5, lam, gamma, where, shape, row0):
     # Both stages and the update of the block of rows u5, the fluid rows from
     # state row row0 on of the state block u; writes the result into u5.
     # Passes per cell (one ufunc over one padded array; a stack counts once
-    # per variable): load and field 20; each stage 80, of which the fluxes
-    # and movers take 43, plus 130 in stage 2 for the two limited corrections
+    # per variable): load and field 23; each stage 81, of which the fluxes
+    # and movers take 44, plus 130 in stage 2 for the two limited corrections
     # (the limiter alone 2 x 50); the half step 15; the update and its check 27.
+    # Each pass runs over whole rows as one flat run, except the copies into
+    # the padded rows, each stage's row maxima, and the update, which reads
+    # the flux change from the padded rows: numpy runs a strided operand row
+    # by row, 2-3x the cost of a flat pass.  A flat update would need the
+    # block's values back in the padded rows and a copy out, which measured
+    # no faster, op by op (26 against 26 us per block at 64^3) and as a whole
+    # sweep.  Set-up per block: one cached lookup.
     rows, n1 = u5.shape[1:]
-    ws = _block(rows, n1, u5.dtype)
-    _interior(ws.u)[...] = u5
-    _fill_ghosts(ws.u)
-    row_centers(u, row0, row0 + rows, _interior(ws.bc))
+    ws = workspace(_Block, rows, n1, u5.dtype)
+    ws.u_in[...] = u5
+    row_centers(u, row0, row0 + rows, ws.centres)
+    ws.bc_in[...] = ws.centres
+    _fill_ghosts(ws.ghosts)
     _field(ws)
     # The half step, in place: u - (lam / 2) * (F(q) - F(q - 1)), ghosts refreshed.
-    step = _flux_change(_stage(ws, gamma, 1, where[0], shape, row0), 0.5 * lam,
-                        ws.d.reshape(ws.u.shape))
-    inner = ws.u.reshape(-1)[_GHOST:-_GHOST]
-    np.subtract(inner, step.reshape(-1)[_GHOST:-_GHOST], out=inner)
-    _fill_ghosts(ws.u)
-    step = _flux_change(_stage(ws, gamma, 2, where[1], shape, row0), lam,
-                        ws.d.reshape(ws.u.shape))
-    np.subtract(u5, _interior(step), out=u5)  # u5 still holds the block's values
+    _stage(ws, gamma, 1, where[0], shape, row0)
+    _flux_change(ws, 0.5 * lam)
+    np.subtract(ws.u_inner, ws.step, out=ws.u_inner)
+    _fill_ghosts(ws.u_ghosts)
+    _stage(ws, gamma, 2, where[1], shape, row0)
+    _flux_change(ws, lam)
+    np.subtract(u5, ws.step_in, out=u5)  # u5 still holds the block's values
 
-    p, tmp = ws.lim[:2 * u5[0].size].reshape(2, rows, n1)
-    _pressure(u5[0], u5[1:4], u5[4], _interior(ws.pm), gamma, p, tmp)
+    p = _pressure(u5[0], u5[1:4], u5[4], ws.pm_in, gamma, ws.p_out, ws.tmp_out)
     check_positive(u5[0], p, shape, where[2], row0)
 
 

@@ -228,19 +228,22 @@ def face_to_center(state: ConservedState) -> tuple[np.ndarray, np.ndarray, np.nd
 def row_centers(u: np.ndarray, g0: int, g1: int, out: np.ndarray) -> None:
     """Write the cell-centered field of the rows [g0, g1) of the state block `u` into `out`.
 
-    `out` is (3, g1 - g0, n1), and row g is the pencil (k, j) = divmod(g, n2).
-    The upper b2 face of a row is the lower face of the next row of its plane,
-    which for the plane's last row is its first row; the upper b3 face is the
-    lower face of the same row one plane on, which for the last plane is
-    plane 0.  Each value is the same operation on the same two faces as over
-    the whole grid, so a block of rows gives bitwise the values of the
-    whole-grid field.
+    `out` is C-contiguous (3, g1 - g0, n1), and row g is the pencil
+    (k, j) = divmod(g, n2).  The upper b2 face of a row is the lower face of
+    the next row of its plane, which for the plane's last row is its first
+    row; the upper b3 face is the lower face of the same row one plane on,
+    which for the last plane is plane 0.  Each value is the same operation on
+    the same two faces as over the whole grid, so a block of rows gives
+    bitwise the values of the whole-grid field.
     """
     _, n3, n2, n1 = u.shape
     rows = n3 * n2
     b1, b2, b3 = (u[c].reshape(rows, n1) for c in (5, 6, 7))
     c1, c2, c3 = out
-    np.add(b1[g0:g1, :-1], b1[g0:g1, 1:], out=c1[:, :-1])
+    # b1: the rows as one flat run, then each row's last cell again from its
+    # first (the flat pass took the next row's).
+    run = b1.reshape(-1)[g0 * n1:g1 * n1]
+    np.add(run[:-1], run[1:], out=c1.reshape(-1, copy=False)[:-1])
     np.add(b1[g0:g1, -1], b1[g0:g1, 0], out=c1[:, -1])
     # b2: from the next row, then once more for each plane's last row (the
     # local rows w, w + n2, ...) from the plane's first row.

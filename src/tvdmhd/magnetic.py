@@ -6,10 +6,17 @@ the TVD-limited upwind flux v1*b, and every edge flux is applied a second
 time, with opposite sign, to the two b1 faces it borders.  That antisymmetry
 cancels in the divergence stencil exactly, so the face-flux balance of every
 cell is preserved to roundoff.  Edge fluxes exist one chunk at a time; no
-full-grid electromotive-force array is formed.  Periodic neighbours are taken
-by slices: each row of b gets two lower and one upper image along i, so one
-limiter call on the padded slopes serves both movers, and every wrap along i
-and along the coupling axis is a separate slice operation.
+full-grid electromotive-force array is formed.
+
+Layout.  A chunk is laid out as the fluid block is: each row along i is
+copied into a row padded with two lower and one upper periodic image, and
+the velocities, slopes, limiter, movers, upwind select and flux difference
+run over the padded rows flattened, as 1-d shifted slices; values whose
+stencil crosses a row end are never kept.  So one limiter call on the padded
+slopes serves both movers, and the only wraps left are the coupling axis's
+(a shifted slice of whole rows) and each row's last edge (one strided column).
+The workspace of a chunk of a given shape is carved once per process and
+cached (`_Chunk`).
 
 Invariant: a chunk spans the whole coupling axis (j for b2, k for b3), so the
 b1 faces it writes are its own; b2 runs on k slabs and b3 on j columns.  The
@@ -27,47 +34,76 @@ import numpy as np
 
 from . import fluid
 from .grid import ConservedState, SchemeParams
-from .parallel import chunks, parallel_for, partition, scratch
+from .parallel import chunks, parallel_for, partition, scratch, workspace
 
 # Bytes per array of one chunk.  A chunk's workspace in the scratch arena is
-# about 6.3 such arrays (see `_advect`), 1.6 MiB at 256 KiB, which fits in the
-# fluid block's 2.25 MiB, so the magnetic sweep does not grow the arena.
+# 6.25 such arrays padded by 3 cells per row (see `_Chunk`): single precision
+# 0.85 / 1.64 / 1.60 MiB at 32^3 / 64^3 / 128^3, within the fluid block's
+# 2.39 / 2.25 / 2.19 MiB, so the magnetic sweep does not grow the arena
+# (tests/test_scratch.py pins this).
 # Magnetic ms per cycle (the untraced `StepReport` section) on a 2-core host,
 # single precision, solenoidal_random, 64^3 on 1 worker, cycles alternated in
-# one process, median of 16, two runs; 256 / 128 KiB: 50.7 / 49.1 and
-# 51.8 / 53.2, 128 KiB slower in 11 and 12 of the 16 cycles.  Before the
-# arena, 256 and 512 KiB measured equal at 64^3 and at 128^3 on 2 workers.
+# one process, median of 16, four runs on the flat padded layout;
+# 256 / 128 KiB: 40.8 / 47.0, 41.8 / 46.1, 53.8 / 58.8 and 53.0 / 59.0 (the
+# host's speed drifted between runs), 128 KiB faster in 3 and 4 of the 16
+# cycles of the last two.  512 KiB would not fit in the arena.
 _CHUNK_BYTES = 256 << 10
 
 
-def _take(region: np.ndarray, *shape: int) -> np.ndarray:
-    # The leading elements of a scratch region, shaped.
-    return region[:math.prod(shape)].reshape(shape)
+class _Chunk:
+    """The workspace of one chunk of a x o rows of n cells along i: arena views.
+
+    Made once per process for each (a, o, n, dtype) by `parallel.workspace`.
+    Every row is padded to P = n + 3 along i, two periodic images below its
+    cells and one above, so position s of a padded row holds cell s - 2
+    (mod n), and the edge at position s is the lower-i edge of cell s.  The
+    passes run on the rows flattened to positions q, as 1-d shifted slices;
+    values whose stencil crosses a row end are garbage and never kept.
+    """
+
+    def __init__(self, a: int, o: int, n: int, dtype):
+        # Six regions r0-r5 of a x o padded rows and a boolean r6, with every
+        # region's lifetimes, in order of use: v1 (r0), v on the face (r1), v on
+        # the edge (r2, kept to the flux); b (r0), its slopes d (r1), the limited
+        # slopes (r3) with the limiter's scratch in r4-r6; the time-centering
+        # factor (r1), the two movers (r4, r5) and the edge flux (r5); the flux
+        # difference (r1).
+        padded = (a, o, n + 3)
+        self.size = math.prod(padded)
+        self.slab = o * (n + 3)  # values per row along the coupling axis
+        *r, mask = scratch(dtype, *[self.size] * 6, -(-self.size // np.dtype(dtype).itemsize))
+        self.r = r + [mask.view(bool)[:self.size]]
+        r0 = r[0].reshape(padded)
+        self.cells = r0[..., 2:-1]  # where v1, then b, is loaded
+        self.ghosts = fluid._ghost_runs(r0, 2, 1)
+        # The edges of the flux difference (r1) and of the flux (r5), shaped as b.
+        self.dphi, self.phi = (x.reshape(padded)[..., :n] for x in (r[1], r[5]))
+        # The flux difference of each row's last edge, which wraps to its first.
+        dphi, phi = (x.reshape(-1, n + 3) for x in (r[1], r[5]))
+        self.wrap = (phi[:, 0], phi[:, n - 1], dphi[:, n - 1])
 
 
-def _edge_flux(b, ve, lam, r):
-    # TVD upwind flux of the face field b through the lower-i edge of each cell,
-    # second-order via Van Leer slopes with the local Courant time-centering.
-    # With d_i = b_i - b_{i-1}, the right mover takes VL(d_{i-1}, d_i) and the
-    # left mover VL(d_i, d_{i+1}): one limiter call on d_{-1} .. d_n serves both.
-    # r: the chunk's scratch regions, laid out in _advect; returns a view of r[5].
-    *rows, n = b.shape
-    bp = _take(r[0], *rows, n + 3)  # b_{-2} .. b_n
-    bp[..., 2:-1] = b
-    bp[..., :2] = b[..., -2:]
-    bp[..., -1] = b[..., 0]
-    d = np.subtract(bp[..., 1:], bp[..., :-1], out=_take(r[1], *rows, n + 2))
-    lim, prod, zero = (_take(x, *rows, n + 1) for x in (r[3], r[4], r[5]))
-    fluid._limit(d[..., :-1], d[..., 1:], lim, prod, zero, _take(r[6], *rows, n + 1),
-                 prod.view(f"i{prod.itemsize}"))
-    half = _take(r[1], *rows, n)
+def _edge_flux(ws: _Chunk, lam) -> np.ndarray:
+    # TVD upwind flux of the face field b (loaded in r0) through the lower-i edge
+    # of each cell, with the edge velocity ve in r2, second-order via Van Leer
+    # slopes with the local Courant time-centering.  With d_i = b_i - b_{i-1},
+    # the right mover takes VL(d_{i-1}, d_i) and the left mover VL(d_i, d_{i+1}):
+    # one limiter call on the padded slopes serves both.  Returns r5[:m].
+    r0, r1, r2, r3, r4, r5, mask = ws.r
+    # Positions whose stencils stay inside the chunk; the last row's last
+    # edge, the last one kept, is at size - 4.
+    m = ws.size - 3
+    d = np.subtract(r0[1:], r0[:-1], out=r1[:-1])  # at position s: d_{s-1}
+    lim = fluid._limit(d[:-1], d[1:], r3[:-2], r4[:-2], r5[:-2], mask[:-2],
+                       r4[:-2].view(f"i{r4.itemsize}"))  # at s: VL(d_{s-1}, d_s)
+    ve, half = r2[:m], r1[:m]
     np.multiply(0.5, np.subtract(1.0, np.multiply(np.abs(ve, out=half), lam, out=half),
                                  out=half), out=half)
-    up = np.multiply(half, lim[..., :-1], out=_take(r[4], *rows, n))
-    np.add(bp[..., 1:-2], up, out=up)
-    dn = np.multiply(half, lim[..., 1:], out=_take(r[5], *rows, n))
-    np.subtract(b, dn, out=dn)
-    np.copyto(dn, up, where=np.greater(ve, 0, out=_take(r[6], *rows, n)))
+    up = np.multiply(half, lim[:m], out=r4[:m])
+    np.add(r0[1:m + 1], up, out=up)  # b_{s-1} + ...
+    dn = np.multiply(half, lim[1:m + 1], out=r5[:m])
+    np.subtract(r0[2:m + 2], dn, out=dn)  # b_s - ...
+    np.copyto(dn, up, where=np.greater(ve, 0, out=mask[:m]))
     return np.multiply(ve, dn, out=dn)
 
 
@@ -75,36 +111,33 @@ def _advect(b, b1, rho, mom1, lam, axis):
     # Advect the face field b of one chunk along i with v1 = mom1 / rho; the
     # edge flux on row n (the lower face of row n along `axis`) is taken from
     # b1 row n and given to b1 row n - 1.  The chunk must span the whole of
-    # `axis`, whose length is even.
-    # Scratch: six regions r0-r5 of one chunk array padded by 3 cells per row,
-    # and r6 of booleans, from the start of the arena; lifetimes in order of
-    # use: v1 (r0), v on the face (r1), v on the edge (r2, kept to the flux);
-    # b padded (r0), its slopes d (r1), the limited slopes (r3) with limiter
-    # scratch in r4-r6; the time-centering factor (r1), the two movers
-    # (r4, r5) and the edge flux (r5); the flux difference (r1).  Passes per
-    # cell (one ufunc over one chunk array): velocities 5, edge flux 23 (the
-    # limiter 10), updates of b and b1 about 6.
-    b, b1, rho, mom1 = (np.moveaxis(a, axis, 0) for a in (b, b1, rho, mom1))
-    padded = b.size // b.shape[-1] * (b.shape[-1] + 3)
-    r = scratch(b.dtype, padded, padded, b.size, padded, padded, padded,
-                -(-padded // b.itemsize))
-    r[6] = r[6].view(bool)
-    v1 = np.divide(mom1, rho, out=_take(r[0], *b.shape))
-    vface = _take(r[1], *b.shape)  # v1 on the lower face along `axis`
-    np.add(v1[-1], v1[0], out=vface[0])
-    np.add(v1[:-1], v1[1:], out=vface[1:])
-    vface *= 0.5
-    ve = r[2].reshape(b.shape)  # and on the lower-i edge of that face
-    np.add(vface[..., 0], vface[..., -1], out=ve[..., 0])
-    np.add(vface[..., 1:], vface[..., :-1], out=ve[..., 1:])
+    # `axis`, whose length is even.  The workspace is a _Chunk.  Passes per
+    # cell (one ufunc over one padded chunk array): velocities 5, edge flux 23
+    # (the limiter 10), updates of b and b1 about 6.
+    b, b1, rho, mom1 = (np.moveaxis(x, axis, 0) for x in (b, b1, rho, mom1))
+    ws = workspace(_Chunk, *b.shape, b.dtype)
+    r0, r1, r2 = ws.r[:3]
+    s = ws.slab
+    np.divide(mom1, rho, out=ws.cells)
+    fluid._fill_ghosts(ws.ghosts)
+    # v1 on the lower face along `axis`, from the row before it (the last for the first).
+    np.add(r0[-s:], r0[:s], out=r1[:s])
+    np.add(r0[:-s], r0[s:], out=r1[s:])
+    r1 *= 0.5
+    ve = np.add(r1[2:], r1[1:-1], out=r2[:-2])  # and on the lower-i edge of that face
     ve *= 0.5
-    phi = _edge_flux(b, ve, lam, r)
-    dphi = _take(r[1], *b.shape)
-    np.subtract(phi[..., 1:], phi[..., :-1], out=dphi[..., :-1])
-    np.subtract(phi[..., 0], phi[..., -1], out=dphi[..., -1])
-    dphi *= lam
-    b -= dphi
-    f = np.multiply(lam, phi, out=phi)
+    ws.cells[...] = b
+    fluid._fill_ghosts(ws.ghosts)
+    phi = _edge_flux(ws, lam)
+    # lam (phi(i + 1) - phi(i)) off b, each row's last edge taking its first.
+    m = len(phi)
+    np.subtract(phi[1:], phi[:-1], out=r1[:m - 1])
+    first, last, out = ws.wrap
+    np.subtract(first, last, out=out)
+    np.multiply(lam, r1[:m], out=r1[:m])
+    b -= ws.dphi
+    np.multiply(lam, phi, out=phi)
+    f = ws.phi  # lam phi, shaped as b
     b1[1::2] -= f[1::2]
     b1[0::2] += f[1::2]
     b1[0::2] -= f[0::2]

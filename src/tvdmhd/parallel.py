@@ -71,10 +71,13 @@ def chunks(lo: int, hi: int, unit_bytes: int, budget: int):
 
 
 # The process's scratch arena: one flat byte buffer that grows to the largest
-# request and is never freed, so a kernel that takes its temporaries from it
-# allocates nothing once the arena has grown.  A forked worker inherits the
-# parent's arena copy-on-write and from then on keeps its own.
+# request, so a kernel that takes its temporaries from it allocates nothing
+# once the arena has grown.  The workspaces carved from it are kept by
+# `workspace` until it grows; growing drops them, so the old buffer is freed.
+# A forked worker inherits the parent's arena and workspaces copy-on-write and
+# from then on keeps its own.
 _arena = np.empty(0, np.uint8)
+_workspaces: dict = {}
 _ALIGN = 64  # bytes: one cache line
 
 
@@ -89,10 +92,27 @@ def scratch(dtype, *sizes: int) -> list[np.ndarray]:
     nbytes = [n * itemsize for n in sizes]
     starts = list(itertools.accumulate((-(-b // _ALIGN) * _ALIGN for b in nbytes), initial=0))
     if starts[-1] > _arena.nbytes:
+        _workspaces.clear()
         grown = np.empty(starts[-1] + _ALIGN, np.uint8)
         offset = -grown.ctypes.data % _ALIGN
         _arena = grown[offset:offset + starts[-1]]
     return [_arena[s:s + b].view(dtype) for s, b in zip(starts, nbytes)]
+
+
+def workspace(build, *args):
+    """build(*args), made once per process for each `args` until the arena grows.
+
+    `build` carves its arrays from the arena with one `scratch` call and takes
+    every view it needs of them, so a kernel that fetches its workspace here
+    pays no set-up per call.  Workspaces share the arena's bytes, so only one is
+    in use at a time; one that grows the arena drops every other.
+    """
+    key = (build, args)
+    try:
+        return _workspaces[key]
+    except KeyError:
+        ws = _workspaces[key] = build(*args)
+        return ws
 
 
 def parallel_for(part: tuple[tuple[int, int], ...],

@@ -7,21 +7,21 @@ from hypothesis import strategies as st
 
 from tvdmhd import (GridShape, PositivityError, SchemeParams, allocate_state,
                     cfl_timestep, face_to_center, fluid, fluid_sweep, init_condition,
-                    magnetic_sweep, step_cycle, totals, transpose, vanleer)
+                    magnetic_sweep, parallel, step_cycle, totals, transpose, vanleer)
 from tvdmhd.fluid import check_positive
 
 from conftest import random_state
 
 
 # --- fast speed -----------------------------------------------------------------
-# fluid._fast_speed(rho, p, b1^2, b^2, gamma, out, a2, tot): the speed of both the
-# sweep and the cfl step
+# fluid._fast_speed(rho, p, b1^2, b^2, gamma, out, a2, a4, tot, tmp): the speed of
+# both the sweep and the cfl step
 
 def _fast_speed(rho, p, b1sq, bsq, gamma):
     """fluid._fast_speed into fresh arrays of the inputs' broadcast shape."""
     shape = np.broadcast(rho, p, b1sq, bsq).shape
     out, a2, tot = (np.empty(shape) for _ in range(3))
-    return fluid._fast_speed(rho, p, b1sq, bsq, gamma, out, a2, tot)
+    return fluid._fast_speed(rho, p, b1sq, bsq, gamma, out, a2, a2, tot, a2)
 
 
 def test_fast_speed_reduces_to_sound_speed():
@@ -82,20 +82,27 @@ def test_cfl_scales_with_dx(params):
     assert cfl_timestep(b, params) == pytest.approx(cfl_timestep(a, params) / 4, rel=1e-13)
 
 
-def _cfl_per_axis(state, params):
-    """The cfl dt over the whole grid, one axis at a time, each summing |b|^2 in its own order."""
+def _signal_speeds_per_axis(state, params):
+    """|v| + c_f of every cell along each axis, one axis at a time, each summing |b|^2 in
+    its own order: (3, n3 * n2, n1)."""
     gamma = params.gamma
     rho, m1, m2, m3, e = (state.u[c] for c in range(5))
     sq1, sq2, sq3 = (np.square(bc) for bc in face_to_center(state))
     work = np.empty((3,) + rho.shape, rho.dtype)
     pm = 0.5 * ((sq1 + sq2) + sq3)
     p = fluid._pressure(rho, (m1, m2, m3), e, pm, gamma, work[0], work[1]).copy()
-    speed = 0.0
+    speeds = []
     for m, along, t1, t2 in ((m1, sq1, sq2, sq3), (m2, sq2, sq3, sq1), (m3, sq3, sq1, sq2)):
         bsq = (along + t1) + t2
-        cf = fluid._fast_speed(rho, p, along, bsq, gamma, *work)
-        speed = max(speed, float(np.max(np.abs(m / rho) + cf)))
-    return params.courant * state.shape.dx / speed
+        cf = fluid._fast_speed(rho, p, along, bsq, gamma, work[0], work[1], work[1], work[2],
+                               work[1])
+        speeds.append(np.abs(m / rho) + cf)
+    return np.stack(speeds).reshape(3, -1, state.shape.n1)
+
+
+def _cfl_per_axis(state, params):
+    """The cfl dt over the whole grid from the per-axis signal speeds."""
+    return params.courant * state.shape.dx / float(np.max(_signal_speeds_per_axis(state, params)))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -110,6 +117,24 @@ def test_cfl_is_bitwise_the_per_axis_evaluation(precision, turns, workers):
     n2, n1 = state.shape.n2, state.shape.n1
     assert (fluid._BLOCK_BYTES // (n1 * state.dtype.itemsize)) % n2 != 0
     assert cfl_timestep(state, params, workers).hex() == _cfl_per_axis(state, params).hex()
+
+
+@pytest.mark.parametrize("turns", [0, 1, 2])
+@pytest.mark.parametrize("precision", ["single", "double"])
+def test_cfl_signal_speed_of_every_cell_is_bitwise_the_per_axis_evaluation(precision, turns):
+    # dt rests on the one fastest cell, where two orders of the |b|^2 sum may
+    # round alike; comparing every cell's speed on every axis pins each axis's
+    # order.  The grid is one row block, so after the call the cfl's workspace
+    # holds the signal speeds of the whole grid.
+    params = SchemeParams(precision=precision)
+    state = random_state(GridShape(16, 12, 8), params, seed=2)
+    for _ in range(turns):
+        transpose(state)
+    n3, n2, n1 = state.shape.array_shape
+    assert fluid._BLOCK_BYTES >= n3 * n2 * n1 * state.dtype.itemsize
+    cfl_timestep(state, params, 1)
+    ws = parallel.workspace(fluid._CflBlock, n3 * n2, n1, state.dtype)
+    assert ws.sig.tobytes() == _signal_speeds_per_axis(state, params).tobytes()
 
 
 # --- vanleer ---------------------------------------------------------------
@@ -224,10 +249,10 @@ def _pencil(rho, v1, p, gamma, b=(0.0, 0.0, 0.0)):
 def _block(u5, bc):
     """The sweep's workspace for the rows of u5 (5, [rows,] n), loaded with them and bc."""
     u5, bc = (a.reshape(len(a), -1, a.shape[-1]) for a in (u5, bc))
-    ws = fluid._block(u5.shape[1], u5.shape[2], u5.dtype)
-    fluid._interior(ws.u)[...] = u5
-    fluid._fill_ghosts(ws.u)
-    fluid._interior(ws.bc)[...] = bc
+    ws = parallel.workspace(fluid._Block, u5.shape[1], u5.shape[2], u5.dtype)
+    ws.u_in[...] = u5
+    ws.bc_in[...] = bc
+    fluid._fill_ghosts(ws.ghosts)
     fluid._field(ws)
     return ws
 

@@ -183,14 +183,14 @@ def test_row_centers_match_the_rolled_whole_grid_field(shape):
             assert got.tobytes() == want[:, g0:g1].tobytes(), (g0, g1)
 
 
-def test_row_centers_write_into_a_strided_block(params):
-    # The sweep passes the interior of a padded block; the ghosts stay untouched.
+def test_row_centers_refuse_a_strided_block(params):
+    # b1 is formed as one flat run over the rows, which a strided block cannot
+    # hold; it is refused before anything is written.
     state = random_state(GridShape(8, 8, 8), params, seed=5)
     padded = np.zeros((3, 20, 12))
-    row_centers(state.u, 30, 50, padded[..., 2:-2])
-    assert (padded[..., :2] == 0).all() and (padded[..., -2:] == 0).all()
-    want = np.stack(face_to_center(state)).reshape(3, -1, 8)[:, 30:50]
-    assert (padded[..., 2:-2] == want).all()
+    with pytest.raises(ValueError):
+        row_centers(state.u, 30, 50, padded[..., 2:-2])
+    assert (padded == 0).all()
 
 
 # --- discrete divergence ----------------------------------------------------
