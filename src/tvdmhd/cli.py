@@ -116,10 +116,11 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 # commands
 
 def run_command(cfg: RunConfig, out=sys.stdout) -> int:
-    for key in ("cycles", "snapshot_every"):
+    for key, least in (("cycles", 0), ("snapshot_every", 0), ("workers", 1)):
         value = getattr(cfg, key)
-        if value is not None and value < 0:
-            raise ConfigError(f"{key!r} must be non-negative, got {value}")
+        if value is not None and value < least:
+            rule = "positive" if least else "non-negative"
+            raise ConfigError(f"{key!r} must be {rule}, got {value}")
     if cfg.snapshot_every and not cfg.out:
         raise ConfigError("'snapshot_every' needs 'out' to name the snapshots")
     if cfg.cycles is not None and cfg.t_end is not None:
@@ -160,9 +161,12 @@ def bench_command(sizes, repeats, workers, precision, machines_path=None,
     `validation.cycle_times`, then the median ms of each cycle section over
     the same cycles; initialization and snapshot IO are excluded.  The box
     is uniform, so its limiter masks never vary and branch costs do not show.
-    The machines file and its baseline record are checked first, so a bad
-    one fails before any timing.
+    The counts, then the machines file and its baseline record are checked
+    first, so a bad one fails before any output.
     """
+    for flag, value in (("--repeats", repeats), ("--workers", workers)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be positive, got {value}")
     machines = perf.load_machines(machines_path)
     if perf.BASELINE_LABEL not in machines:
         raise ConfigError(f"the machines file has no {perf.BASELINE_LABEL!r} baseline record")
@@ -174,8 +178,9 @@ def bench_command(sizes, repeats, workers, precision, machines_path=None,
     out.write("# size\tmedian_ms\tmin_ms\tworkers"
               + "".join(f"\t{s}_ms" for s in SECTIONS) + "\n")
     for n in sizes:
-        # state + solver temporaries; generous factor to stay safe
-        need = n ** 3 * width * 60
+        # State block and spare (16 arrays of n^3), a 2.5 MiB arena per worker:
+        # 18.5 / 130.5 MiB at 64^3 / 128^3 single; peak RSS above import 20.1 / 131.9.
+        need = 16 * n ** 3 * width + workers * (5 << 19)
         if avail is not None and need > avail:
             out.write(f"{n}\tskipped\tskipped\t{workers}\t# insufficient memory\n")
             continue

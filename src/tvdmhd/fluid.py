@@ -123,12 +123,12 @@ def _harmonic(dl, dr, out, prod, zero, mask, keep):
     # out = 2 dl dr / (dl + dr) where dl dr > 0, else (dl dr) * 0 (a signed
     # zero, or NaN), on scratch of out's shape: prod of the dtype of dl * dr,
     # zero of out's, mask boolean and keep the integers of out's item size.
-    # keep may share prod's memory.
+    # keep may share prod's memory.  Run under _limit's errstate: only cells
+    # with prod > 0 keep the mean, and there dl + dr != 0, so the division's
+    # warnings are of discarded cells.
     np.multiply(dl, dr, out=prod)
     np.greater(prod, 0, out=mask)
-    # Only cells with prod > 0 keep the mean, and there dl + dr != 0.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(np.multiply(2.0, prod, out=zero), np.add(dl, dr, out=out), out=out)
+    np.divide(np.multiply(2.0, prod, out=zero), np.add(dl, dr, out=out), out=out)
     np.multiply(prod, 0, out=zero)
     # The mean or zero, picked in place by bits on the integer view of the
     # same width, with no branch per cell.
@@ -142,14 +142,14 @@ def _harmonic(dl, dr, out, prod, zero, mask, keep):
 def _limit(dl, dr, out, prod, zero, mask, keep):
     # out = vanleer(dl, dr) on the scratch of _harmonic; returns out.
     try:
-        with np.errstate(under="raise"):
+        with np.errstate(under="raise", divide="ignore", invalid="ignore"):
             _harmonic(dl, dr, out, prod, zero, mask, keep)
     except FloatingPointError:
         # Some dl dr fell below the normal range, where a product keeps only a
         # few digits; there 2 small (big / (dl + dr)) forms no tiny product.
         # An exact product raised nothing and keeps the first form, so a cell's
         # result does not depend on whether another cell of the call underflowed.
-        with np.errstate(under="ignore"):
+        with np.errstate(under="ignore", divide="ignore", invalid="ignore"):
             _harmonic(dl, dr, out, prod, zero, mask, keep)
             prod = dl * dr  # keep may have overwritten the scratch product
             dl, dr = np.broadcast_arrays(dl, dr)
@@ -173,67 +173,50 @@ def vanleer(dl, dr):
     return out[()] if out.ndim == 0 else out
 
 
-def _fast_speed(rho, p, b1sq, bsq, gamma, out, a2, a4, tot, tmp):
+def _fast_speed(rho, p, b1sq, bsq, gamma, out, a2, tot, tmp):
     # Fast magnetosonic speed along the axis, with a^2 = gamma p / rho:
     # c_f^2 = [a^2 + b^2/rho + sqrt((a^2 + b^2/rho)^2 - 4 a^2 b1^2/rho)] / 2.
     # Unchecked: callers have already checked rho and p.  b1sq = b1^2 along
     # the axis, bsq = b1^2 + b2^2 + b3^2 summed in that order; both may stack
-    # axes that rho and p broadcast over.  Written into out.  a2 and a4 are
-    # scratch of p's shape, so a^2 and 4 a^2 are formed once for the stack (a2
-    # may be p); tot and tmp are scratch of out's (tot may be bsq).  Where the
-    # shapes agree, a4 and tmp may be a2.
+    # axes that rho and p broadcast over.  Written into out.  a2 is scratch of
+    # p's shape and takes a^2, then 4 a^2 in place, so both are formed once
+    # for the stack (a2 may be p); tot and tmp are scratch of out's (tot may
+    # be bsq).  Where the shapes agree, tmp may be a2.
     np.divide(np.multiply(gamma, p, out=a2), rho, out=a2)
     np.add(a2, np.divide(bsq, rho, out=tot), out=tot)
-    np.divide(np.multiply(np.multiply(4.0, a2, out=a4), b1sq, out=tmp), rho, out=tmp)
+    np.divide(np.multiply(np.multiply(4.0, a2, out=a2), b1sq, out=tmp), rho, out=tmp)
     np.subtract(np.multiply(tot, tot, out=out), tmp, out=out)  # the discriminant
     np.sqrt(np.maximum(out, 0, out=out), out=out)
     return np.sqrt(np.multiply(0.5, np.add(tot, out, out=out), out=out), out=out)
 
 
 def _rows(u, lo, hi):
-    # Per block of rows of planes [lo, hi): its five fluid variables (a view), its first row.
+    # Per row block of planes [lo, hi): its workspace, fluid variables (a view), first row.
     _, _, n2, n1 = u.shape
     u_rows = u[:5, lo:hi].reshape(5, -1, n1, copy=False)
     for r0, r1 in chunks(0, u_rows.shape[1], n1 * u.itemsize, _BLOCK_BYTES):
-        yield u_rows[:, r0:r1], lo * n2 + r0
-
-
-class _CflBlock:
-    """The cfl's workspace for a block of `rows` rows of n1 cells: 15 row-block arrays.
-
-    Made once per process for each (rows, n1, dtype) by `parallel.workspace`.
-    """
-
-    def __init__(self, rows: int, n1: int, dtype):
-        (work,) = scratch(dtype, 15 * rows * n1)
-        sq, self.bsq, self.cf, self.sig, (self.p,) = np.split(work.reshape(15, rows, n1),
-                                                              [5, 8, 11, 14])
-        # sq[a:a + 3] runs from axis a on, so bsq[a] sums as its sweep does.
-        self.sq, self.sq_from1, self.sq_from2 = sq[:3], sq[1:4], sq[2:]
-        self.sq_images, self.sq_head = sq[3:], sq[:2]
+        yield workspace(_Block, r1 - r0, n1, u.dtype), u_rows[:, r0:r1], lo * n2 + r0
 
 
 def _cfl_slab(u, maxima, gamma, where, shape, i, lo, hi):
     # Slab kernel: maxima[i] = the largest |v| + c_fast over planes [lo, hi) and
     # all axes.  It has the state's dtype, as does every speed, so it is exact.
-    # The three axes run as one (3, rows, n1) stack.  Passes per cell (one
-    # ufunc over one row-block array): the field, bsq and p 30, the axes 48,
-    # of which a^2 and 4 a^2 take 3, once for the three axes.
+    # The three axes run as one (3, rows, n1) stack in the block's workspace.
+    # Passes per cell (one ufunc over one row-block array): the field, bsq and
+    # p 30, the axes 48, of which a^2 and 4 a^2 take 3, once for the three axes.
     speed = 0.0
-    for u5, row0 in _rows(u, lo, hi):
+    for ws, u5, row0 in _rows(u, lo, hi):
         rho, m, e = u5[0], u5[1:4], u5[4]
-        ws = workspace(_CflBlock, *rho.shape, u.dtype)
-        sq, bsq, cf, sig, p = ws.sq, ws.bsq, ws.cf, ws.sig, ws.p
+        sq, bsq, sig, p = ws.centres, ws.bsq, ws.sig, ws.p_cells
         row_centers(u, row0, row0 + len(rho), sq)
         np.square(sq, out=sq)
         ws.sq_images[...] = ws.sq_head
         np.add(np.add(sq, ws.sq_from1, out=bsq), ws.sq_from2, out=bsq)
-        pm = np.multiply(0.5, bsq[0], out=sig[0])  # sig[0] and cf[0] are free until the speeds
-        _pressure(rho, m, e, pm, gamma, p, cf[0])
+        pm = np.multiply(0.5, bsq[0], out=ws.pm_cells)
+        _pressure(rho, m, e, pm, gamma, p, ws.tmp_cells)
         check_positive(rho, p, shape, where, row0)
-        # a^2 in place of p, 4 a^2 in cf[0], which is free until the discriminant.
-        _fast_speed(rho, p, sq, bsq, gamma, cf, p, cf[0], bsq, sig)
-        np.add(np.abs(np.divide(m, rho, out=sig), out=sig), cf, out=sig)
+        _fast_speed(rho, p, sq, bsq, gamma, ws.fast, p, bsq, sig)  # a^2 in place of p
+        np.add(np.abs(np.divide(m, rho, out=sig), out=sig), ws.fast, out=sig)
         top = float(np.max(sig))
         if not top < math.inf:
             for s in sig:  # the first failing cell of axis 1, then of axis 2, ...
@@ -280,7 +263,7 @@ def _interior(x: np.ndarray) -> np.ndarray:
 
 
 class _Block:
-    """The workspace of one row block: arena views, several sharing memory.
+    """The workspace of one row block of the sweep and the cfl: arena views, some sharing memory.
 
     Made once per process for each (rows, n1, dtype) by `parallel.workspace`,
     together with every view, shifted slice and ghost run a block uses, so a
@@ -301,6 +284,8 @@ class _Block:
         #   limiter:   d in s0, lim in s1, prod (and its integer mask) in s2, zero in s3
         #   half step: the flux change in s0, subtracted in place from u
         #   update:    the flux change in s0; the final pressure in s1
+        #   cfl:       unpadded rows: the centred field squared and two images in
+        #              s3; p, its scratch, bsq in s1; fast speeds, pm in s2; sig in s0
         padded = (rows, n1 + 2 * _GHOST)
         m = rows * padded[1]
         n = 5 * m
@@ -311,7 +296,9 @@ class _Block:
         self.u, self.bc = ub[:5], ub[5:]  # (5, R, P) the block, then its half step; the field
         self.rho, self.m, self.e = self.u[0], self.u[1:4], self.u[4]
         self.u_in, self.bc_in = _interior(self.u), _interior(self.bc)
-        self.centres = s3[:3 * rows * n1].reshape(3, rows, n1)
+        k = rows * n1  # values per unpadded array
+        sq = s3[:5 * k].reshape(5, rows, n1)
+        self.centres = sq[:3]
         self.ghosts, self.u_ghosts = _ghost_runs(ub), _ghost_runs(self.u)
         # The frozen field's products: bc1^2, |bc|^2, the magnetic pressure
         # and bc1 * (bc1, bc2, bc3).
@@ -341,9 +328,14 @@ class _Block:
         self.flux_hi, self.flux_lo = wp[2:-2], wp[1:-3]
         self.step, self.u_inner = s0[_GHOST:-_GHOST], self.u.reshape(-1)[_GHOST:-_GHOST]
         self.step_in = _interior(s0.reshape(self.u.shape))
-        # The update's pressure check, on unpadded rows.
-        self.p_out, self.tmp_out = s1[:2 * rows * n1].reshape(2, rows, n1)
+        # Unpadded: the update's pressure check (pm_in is padded), and the cfl,
+        # where sq[a:a + 3] runs from axis a on, so bsq[a] sums as its sweep does.
+        (self.p_cells, self.tmp_cells), self.bsq = np.split(s1[:5 * k].reshape(5, rows, n1), [2])
         self.pm_in = _interior(self.pm)
+        self.fast, (self.pm_cells,) = np.split(s2[:4 * k].reshape(4, rows, n1), [3])
+        self.sig = s0[:3 * k].reshape(3, rows, n1)
+        self.sq_from1, self.sq_from2 = sq[1:4], sq[2:]
+        self.sq_images, self.sq_head = sq[3:], sq[:2]
 
 
 def _field(ws: _Block) -> None:
@@ -401,7 +393,7 @@ def _interface_flux(ws: _Block, order: int) -> np.ndarray:
 def _freezing_speed(rho, v1, p, ws: _Block, gamma) -> np.ndarray:
     # ws.c = the relaxing speed of each row: max over the row of |v1| + c_fast.
     a2 = ws.a2
-    cf = _fast_speed(rho, p, ws.sq1, ws.total, gamma, ws.cf, a2, a2, ws.tot, a2)
+    cf = _fast_speed(rho, p, ws.sq1, ws.total, gamma, ws.cf, a2, ws.tot, a2)
     sig = np.add(np.abs(v1, out=a2), cf, out=a2)
     # Ghosts repeat cells: the same max.  A ufunc reduction skips np.max's
     # Python wrapper, about 2 us a call.
@@ -418,7 +410,10 @@ def _stage(ws: _Block, gamma, order, where, shape, row0) -> np.ndarray:
     # the cells'; only a failure needs the interior, to name the cell.
     if not (rho.min() > 0 and p.min() >= 0):
         check_positive(ws.rho_in, ws.p_in, shape, where, row0)
-    _freezing_speed(rho, v[0], p, ws, gamma)
+    # p = +inf passes that check: name the cell whose |v1| + c_fast is not finite.
+    if not np.maximum.reduce(_freezing_speed(rho, v[0], p, ws, gamma), axis=None) < math.inf:
+        sig = _interior(ws.a2)
+        _require(sig < math.inf, sig, "signal speed", "non-finite", shape, where, row0)
     _physical_fluxes(ws)
     return _interface_flux(ws, order)
 
@@ -429,9 +424,9 @@ def _flux_change(ws: _Block, factor) -> None:
     np.multiply(factor, np.subtract(ws.flux_hi, ws.flux_lo, out=ws.step), out=ws.step)
 
 
-def _sweep_block(u, u5, lam, gamma, where, shape, row0):
-    # Both stages and the update of the block of rows u5, the fluid rows from
-    # state row row0 on of the state block u; writes the result into u5.
+def _sweep_block(u, ws, u5, lam, gamma, where, shape, row0):
+    # Both stages and the update, in the workspace ws, of the block of rows u5,
+    # the fluid rows from state row row0 on of the state block u; writes u5.
     # Passes per cell (one ufunc over one padded array; a stack counts once
     # per variable): load and field 23; each stage 81, of which the fluxes
     # and movers take 44, plus 130 in stage 2 for the two limited corrections
@@ -443,10 +438,8 @@ def _sweep_block(u, u5, lam, gamma, where, shape, row0):
     # block's values back in the padded rows and a copy out, which measured
     # no faster, op by op (26 against 26 us per block at 64^3) and as a whole
     # sweep.  Set-up per block: one cached lookup.
-    rows, n1 = u5.shape[1:]
-    ws = workspace(_Block, rows, n1, u5.dtype)
     ws.u_in[...] = u5
-    row_centers(u, row0, row0 + rows, ws.centres)
+    row_centers(u, row0, row0 + u5.shape[1], ws.centres)
     ws.bc_in[...] = ws.centres
     _fill_ghosts(ws.ghosts)
     _field(ws)
@@ -459,14 +452,14 @@ def _sweep_block(u, u5, lam, gamma, where, shape, row0):
     _flux_change(ws, lam)
     np.subtract(u5, ws.step_in, out=u5)  # u5 still holds the block's values
 
-    p = _pressure(u5[0], u5[1:4], u5[4], ws.pm_in, gamma, ws.p_out, ws.tmp_out)
+    p = _pressure(u5[0], u5[1:4], u5[4], ws.pm_in, gamma, ws.p_cells, ws.tmp_cells)
     check_positive(u5[0], p, shape, where[2], row0)
 
 
 def _sweep_slab(u, lam, gamma, where, shape, _i, lo, hi):
     # Slab kernel: the fluid update of planes [lo, hi), one row block at a time.
-    for u5, row0 in _rows(u, lo, hi):
-        _sweep_block(u, u5, lam, gamma, where, shape, row0)
+    for ws, u5, row0 in _rows(u, lo, hi):
+        _sweep_block(u, ws, u5, lam, gamma, where, shape, row0)
 
 
 def fluid_sweep(state: ConservedState, dt: float, params: SchemeParams,

@@ -75,6 +75,8 @@ class _Chunk:
         self.r = r + [mask.view(bool)[:self.size]]
         r0 = r[0].reshape(padded)
         self.cells = r0[..., 2:-1]  # where v1, then b, is loaded
+        lim = [x[:-2] for x in self.r[3:]]  # the limiter's output and scratch
+        self.limiter = (*lim, lim[1].view(f"i{r[4].itemsize}"))
         self.ghosts = fluid._ghost_runs(r0, 2, 1)
         # The edges of the flux difference (r1) and of the flux (r5), shaped as b.
         self.dphi, self.phi = (x.reshape(padded)[..., :n] for x in (r[1], r[5]))
@@ -89,13 +91,12 @@ def _edge_flux(ws: _Chunk, lam) -> np.ndarray:
     # slopes with the local Courant time-centering.  With d_i = b_i - b_{i-1},
     # the right mover takes VL(d_{i-1}, d_i) and the left mover VL(d_i, d_{i+1}):
     # one limiter call on the padded slopes serves both.  Returns r5[:m].
-    r0, r1, r2, r3, r4, r5, mask = ws.r
+    r0, r1, r2, _, r4, r5, mask = ws.r
     # Positions whose stencils stay inside the chunk; the last row's last
     # edge, the last one kept, is at size - 4.
     m = ws.size - 3
     d = np.subtract(r0[1:], r0[:-1], out=r1[:-1])  # at position s: d_{s-1}
-    lim = fluid._limit(d[:-1], d[1:], r3[:-2], r4[:-2], r5[:-2], mask[:-2],
-                       r4[:-2].view(f"i{r4.itemsize}"))  # at s: VL(d_{s-1}, d_s)
+    lim = fluid._limit(d[:-1], d[1:], *ws.limiter)  # at s: VL(d_{s-1}, d_s)
     ve, half = r2[:m], r1[:m]
     np.multiply(0.5, np.subtract(1.0, np.multiply(np.abs(ve, out=half), lam, out=half),
                                  out=half), out=half)

@@ -122,6 +122,24 @@ def test_run_rejects_negative_counts_and_snapshots_without_out(tmp_path, capsys,
     assert not list(tmp_path.glob("a.snap*"))
 
 
+@pytest.mark.parametrize("flags, config, workers", [(["--workers", "0"], "", 0),
+                                                     ([], "workers = -1\n", -1)],
+                         ids=["flag", "config"])
+def test_run_refuses_a_non_positive_worker_count_before_any_output(tmp_path, capsys,
+                                                                   monkeypatch, flags,
+                                                                   config, workers):
+    def no_state(*args, **kwargs):
+        raise AssertionError("the start state was built")
+
+    monkeypatch.setattr(cli, "init_condition", no_state)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"size = 8\n{config}")
+    assert cli.main(["run", "--config", str(cfg)] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: 'workers' must be positive, got {workers}\n"
+
+
 def test_run_zero_cycles_writes_the_start_state(tmp_path):
     out = tmp_path / "a.snap"
     assert cli.main(["run", "--size", "8", "--workers", "1", "--cycles", "0",
@@ -243,6 +261,39 @@ def test_main_bench_rejects_a_bad_machines_file_before_timing(text, message, tmp
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert not [line for line in captured.out.splitlines() if not line.startswith("#")]
+
+
+@pytest.mark.parametrize("flag", ["--repeats", "--workers"])
+def test_main_bench_refuses_a_non_positive_count_before_any_output(monkeypatch, capsys, flag):
+    def not_read(*args):
+        raise AssertionError("the machines file was read")
+
+    monkeypatch.setattr(perf, "load_machines", not_read)
+    assert cli.main(["bench", "--sizes", "16", flag, "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be positive, got 0\n"
+
+
+@pytest.mark.parametrize("avail_mib, timed", [(20, [64]), (16, [])])
+def test_bench_skips_a_size_whose_state_and_arena_do_not_fit(monkeypatch, avail_mib, timed):
+    # 64^3 single: 16 MiB of state arrays and one 2.5 MiB arena.
+    monkeypatch.setattr(cli, "_available_memory_bytes", lambda: avail_mib << 20)
+    sizes = []
+
+    def cycle_times(runs, repeats, precision):
+        sizes.extend(n for n, _ in runs)
+        return [[StepReport(0.1, 100.0, {s: 25.0 for s in SECTIONS})]]
+
+    monkeypatch.setattr(validation, "cycle_times", cycle_times)
+    buf = io.StringIO()
+    assert cli.bench_command([64, 128], repeats=1, workers=1, precision="single", out=buf) == 0
+    rows = {l.split("\t")[0]: l.split("\t")[1:] for l in buf.getvalue().splitlines()
+            if l.split("\t")[0] in ("64", "128")}
+    assert sizes == timed
+    skipped = ["skipped", "skipped", "1", "# insufficient memory"]
+    assert rows["128"] == skipped
+    assert (rows["64"] == skipped) == (not timed)
 
 
 def test_main_bench_out_writes_what_it_prints(tmp_path, capsys):

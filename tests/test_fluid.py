@@ -14,14 +14,14 @@ from conftest import random_state
 
 
 # --- fast speed -----------------------------------------------------------------
-# fluid._fast_speed(rho, p, b1^2, b^2, gamma, out, a2, a4, tot, tmp): the speed of
+# fluid._fast_speed(rho, p, b1^2, b^2, gamma, out, a2, tot, tmp): the speed of
 # both the sweep and the cfl step
 
 def _fast_speed(rho, p, b1sq, bsq, gamma):
     """fluid._fast_speed into fresh arrays of the inputs' broadcast shape."""
     shape = np.broadcast(rho, p, b1sq, bsq).shape
     out, a2, tot = (np.empty(shape) for _ in range(3))
-    return fluid._fast_speed(rho, p, b1sq, bsq, gamma, out, a2, a2, tot, a2)
+    return fluid._fast_speed(rho, p, b1sq, bsq, gamma, out, a2, tot, a2)
 
 
 def test_fast_speed_reduces_to_sound_speed():
@@ -94,8 +94,7 @@ def _signal_speeds_per_axis(state, params):
     speeds = []
     for m, along, t1, t2 in ((m1, sq1, sq2, sq3), (m2, sq2, sq3, sq1), (m3, sq3, sq1, sq2)):
         bsq = (along + t1) + t2
-        cf = fluid._fast_speed(rho, p, along, bsq, gamma, work[0], work[1], work[1], work[2],
-                               work[1])
+        cf = fluid._fast_speed(rho, p, along, bsq, gamma, work[0], work[1], work[2], work[1])
         speeds.append(np.abs(m / rho) + cf)
     return np.stack(speeds).reshape(3, -1, state.shape.n1)
 
@@ -124,8 +123,8 @@ def test_cfl_is_bitwise_the_per_axis_evaluation(precision, turns, workers):
 def test_cfl_signal_speed_of_every_cell_is_bitwise_the_per_axis_evaluation(precision, turns):
     # dt rests on the one fastest cell, where two orders of the |b|^2 sum may
     # round alike; comparing every cell's speed on every axis pins each axis's
-    # order.  The grid is one row block, so after the call the cfl's workspace
-    # holds the signal speeds of the whole grid.
+    # order.  The grid is one row block, so after the call the block's
+    # workspace holds the signal speeds of the whole grid.
     params = SchemeParams(precision=precision)
     state = random_state(GridShape(16, 12, 8), params, seed=2)
     for _ in range(turns):
@@ -133,7 +132,7 @@ def test_cfl_signal_speed_of_every_cell_is_bitwise_the_per_axis_evaluation(preci
     n3, n2, n1 = state.shape.array_shape
     assert fluid._BLOCK_BYTES >= n3 * n2 * n1 * state.dtype.itemsize
     cfl_timestep(state, params, 1)
-    ws = parallel.workspace(fluid._CflBlock, n3 * n2, n1, state.dtype)
+    ws = parallel.workspace(fluid._Block, n3 * n2, n1, state.dtype)
     assert ws.sig.tobytes() == _signal_speeds_per_axis(state, params).tobytes()
 
 
@@ -514,6 +513,20 @@ def test_cfl_non_finite_signal_speed(params):
     with pytest.raises(PositivityError, match=r"non-finite signal speed at cell \(6, 5, 4\)"):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             cfl_timestep(state, params32)
+
+
+def test_sweep_infinite_pressure_names_the_cell_of_its_signal_speed(params):
+    # p = +inf passes p >= 0; the row's infinite freezing speed then turned
+    # the whole row to NaN, and the half step's check named its first cell.
+    state = init_condition("uniform", GridShape(16, 8, 8), params)
+    state.e[3, 2, 9] = np.inf
+    for call, where in ((fluid_sweep, "in the x sweep"),
+                        (cfl_timestep, r"in the cfl timestep \(x fastest\)")):
+        args = (state, 0.1, params) if call is fluid_sweep else (state, params)
+        with pytest.raises(PositivityError, match=rf"^non-finite signal speed at cell "
+                                                  rf"\(9, 2, 3\) {where}, cycle 0$"):
+            with np.errstate(invalid="ignore"):
+                call(*args)
 
 
 def test_magnetic_entry_check_names_non_finite_density(params):

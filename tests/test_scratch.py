@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tvdmhd import (GridShape, SchemeParams, cfl_timestep, fluid, fluid_sweep, init_condition,
-                    magnetic_sweep, parallel, step_cycle)
+                    magnetic, magnetic_sweep, parallel, step_cycle)
 
 
 def test_scratch_carves_aligned_disjoint_views_from_one_buffer():
@@ -77,7 +77,7 @@ def test_a_grown_arena_rebuilds_the_cached_workspaces_and_frees_the_old_buffer()
 @pytest.mark.parametrize("n", [16, 32, 64])
 def test_the_magnetic_chunk_fits_in_the_fluid_blocks_arena(monkeypatch, n):
     # Each process's arena is the fluid block's workspace, at most 2.5 MiB:
-    # the cfl's and the magnetic chunk's fit in it.
+    # the cfl runs in it, and the magnetic chunk's fits in it.
     monkeypatch.setattr(parallel, "_arena", np.empty(0, np.uint8))
     monkeypatch.setattr(parallel, "_workspaces", {})
     params = SchemeParams(precision="single")
@@ -88,6 +88,28 @@ def test_the_magnetic_chunk_fits_in_the_fluid_blocks_arena(monkeypatch, n):
     step_cycle(state, params, 1)
     magnetic_sweep(state, 1e-3, params, 1)
     assert parallel._arena.nbytes == block
+
+
+@pytest.mark.parametrize("n, nbytes", [(32, 2_503_680), (64, 2_363_904), (128, 2_294_016)])
+def test_a_fresh_process_arena_is_the_fluid_blocks_after_a_cycle(monkeypatch, n, nbytes):
+    # The fluid block's workspace sizes the arena: the cfl runs in it, and
+    # the magnetic chunk's fits in it.
+    monkeypatch.setattr(parallel, "_arena", np.empty(0, np.uint8))
+    monkeypatch.setattr(parallel, "_workspaces", {})
+    params = SchemeParams(precision="single")
+    state = init_condition("solenoidal_random", GridShape(n, n, n), params, seed=0)
+    step_cycle(state, params, 1)
+    assert parallel._arena.nbytes == nbytes
+
+
+def test_a_warmed_process_caches_only_block_and_chunk_workspaces(monkeypatch):
+    monkeypatch.setattr(parallel, "_arena", np.empty(0, np.uint8))
+    monkeypatch.setattr(parallel, "_workspaces", {})
+    params = SchemeParams(precision="single")
+    state = init_condition("solenoidal_random", GridShape(32, 32, 32), params, seed=0)
+    for _ in range(2):
+        step_cycle(state, params, 1)
+    assert {build for build, _ in parallel._workspaces} == {fluid._Block, magnetic._Chunk}
 
 
 # Peak traced bytes of one call of each warmed kernel at 32^3 single.  What is
