@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from statistics import median
@@ -161,12 +161,14 @@ def bench_command(sizes, repeats, workers, precision, machines_path=None,
     `validation.cycle_times`, then the median ms of each cycle section over
     the same cycles; initialization and snapshot IO are excluded.  The box
     is uniform, so its limiter masks never vary and branch costs do not show.
-    The counts, then the machines file and its baseline record are checked
-    first, so a bad one fails before any output.
+    The counts, the sizes, then the machines file and its baseline record are
+    checked first, so a bad one fails before any output.
     """
     for flag, value in (("--repeats", repeats), ("--workers", workers)):
         if value < 1:
             raise ConfigError(f"{flag} must be positive, got {value}")
+    for n in sizes:
+        GridShape(n, n, n)
     machines = perf.load_machines(machines_path)
     if perf.BASELINE_LABEL not in machines:
         raise ConfigError(f"the machines file has no {perf.BASELINE_LABEL!r} baseline record")
@@ -238,15 +240,21 @@ def slice_command(args, out=sys.stdout) -> int:
 
 # ---------------------------------------------------------------------------
 
-class _Tee:
-    """Writes the same text to every stream it holds."""
+class _Report:
+    """Stdout and the file at `path`, opened at the first write so that a
+    refusal before any output leaves an existing file as it was."""
 
-    def __init__(self, *streams):
-        self.streams = streams
+    def __init__(self, path: str):
+        self.path, self.fh = path, None
 
     def write(self, text: str) -> None:
-        for stream in self.streams:
-            stream.write(text)
+        self.fh = self.fh or open(self.path, "w")
+        sys.stdout.write(text)
+        self.fh.write(text)
+
+    def close(self) -> None:
+        if self.fh:
+            self.fh.close()
 
 
 def _parse_sizes(raw: str) -> list[int]:
@@ -302,10 +310,9 @@ def main(argv=None) -> int:
             code = run_command(cfg)
         elif args.command == "bench":
             workers = args.workers if args.workers is not None else default_workers()
-            with open(args.out, "w") if args.out else nullcontext() as fh:
+            with closing(_Report(args.out)) if args.out else nullcontext(sys.stdout) as out:
                 code = bench_command(_parse_sizes(args.sizes), args.repeats, workers,
-                                     args.precision, args.machines,
-                                     out=_Tee(sys.stdout, fh) if fh else sys.stdout)
+                                     args.precision, args.machines, out=out)
         elif args.command == "validate":
             code = validate_command(full=args.full)
         else:

@@ -267,29 +267,16 @@ def discrete_divergence(state: ConservedState) -> np.ndarray:
     return div / state.shape.dx
 
 
-def _canonical_view(state: ConservedState, arr: np.ndarray) -> np.ndarray:
-    # Reorder axes so the view is indexed [z, y, x] regardless of orientation.
-    return arr.transpose([state.shape.array_axis(axis) for axis in CANONICAL[::-1]])
-
-
-def _fold(view: np.ndarray) -> float:
-    # Deterministic left-to-right float64 accumulation over canonical C order.
-    flat = np.ascontiguousarray(view).ravel()
-    return float(np.cumsum(flat, dtype=np.float64)[-1])
-
-
 def totals(state: ConservedState) -> tuple[float, tuple[float, float, float], float]:
-    """(mass, momentum per physical axis, energy), integrated with dx^3 weights.
+    """(mass, (x, y, z) momentum, energy) of a canonical state, with dx^3 weights.
 
-    The reduction runs in a fixed order over the canonical cell ordering, so the
-    result is bitwise identical for any orientation or worker count.
+    Any other orientation raises ``ValueError``.  Each quantity is summed in
+    float64 one z plane at a time, then the plane sums are added in plane order.
     """
-    dv = float(state.shape.dx) ** 3
-    mass = _fold(_canonical_view(state, state.rho)) * dv
-    energy = _fold(_canonical_view(state, state.e)) * dv
-    moms = (state.mom1, state.mom2, state.mom3)
-    by_axis = []
-    for phys in ("x", "y", "z"):
-        idx = state.shape.orientation.index(phys)
-        by_axis.append(_fold(_canonical_view(state, moms[idx])) * dv)
-    return mass, tuple(by_axis), energy
+    shape = state.shape
+    if tuple(shape.orientation) != CANONICAL:
+        raise ValueError(f"totals require canonical orientation, got {shape.orientation}")
+    planes = np.add.reduce(state.u[:5].reshape(5, shape.n3, -1), axis=2, dtype=np.float64)
+    dv = float(shape.dx) ** 3
+    mass, mx, my, mz, energy = (float(q) * dv for q in np.cumsum(planes, axis=1)[:, -1])
+    return mass, (mx, my, mz), energy

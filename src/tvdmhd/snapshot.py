@@ -40,16 +40,22 @@ class SnapshotError(ValueError):
 
 
 def write_snapshot(state: ConservedState, path: str | Path) -> None:
-    """Write header plus the eight raw component arrays."""
+    """Write header plus the eight raw component arrays to a temporary file beside
+    `path`, then rename it onto `path`: a failed write leaves the old snapshot."""
     shape = state.shape
     orient = ORIENTATIONS.index(tuple(shape.orientation))
     width = state.dtype.itemsize
     header = _HEADER.pack(MAGIC, VERSION, shape.n1, shape.n2, shape.n3,
                           orient, width, shape.dx, state.time, state.cycle)
     block = np.ascontiguousarray(state.u, dtype=state.dtype.newbyteorder("<"))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(block)
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            fh.write(block)
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_snapshot(path: str | Path) -> ConservedState:

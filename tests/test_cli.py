@@ -256,23 +256,34 @@ def test_main_bench_rejects_a_bad_machines_file_before_timing(text, message, tmp
     monkeypatch.setattr(validation, "cycle_times", no_timing)
     path = tmp_path / "machines.txt"
     path.write_text(text)
+    report = tmp_path / "bench.tsv"
+    report.write_bytes(b"# old report\n")
     assert cli.main(["bench", "--sizes", "16", "--workers", "1",
-                     "--machines", str(path)]) == 2
+                     "--machines", str(path), "--out", str(report)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
-    assert not [line for line in captured.out.splitlines() if not line.startswith("#")]
+    assert captured.out == ""
+    assert report.read_bytes() == b"# old report\n"
 
 
-@pytest.mark.parametrize("flag", ["--repeats", "--workers"])
-def test_main_bench_refuses_a_non_positive_count_before_any_output(monkeypatch, capsys, flag):
+@pytest.mark.parametrize("flags, message", [
+    (["--repeats", "0"], "--repeats must be positive, got 0"),
+    (["--workers", "0"], "--workers must be positive, got 0"),
+    (["--sizes", "16,10"], "dimension 10 not a multiple of 4"),
+], ids=["repeats", "workers", "sizes"])
+def test_main_bench_refuses_a_bad_count_or_size_before_any_output(flags, message, tmp_path,
+                                                                  monkeypatch, capsys):
     def not_read(*args):
         raise AssertionError("the machines file was read")
 
     monkeypatch.setattr(perf, "load_machines", not_read)
-    assert cli.main(["bench", "--sizes", "16", flag, "0"]) == 2
+    report = tmp_path / "bench.tsv"
+    report.write_bytes(b"# old report\n")
+    assert cli.main(["bench", "--sizes", "16"] + flags + ["--out", str(report)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {flag} must be positive, got 0\n"
+    assert captured.err == f"error: {message}\n"
+    assert report.read_bytes() == b"# old report\n"
 
 
 @pytest.mark.parametrize("avail_mib, timed", [(20, [64]), (16, [])])

@@ -1,4 +1,6 @@
+import math
 import mmap
+import re
 
 import numpy as np
 import pytest
@@ -232,26 +234,48 @@ def test_totals_uniform_mass(params):
     assert mom == (0.0, 0.0, 0.0) and energy == 0.0
 
 
-def test_totals_bitwise_invariant_under_transpose(params):
+def test_totals_refuses_a_transposed_state_and_agrees_once_it_is_canonical(params):
     state = random_state(GridShape(8, 12, 16), params, seed=12)
     ref = totals(state)
-    transpose(state)
-    assert totals(state) == ref
+    for orientation in ("('y', 'z', 'x')", "('z', 'x', 'y')"):
+        transpose(state)
+        with pytest.raises(ValueError, match=re.escape(f"got {orientation}")):
+            totals(state)
     transpose(state)
     assert totals(state) == ref
 
 
-def test_totals_matches_sequential_loop_oracle(params):
-    state = random_state(GridShape(8, 8, 8), params, seed=4)
+@pytest.mark.parametrize("precision", ["single", "double"])
+@pytest.mark.parametrize("shape", [GridShape(8, 12, 16), GridShape(96, 96, 8)],
+                         ids=["8x12x16", "96x96x8"])
+def test_totals_matches_a_plane_by_plane_oracle(shape, precision):
+    # 96 x 96 = 9216 cells per z plane, more than numpy's 8192-element buffer.
+    state = random_state(shape, SchemeParams(precision=precision), seed=4)
+    dv = shape.dx ** 3
+
+    def oracle(arr):
+        acc = 0.0
+        for plane in arr:
+            acc = acc + float(np.add.reduce(plane.astype(np.float64).ravel()))
+        return acc * dv
+
     mass, mom, energy = totals(state)
-    acc = 0.0
-    for v in state.rho.ravel():
-        acc = acc + float(v)
-    assert mass == acc * state.shape.dx ** 3
-    acc_e = 0.0
-    for v in state.e.ravel():
-        acc_e = acc_e + float(v)
-    assert energy == acc_e * state.shape.dx ** 3
+    assert mass == oracle(state.rho)
+    assert mom == (oracle(state.mom1), oracle(state.mom2), oracle(state.mom3))
+    assert energy == oracle(state.e)
+
+
+@pytest.mark.parametrize("precision", ["single", "double"])
+def test_totals_are_exact_on_dyadic_values(precision):
+    # Multiples of 1/256 below 4 in magnitude: every partial sum is exact in
+    # float64, so any summation order gives the exact sum.
+    state = allocate_state(GridShape(16, 8, 12, dx=0.5), SchemeParams(precision=precision))
+    rng = np.random.default_rng(3)
+    for _, arr in state.components():
+        arr[...] = rng.integers(-1024, 1024, arr.shape) / 256.0
+    mass, mom, energy = totals(state)
+    exact = [math.fsum(arr.ravel().tolist()) * 0.125 for arr in state.u[:5]]
+    assert [mass, *mom, energy] == exact
 
 
 def test_totals_scales_with_dx(params):

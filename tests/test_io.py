@@ -1,3 +1,5 @@
+import errno
+import io
 import struct
 import tracemalloc
 
@@ -10,7 +12,7 @@ from tvdmhd import (GridShape, SchemeParams, allocate_state, discrete_divergence
                     face_to_center, init_condition, read_snapshot, slice_export, totals,
                     transpose, write_snapshot)
 from tvdmhd.snapshot import MAGIC, SnapshotError
-from tvdmhd import fluid, ic
+from tvdmhd import fluid, ic, snapshot
 
 from conftest import random_state, state_bytes
 
@@ -276,6 +278,26 @@ def test_snapshot_bytes_are_header_then_components_in_order(tmp_path):
     payload = b"".join(a.astype("<f4").tobytes() for _, a in state.components())
     assert len(header) == 56
     assert path.read_bytes() == header + payload
+
+
+def test_a_failed_snapshot_write_leaves_the_previous_snapshot(tmp_path, params, monkeypatch):
+    path = tmp_path / "state.snap"
+    write_snapshot(random_state(GridShape(8, 8, 8), params, seed=1), path)
+    before = path.read_bytes()
+
+    class DiskFull(io.FileIO):
+        # Writes the header, then 100 bytes of the payload, then fails.
+        def write(self, data):
+            if self.tell():
+                super().write(memoryview(data).cast("B")[:100])
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return super().write(data)
+
+    monkeypatch.setattr(snapshot, "open", DiskFull, raising=False)
+    with pytest.raises(OSError, match="No space left on device"):
+        write_snapshot(random_state(GridShape(8, 8, 8), params, seed=2), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["state.snap"]
 
 
 def test_snapshot_wrong_magic(tmp_path):
