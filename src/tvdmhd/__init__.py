@@ -1,7 +1,7 @@
 """Dimensionally split relaxing-TVD MHD solver with constrained transport,
 plus an operation/bandwidth accounting harness for cross-machine comparison."""
 
-from .fluid import PositivityError, cfl_timestep, fluid_sweep, vanleer
+from .fluid import PositivityError, cfl_timestep, fluid_sweep
 from .grid import (ConservedState, GridShape, SchemeParams, allocate_state,
                    discrete_divergence, face_to_center, totals, transpose)
 from .ic import init_condition
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConservedState", "GridShape", "SchemeParams", "allocate_state",
     "discrete_divergence", "face_to_center", "totals", "transpose",
-    "PositivityError", "cfl_timestep", "fluid_sweep", "vanleer",
+    "PositivityError", "cfl_timestep", "fluid_sweep",
     "magnetic_sweep",
     "parallel_for", "partition",
     "CriteriaReport", "MachineSpec", "OpCountModel", "TrafficModel",

@@ -60,7 +60,9 @@ from .parallel import chunks, parallel_for, partition, scratch, workspace
 # 273 / 292 / 277.  The fluid arena is 1.5 / 2.25 / 3.0 MiB.  No size
 # separated, so 48 KiB stayed; 64 KiB would cost each process 0.75 MiB more.
 # With cached workspaces, 48 against 32 KiB: fluid ms 152 / 168, 48 KiB
-# faster in 12 of 16 cycles.
+# faster in 12 of 16 cycles.  In later alternated A/B runs in single
+# precision, blocks of 48-96 KiB moved the cycle by less than its run-to-run
+# spread.
 _BLOCK_BYTES = 48 << 10
 # Periodic images at each end of a padded row: the stencil of a flux
 # difference reaches two cells to either side.
@@ -119,19 +121,19 @@ def gas_pressure(rho, mom1, mom2, mom3, e, bc1, bc2, bc3, gamma):
     return _pressure(rho, (mom1, mom2, mom3), e, pm, gamma, out, tmp)
 
 
-def _harmonic(dl, dr, out, prod, zero, mask, keep):
+def _harmonic(dl, dr, out, prod, zero, mask):
     # out = 2 dl dr / (dl + dr) where dl dr > 0, else (dl dr) * 0 (a signed
-    # zero, or NaN), on scratch of out's shape: prod of the dtype of dl * dr,
-    # zero of out's, mask boolean and keep the integers of out's item size.
-    # keep may share prod's memory.  Run under _limit's errstate: only cells
-    # with prod > 0 keep the mean, and there dl + dr != 0, so the division's
+    # zero, or NaN), on scratch of out's shape and dtype: prod and zero, and
+    # the boolean mask.  Run under _limit's errstate: only cells with
+    # prod > 0 keep the mean, and there dl + dr != 0, so the division's
     # warnings are of discarded cells.
     np.multiply(dl, dr, out=prod)
     np.greater(prod, 0, out=mask)
     np.divide(np.multiply(2.0, prod, out=zero), np.add(dl, dr, out=out), out=out)
     np.multiply(prod, 0, out=zero)
-    # The mean or zero, picked in place by bits on the integer view of the
-    # same width, with no branch per cell.
+    # The mean or zero, picked in place by bits on the integer views of the
+    # same width, with no branch per cell; prod, now dead, takes the select.
+    keep = prod.view(f"i{prod.itemsize}")
     np.negative(mask, dtype=keep.dtype, out=keep)  # all ones or all zeros
     sel, zero = out.view(keep.dtype), zero.view(keep.dtype)
     sel ^= zero
@@ -139,19 +141,20 @@ def _harmonic(dl, dr, out, prod, zero, mask, keep):
     sel ^= zero
 
 
-def _limit(dl, dr, out, prod, zero, mask, keep):
-    # out = vanleer(dl, dr) on the scratch of _harmonic; returns out.
+def _limit(dl, dr, out, prod, zero, mask):
+    # out = the Van Leer limited slope of dl and dr, 2 dl dr / (dl + dr) where
+    # the slopes agree and 0 elsewhere, on the scratch of _harmonic; returns out.
     try:
         with np.errstate(under="raise", divide="ignore", invalid="ignore"):
-            _harmonic(dl, dr, out, prod, zero, mask, keep)
+            _harmonic(dl, dr, out, prod, zero, mask)
     except FloatingPointError:
         # Some dl dr fell below the normal range, where a product keeps only a
         # few digits; there 2 small (big / (dl + dr)) forms no tiny product.
         # An exact product raised nothing and keeps the first form, so a cell's
         # result does not depend on whether another cell of the call underflowed.
         with np.errstate(under="ignore", divide="ignore", invalid="ignore"):
-            _harmonic(dl, dr, out, prod, zero, mask, keep)
-            prod = dl * dr  # keep may have overwritten the scratch product
+            _harmonic(dl, dr, out, prod, zero, mask)
+            prod = dl * dr  # the select has overwritten the scratch product
             dl, dr = np.broadcast_arrays(dl, dr)
             fix = np.array((prod > 0) & (prod < np.finfo(out.dtype).tiny))
             fix[fix] = [Fraction(x) * Fraction(y) != Fraction(p) for x, y, p in
@@ -160,17 +163,6 @@ def _limit(dl, dr, out, prod, zero, mask, keep):
             a_small = np.abs(a) <= np.abs(b)
             out[fix] = 2.0 * np.where(a_small, a, b) * (np.where(a_small, b, a) / (a + b))
     return out
-
-
-def vanleer(dl, dr):
-    """Harmonic-mean slope limiter: 2 dl dr / (dl + dr) when the slopes agree, else 0."""
-    dl = np.asarray(dl)
-    dr = np.asarray(dr)
-    shape = np.broadcast_shapes(dl.shape, dr.shape)
-    out = np.empty(shape, np.result_type(2.0, dl, dr))
-    _limit(dl, dr, out, np.empty(shape, np.result_type(dl, dr)), np.empty_like(out),
-           np.empty(shape, bool), np.empty(shape, f"i{out.itemsize}"))
-    return out[()] if out.ndim == 0 else out
 
 
 def _fast_speed(rho, p, b1sq, bsq, gamma, out, a2, tot, tmp):
@@ -281,7 +273,7 @@ class _Block:
         #   field:     bc2^2, bc3^2 in s2 (a2, tot)
         #   stage:     v, p, tmp in s0; f5 in s1; a2, tot, cf (then c_rows) in
         #              s2; all dead once wp and wm are formed
-        #   limiter:   d in s0, lim in s1, prod (and its integer mask) in s2, zero in s3
+        #   limiter:   d in s0, lim in s1, prod (then its select) in s2, zero in s3
         #   half step: the flux change in s0, subtracted in place from u
         #   update:    the flux change in s0; the final pressure in s1
         #   cfl:       unpadded rows: the centred field squared and two images in
@@ -320,9 +312,8 @@ class _Block:
         self.fp, self.fm = wp[1:-2], wm[2:-1]
         self.wp_hi, self.wp_lo, self.wm_hi, self.wm_lo = wp[1:], wp[:-1], wm[1:], wm[:-1]
         self.d, self.dl, self.dc, self.dr = s0[:-1], s0[:-3], s0[1:-2], s0[2:-1]
-        self.lim, prod = s1[:-3], s2[:-3]
-        self.limiter = (self.lim, prod, s3[:-3], mask.view(bool)[:n - 3],
-                        prod.view(f"i{prod.itemsize}"))
+        self.lim = s1[:-3]
+        self.limiter = (self.lim, s2[:-3], s3[:-3], mask.view(bool)[:n - 3])
         # The flux change F(q) - F(q - 1) at positions [_GHOST, size - _GHOST),
         # and the rows it updates.
         self.flux_hi, self.flux_lo = wp[2:-2], wp[1:-3]

@@ -103,9 +103,9 @@ class ConservedState:
     mutates them in place.  `spare` is the block transposes write into (and
     `cfl_timestep` its scratch, and `init_condition` the scratch of the start
     state), so a view taken before a transpose lies in `spare` after it and
-    is overwritten by the next transpose.  States are
-    made by `zeros` (through `allocate_state`, `copy` and `read_snapshot`),
-    which places `u` and `spare` in one shared mapping.
+    is overwritten by the next transpose.  States are made by `zeros`
+    (through `allocate_state` and `read_snapshot`), which places `u` and
+    `spare` in one shared mapping.
     """
 
     shape: GridShape
@@ -135,11 +135,6 @@ class ConservedState:
         state.spare = spare
         return state
 
-    def copy(self) -> "ConservedState":
-        out = ConservedState.zeros(self.shape, self.dtype, self.time, self.cycle)
-        out.u[...] = self.u
-        return out
-
     @property
     def dtype(self) -> np.dtype:
         return self.u.dtype
@@ -168,7 +163,10 @@ _INV_SOURCES = (0, 3, 1, 2, 4, 7, 5, 6)
 # Edge of the cubic blocks a transpose copies.  Per-call ms of one transpose
 # of all eight single-precision arrays on a 2-core host, tiles 8/16/32/64:
 # 64^3 1 worker 11.6/5.5/4.4/3.9; 128^3 1 worker 98/80/55/118, 2 pool
-# workers (median of 5 interleaved processes) 99/57/39/76.
+# workers (median of 5 interleaved processes) 99/57/39/76.  At 128^3 single
+# on 2 workers, whole-slab copies raised the transpose section from 102 to
+# 162 ms per cycle, and 2-D tiles moved the cycle by less than its
+# run-to-run spread.
 _TILE = 32
 
 

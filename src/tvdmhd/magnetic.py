@@ -46,7 +46,9 @@ from .parallel import chunks, parallel_for, partition, scratch, workspace
 # one process, median of 16, four runs on the flat padded layout;
 # 256 / 128 KiB: 40.8 / 47.0, 41.8 / 46.1, 53.8 / 58.8 and 53.0 / 59.0 (the
 # host's speed drifted between runs), 128 KiB faster in 3 and 4 of the 16
-# cycles of the last two.  512 KiB would not fit in the arena.
+# cycles of the last two.  512 KiB would not fit in the arena.  In later
+# alternated A/B runs in single precision, chunks of 64-512 KiB moved the
+# cycle by less than its run-to-run spread.
 _CHUNK_BYTES = 256 << 10
 
 
@@ -75,8 +77,7 @@ class _Chunk:
         self.r = r + [mask.view(bool)[:self.size]]
         r0 = r[0].reshape(padded)
         self.cells = r0[..., 2:-1]  # where v1, then b, is loaded
-        lim = [x[:-2] for x in self.r[3:]]  # the limiter's output and scratch
-        self.limiter = (*lim, lim[1].view(f"i{r[4].itemsize}"))
+        self.limiter = [x[:-2] for x in self.r[3:]]  # the limiter's output and scratch
         self.ghosts = fluid._ghost_runs(r0, 2, 1)
         # The edges of the flux difference (r1) and of the flux (r5), shaped as b.
         self.dphi, self.phi = (x.reshape(padded)[..., :n] for x in (r[1], r[5]))

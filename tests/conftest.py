@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from tvdmhd import ConservedState, GridShape, SchemeParams, allocate_state
+from tvdmhd import ConservedState, GridShape, SchemeParams, allocate_state, fluid
 from tvdmhd.parallel import _Pool
 
 
@@ -56,3 +56,21 @@ def random_state(shape: GridShape, params: SchemeParams, seed=0,
 
 def state_bytes(state: ConservedState) -> bytes:
     return b"".join(arr.tobytes() for _, arr in state.components())
+
+
+def copy_state(state: ConservedState) -> ConservedState:
+    """A new state with the shape, time, cycle and values of `state`."""
+    out = ConservedState.zeros(state.shape, state.dtype, state.time, state.cycle)
+    out.u[...] = state.u
+    return out
+
+
+def vanleer(dl, dr) -> np.ndarray:
+    """The sweeps' Van Leer limiter, `fluid._limit`, on float slopes into fresh arrays.
+
+    2 dl dr / (dl + dr) where the slopes agree, else 0, of the slopes'
+    broadcast shape and float dtype (a 0-d array for scalars).
+    """
+    dl, dr = np.broadcast_arrays(dl, dr)
+    out, prod, zero = (np.empty(dl.shape, np.result_type(dl, dr)) for _ in range(3))
+    return fluid._limit(dl, dr, out, prod, zero, np.empty(dl.shape, bool))

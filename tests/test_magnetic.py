@@ -3,9 +3,8 @@ import pytest
 
 from tvdmhd import (GridShape, SchemeParams, discrete_divergence, fluid_sweep,
                     init_condition, magnetic_sweep)
-from tvdmhd import fluid
 
-from conftest import random_state
+from conftest import copy_state, random_state, vanleer
 
 
 # --- magnetic_sweep ----------------------------------------------------------
@@ -21,7 +20,7 @@ def test_uniform_field_uniform_velocity_noop(params):
 
 def test_static_state_noop_bitwise(params):
     state = init_condition("uniform", GridShape(16, 8, 8), params)
-    ref = state.copy()
+    ref = copy_state(state)
     magnetic_sweep(state, 0.5, params)
     for name, arr in state.components():
         assert (arr == getattr(ref, name)).all()
@@ -78,8 +77,8 @@ def _reference_sequential_sweep(state, dt, params):
     def edge_flux(b, ve):
         d = b - np.roll(b, 1, axis=-1)
         nu = np.abs(ve) * lam
-        up = np.roll(b, 1, axis=-1) + 0.5 * (1 - nu) * fluid.vanleer(np.roll(d, 1, axis=-1), d)
-        dn = b - 0.5 * (1 - nu) * fluid.vanleer(d, np.roll(d, -1, axis=-1))
+        up = np.roll(b, 1, axis=-1) + 0.5 * (1 - nu) * vanleer(np.roll(d, 1, axis=-1), d)
+        dn = b - 0.5 * (1 - nu) * vanleer(d, np.roll(d, -1, axis=-1))
         return ve * np.where(ve > 0, up, dn)
 
     for j in list(range(1, n2, 2)) + list(range(0, n2, 2)):
@@ -107,11 +106,16 @@ def _reference_sequential_sweep(state, dt, params):
     pytest.param((64, 64, 64), "double", 2, id="64^3-2"),
     # uneven k slabs (6, 5, 5 of 16) and j columns (7, 7, 6 of 20)
     pytest.param((16, 20, 16), "double", 3, id="16x20x16-3"),
+    # single precision, the benchmark's
+    pytest.param((16, 12, 8), "single", 1, id="single-1"),
+    pytest.param((16, 12, 8), "single", 2, id="single-2"),
+    pytest.param((64, 64, 64), "single", 2, id="single-64^3-2"),
+    pytest.param((16, 20, 16), "single", 3, id="single-16x20x16-3"),
 ])
 def test_sequential_equivalence(dims, precision, workers):
     params = SchemeParams(precision=precision)
     state = random_state(GridShape(*dims), params, seed=4)
-    ref = _reference_sequential_sweep(state.copy(), 0.07, params)
+    ref = _reference_sequential_sweep(copy_state(state), 0.07, params)
     magnetic_sweep(state, 0.07, params, workers=workers)
     for i in (1, 2, 3):
         assert (getattr(state, f"b{i}") == getattr(ref, f"b{i}")).all()

@@ -1,8 +1,12 @@
 """The example scripts run end to end from a checkout."""
 
+import importlib.util
+import json
 import os
+import shutil
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -50,3 +54,105 @@ def test_cycle_faults_prints_a_line_per_cycle(workers):
             counts = [int(c) for c in fields["minflt_workers"].split(",")]
             assert len(counts) == min(workers, len(os.sched_getaffinity(0)))
             assert min(counts) >= 0
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def two_commits(tmp_path):
+    """A git repository whose last two commits hold the benchmark spec and an `arm` file."""
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    shutil.copy(SCRIPTS.parent / "BENCHMARK.json", repo)
+    git = partial(subprocess.run, cwd=repo, check=True, capture_output=True)
+    git(["git", "init", "-q"])
+    for arm in ("parent", "change"):
+        (repo / "arm").write_text(arm)
+        git(["git", "add", "-A"])
+        git(["git", "-c", "user.name=ab", "-c", "user.email=ab@example.com",
+             "-c", "commit.gpgsign=false", "commit", "-q", "-m", arm])
+    return repo
+
+
+def _stub_run(calls, fault=None):
+    # A run of perfbench from an exported tree: the change's runs are 1% slower
+    # in every metric; `fault` = (arm, seed, kind) spoils one run.
+    spec = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+
+    def run(tree, workload, seed, seconds):
+        arm = (tree / "arm").read_text()
+        calls.append((arm, workload, seed, seconds))
+        kind = fault[2] if fault and fault[:2] == (arm, seed) else None
+        value = (100.0 + seed) * (1.01 if arm == "change" else 1.0)
+        result = {"correct": kind != "incorrect", "attempted": 1, "failed": int(kind == "incorrect"),
+                  "metrics": {m["name"]: {"value": value if m["better"] == "lower" else 1 / value,
+                                          "unit": m["unit"]} for m in spec["end_to_end"]}}
+        digest = f"seed{seed}" + ("-other" if kind == "digest" else "")
+        stdout = f"workload {workload}\nstate_sha256 after cycle 3: {digest}\n{json.dumps(result)}\n"
+        return (1, "", "Traceback") if kind == "crash" else (0, stdout, "")
+    return run
+
+
+def test_ab_alternates_the_arms_and_summarises_every_metric(two_commits, monkeypatch, capsys):
+    ab = _load_script("ab")
+    monkeypatch.setattr(ab, "ROOT", two_commits)
+    calls = []
+    assert ab.main(["--parent", "HEAD~1", "--workload", "serial64_w1", "--pairs", "4"],
+                   run=_stub_run(calls)) == 0
+    assert [(arm, seed) for arm, _, seed, _ in calls] == [
+        ("parent", 1), ("change", 1), ("change", 2), ("parent", 2),
+        ("parent", 3), ("change", 3), ("change", 4), ("parent", 4)]
+    assert {(workload, seconds) for _, workload, _, seconds in calls} == {("serial64_w1", 45)}
+    out = capsys.readouterr().out.splitlines()
+    assert len([line for line in out if line.startswith("seed ")]) == 8
+    summary = out[-5:]
+    assert [line.split()[0] for line in summary] == [
+        "cycle_ms_p50", "mcups", "model_gflops", "setup_s", "peak_rss_mb"]
+    for line in summary:
+        assert "change wins 0/4" in line and "median gap > parent IQR: no" in line
+    assert "parent 102.5 [101.25, 103.75]  change 103.525" in summary[0]
+    assert "worse by +1.0% (bound 25%)" in summary[0]
+
+
+@pytest.mark.parametrize("fault, message", [
+    (("change", 3, "digest"), "seed 3: the state digests differ"),
+    (("parent", 2, "incorrect"), "seed 2 parent: the run is not correct"),
+    (("change", 1, "crash"), "seed 1 change: the run failed (exit 1)"),
+], ids=["digest", "incorrect", "crash"])
+def test_ab_fails_on_a_bad_run(two_commits, monkeypatch, capsys, fault, message):
+    ab = _load_script("ab")
+    monkeypatch.setattr(ab, "ROOT", two_commits)
+    calls = []
+    assert ab.main(["--parent", "HEAD~1", "--workload", "canon128_w2", "--pairs", "4"],
+                   run=_stub_run(calls, fault)) == 1
+    assert calls[-1][::2] == fault[:2]  # it stops at the seed of the bad run
+    assert message in capsys.readouterr().out.splitlines()
+
+
+def test_ab_measures_the_working_tree_and_refuses_one_commit_twice(two_commits, monkeypatch,
+                                                                     capsys):
+    ab = _load_script("ab")
+    monkeypatch.setattr(ab, "ROOT", two_commits)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=two_commits, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    calls = []
+    with pytest.raises(SystemExit) as refused:
+        ab.main(["--parent", "HEAD", "--workload", "serial64_w1"], run=_stub_run(calls))
+    assert refused.value.code == 2 and calls == []
+    assert f"the same commit {head}" in capsys.readouterr().err
+
+    (two_commits / "arm").write_text("edited")  # a tracked file, not committed
+    assert ab.main(["--parent", "HEAD", "--workload", "serial64_w1", "--pairs", "2"],
+                   run=_stub_run(calls)) == 0
+    assert [arm for arm, *_ in calls] == ["change", "edited", "edited", "change"]
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"parent HEAD = {head}"
+    assert out[1].startswith("change working tree = ") and head not in out[1]
+    assert (two_commits / "arm").read_text() == "edited"

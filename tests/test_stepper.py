@@ -9,7 +9,7 @@ import pytest
 from tvdmhd import (GridShape, SchemeParams, discrete_divergence, fluid, grid,
                     init_condition, magnetic, run, step_cycle, stepper, totals, transpose)
 
-from conftest import state_bytes
+from conftest import copy_state, state_bytes
 
 
 def _recorded_cycle(monkeypatch, params, kind, **options):
@@ -64,7 +64,7 @@ def test_cycle_calls_sweeps_and_transposes_in_order(params, monkeypatch):
 
 def test_uniform_static_state_unchanged_bitwise(params):
     state = init_condition("uniform", GridShape(8, 8, 8), params)
-    ref = state.copy()
+    ref = copy_state(state)
     report = step_cycle(state, params)
     assert np.isfinite(report.dt)
     for name, arr in state.components():
@@ -160,7 +160,7 @@ def test_perfbench_tracer_spans_every_layer_and_keeps_the_cycle_bitwise(params, 
     spec.loader.exec_module(spans)
 
     state = init_condition("solenoidal_random", GridShape(16, 16, 16), params, seed=2)
-    ref = state.copy()
+    ref = copy_state(state)
     step_cycle(ref, params, workers=2)
     tracer = spans.Tracer()
     tracer.install(stepper, fluid, magnetic, grid)
