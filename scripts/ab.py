@@ -12,6 +12,11 @@ exceeds the parent's quartile distance.
 
     python3 scripts/ab.py --parent HEAD~1 --workload serial64_w1 --pairs 10
 
+``--json PATH`` appends one record of the comparison to the JSON list in
+PATH (a new file holds a list of one): both revisions and commit ids, the
+workload, the pairs, the run length, every run with its seed, metrics and
+digest line, and per metric the summary printed.
+
 Every run lasts the parent's ``run_seconds``.  ``--change`` defaults to the
 working tree: its tracked files, staged or not, as the commit
 ``git stash create`` writes, or HEAD when nothing is modified.  Both commit
@@ -77,22 +82,53 @@ def _parse(stdout: str) -> tuple[dict | None, str | None]:
     return result, next((line for line in lines if line.startswith(DIGEST)), None)
 
 
+def summarise(metric: dict, parent: list[float], change: list[float]) -> dict:
+    """The comparison of one end-to-end metric over the pairs (parent[i], change[i])."""
+    sign = 1 if metric["better"] == "lower" else -1
+    (p1, pm, p3), (c1, cm, c3) = (statistics.quantiles(v, n=4) for v in (parent, change))
+    return {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
+            "parent": {"median": pm, "quartiles": [p1, p3]},
+            "change": {"median": cm, "quartiles": [c1, c3]},
+            "worse_pct": 100 * sign * (cm - pm) / pm,
+            "change_wins": sum(sign * (p - c) > 0 for p, c in zip(parent, change)),
+            "gap_exceeds_parent_iqr": abs(cm - pm) > p3 - p1}
+
+
+def read_ledger(path: Path) -> list:
+    """The JSON list of records in `path`; empty if there is no such file."""
+    ledger = json.loads(path.read_text()) if path.exists() else []
+    if not isinstance(ledger, list):
+        raise ValueError(f"{path} holds no JSON list")
+    return ledger
+
+
 def main(argv: list[str] | None = None, run=run_perfbench) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="revision the change is measured against")
     ap.add_argument("--change", help="revision measured (default: the working tree)")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--json", type=Path, metavar="PATH",
+                    help="append the comparison's record to the JSON list in PATH")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 for quartiles")
     commits = {"parent": resolve(args.parent), "change": resolve(args.change)}
     if commits["parent"] == commits["change"]:
         ap.error(f"the parent and the change are the same commit {commits['parent']}")
+    if args.json:  # refused now, not after the runs
+        try:
+            ledger = read_ledger(args.json)
+        except (OSError, ValueError) as err:
+            ap.error(f"--json: {err}")
+        if not args.json.parent.is_dir():
+            ap.error(f"--json: no directory {args.json.parent}")
 
+    revs = {"parent": args.parent, "change": args.change or "working tree"}
+    runs = []
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         trees = {arm: Path(tmp) / arm for arm in commits}
-        for arm, rev in (("parent", args.parent), ("change", args.change or "working tree")):
+        for arm, rev in revs.items():
             export(commits[arm], trees[arm])
             print(f"{arm} {rev} = {commits[arm]}", flush=True)
         spec = json.loads((trees["parent"] / "BENCHMARK.json").read_text())
@@ -100,7 +136,6 @@ def main(argv: list[str] | None = None, run=run_perfbench) -> int:
             ap.error(f"unknown workload {args.workload!r}")
         seconds = spec["run_seconds"]
         metrics = spec["end_to_end"]
-        values = {"parent": [], "change": []}
         for seed in range(1, args.pairs + 1):
             digests = {}
             for arm in ("parent", "change") if seed % 2 else ("change", "parent"):
@@ -110,7 +145,8 @@ def main(argv: list[str] | None = None, run=run_perfbench) -> int:
                     print(f"seed {seed} {arm}: the run failed (exit {code})\n{stderr}", flush=True)
                     return 1
                 got = {m["name"]: result["metrics"][m["name"]]["value"] for m in metrics}
-                values[arm].append(got)
+                runs.append({"seed": seed, "arm": arm, "correct": result["correct"],
+                             "metrics": got, "digest": digests[arm]})
                 print(f"seed {seed} {arm:6s} correct {result['correct']}  "
                       + "  ".join(f"{k} {v:.6g}" for k, v in got.items())
                       + f"  {digests[arm]}", flush=True)
@@ -122,17 +158,24 @@ def main(argv: list[str] | None = None, run=run_perfbench) -> int:
                 return 1
 
     print(f"{args.workload}, {args.pairs} pairs of {seconds:g} s: median [quartiles]")
+    summary = {}
     for m in metrics:
-        name, sign = m["name"], 1 if m["better"] == "lower" else -1
-        par, chg = ([r[name] for r in values[arm]] for arm in ("parent", "change"))
-        (p1, pm, p3), (c1, cm, c3) = (statistics.quantiles(v, n=4) for v in (par, chg))
-        wins = sum(sign * (p - c) > 0 for p, c in zip(par, chg))
-        gap = abs(cm - pm) > p3 - p1
-        print(f"{name} ({m['unit']}, {m['better']} is better): parent {pm:.6g} "
-              f"[{p1:.6g}, {p3:.6g}]  change {cm:.6g} [{c1:.6g}, {c3:.6g}]  "
-              f"worse by {100 * sign * (cm - pm) / pm:+.1f}% (bound {100 * m['bound']:g}%)  "
-              f"change wins {wins}/{args.pairs}  median gap > parent IQR: "
-              f"{'yes' if gap else 'no'}")
+        name = m["name"]
+        par, chg = ([r["metrics"][name] for r in runs if r["arm"] == arm]
+                    for arm in ("parent", "change"))
+        s = summary[name] = summarise(m, par, chg)
+        (p1, p3), (c1, c3) = s["parent"]["quartiles"], s["change"]["quartiles"]
+        print(f"{name} ({m['unit']}, {m['better']} is better): "
+              f"parent {s['parent']['median']:.6g} [{p1:.6g}, {p3:.6g}]  "
+              f"change {s['change']['median']:.6g} [{c1:.6g}, {c3:.6g}]  "
+              f"worse by {s['worse_pct']:+.1f}% (bound {100 * m['bound']:g}%)  "
+              f"change wins {s['change_wins']}/{args.pairs}  median gap > parent IQR: "
+              f"{'yes' if s['gap_exceeds_parent_iqr'] else 'no'}")
+    if args.json:
+        record = {**{arm: {"rev": revs[arm], "commit": commits[arm]} for arm in commits},
+                  "workload": args.workload, "pairs": args.pairs, "run_seconds": seconds,
+                  "runs": runs, "metrics": summary}
+        args.json.write_text(json.dumps(ledger + [record], indent=1) + "\n")
     return 0
 
 

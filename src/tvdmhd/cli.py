@@ -160,7 +160,7 @@ def bench_command(sizes, repeats, workers, precision, machines_path=None,
     Repetition statistic: median and min over the `repeats` timed cycles of
     `validation.cycle_times`, then the median ms of each cycle section over
     the same cycles; initialization and snapshot IO are excluded.  The box
-    is uniform, so its limiter masks never vary and branch costs do not show.
+    is uniform, so its slopes are all zero and data-dependent costs do not show.
     The counts, the sizes, then the machines file and its baseline record are
     checked first, so a bad one fails before any output.
     """

@@ -34,9 +34,12 @@ kept value comes from the same operations on the same operands as an
 unblocked evaluation, so results are bitwise independent of the block size
 and the worker count.
 
-The Van Leer limiter, shared with the magnetic sweep, selects its result by
-bits rather than by a per-cell branch; the values are those of a plain
-``where``.
+The Van Leer limiter, shared with the magnetic sweep, selects nothing: every
+cell divides 2 dl dr by dl + dr + w, where w, formed from the sign bit of
+0 - dl dr, is +0 where the slopes agree and +inf elsewhere, so a cell whose
+slopes disagree gets exactly (dl dr) * 0.  The values are bitwise those of a
+plain ``where``, which a call falls back to when a value of it overflows or
+falls below the normal range.
 """
 
 from __future__ import annotations
@@ -53,11 +56,11 @@ from .grid import ConservedState, GridShape, SchemeParams, face_to_center, row_c
 from .parallel import chunks, parallel_for, partition, scratch, workspace
 
 # Bytes per variable of one row block.  The block's workspace in the scratch
-# arena is about 45 such arrays (see `_Block`), so the size trades cache reuse
+# arena is about 44 such arrays (see `_Block`), so the size trades cache reuse
 # against per-block call overhead.  Cycle ms on a 2-core host (2 MiB L2 per
 # core), 64^3 single on 1 worker, cycles of the three sizes alternated in one
 # process, median of 16, two runs; 32 / 48 / 64 KiB: 258 / 237 / 243 and
-# 273 / 292 / 277.  The fluid arena is 1.5 / 2.25 / 3.0 MiB.  No size
+# 273 / 292 / 277.  The fluid arena was 1.5 / 2.25 / 3.0 MiB.  No size
 # separated, so 48 KiB stayed; 64 KiB would cost each process 0.75 MiB more.
 # With cached workspaces, 48 against 32 KiB: fluid ms 152 / 168, 48 KiB
 # faster in 12 of 16 cycles.  In later alternated A/B runs in single
@@ -121,47 +124,53 @@ def gas_pressure(rho, mom1, mom2, mom3, e, bc1, bc2, bc3, gamma):
     return _pressure(rho, (mom1, mom2, mom3), e, pm, gamma, out, tmp)
 
 
-def _harmonic(dl, dr, out, prod, zero, mask):
-    # out = 2 dl dr / (dl + dr) where dl dr > 0, else (dl dr) * 0 (a signed
-    # zero, or NaN), on scratch of out's shape and dtype: prod and zero, and
-    # the boolean mask.  Run under _limit's errstate: only cells with
-    # prod > 0 keep the mean, and there dl + dr != 0, so the division's
-    # warnings are of discarded cells.
-    np.multiply(dl, dr, out=prod)
-    np.greater(prod, 0, out=mask)
-    np.divide(np.multiply(2.0, prod, out=zero), np.add(dl, dr, out=out), out=out)
-    np.multiply(prod, 0, out=zero)
-    # The mean or zero, picked in place by bits on the integer views of the
-    # same width, with no branch per cell; prod, now dead, takes the select.
-    keep = prod.view(f"i{prod.itemsize}")
-    np.negative(mask, dtype=keep.dtype, out=keep)  # all ones or all zeros
-    sel, zero = out.view(keep.dtype), zero.view(keep.dtype)
-    sel ^= zero
-    sel &= keep
-    sel ^= zero
+# The bits of +inf as the signed integer of each float type's width.
+_INF_BITS = {np.dtype(t): np.array(np.inf, t).view(f"i{np.dtype(t).itemsize}")[()]
+             for t in (np.float32, np.float64)}
 
 
-def _limit(dl, dr, out, prod, zero, mask):
+def _limit(dl, dr, out, prod, work):
     # out = the Van Leer limited slope of dl and dr, 2 dl dr / (dl + dr) where
-    # the slopes agree and 0 elsewhere, on the scratch of _harmonic; returns out.
+    # the slopes agree and (dl dr) * 0 (a signed zero, or NaN) elsewhere; prod
+    # and work are scratch of out's shape and dtype.  Returns out.
+    #
+    # One division for every cell, with no select: the denominator is
+    # dl + dr + w, where w is +0 where dl dr > 0 and +inf elsewhere, and
+    # 2 dl dr / +inf is exactly (dl dr) * 0.  0 - dl dr has its sign bit set
+    # exactly where dl dr > 0 (0 - (+-0) is +0); spread over the word by an
+    # arithmetic shift it is -1 there and 0 elsewhere, and +inf's bits shifted
+    # by -1 are 0 (numpy's shift by a negative count), by 0 +inf.  A value
+    # that overflows (2 dl dr = -inf over +inf is NaN, not -0) or falls
+    # inexactly below the normal range raises, and _limit_where redoes the call.
     try:
-        with np.errstate(under="raise", divide="ignore", invalid="ignore"):
-            _harmonic(dl, dr, out, prod, zero, mask)
+        with np.errstate(under="raise", over="raise", divide="ignore", invalid="ignore"):
+            np.multiply(dl, dr, out=prod)
+            w = work.view(f"i{work.itemsize}")
+            np.subtract(0, prod, out=work)
+            np.right_shift(w, 8 * work.itemsize - 1, out=w)
+            np.right_shift(_INF_BITS[work.dtype], w, out=w)
+            np.add(np.add(dl, dr, out=out), work, out=out)
+            return np.divide(np.multiply(2.0, prod, out=prod), out, out=out)
     except FloatingPointError:
-        # Some dl dr fell below the normal range, where a product keeps only a
-        # few digits; there 2 small (big / (dl + dr)) forms no tiny product.
-        # An exact product raised nothing and keeps the first form, so a cell's
-        # result does not depend on whether another cell of the call underflowed.
-        with np.errstate(under="ignore", divide="ignore", invalid="ignore"):
-            _harmonic(dl, dr, out, prod, zero, mask)
-            prod = dl * dr  # the select has overwritten the scratch product
-            dl, dr = np.broadcast_arrays(dl, dr)
-            fix = np.array((prod > 0) & (prod < np.finfo(out.dtype).tiny))
-            fix[fix] = [Fraction(x) * Fraction(y) != Fraction(p) for x, y, p in
-                        zip(dl[fix].tolist(), dr[fix].tolist(), prod[fix].tolist())]
-            a, b = dl[fix], dr[fix]
-            a_small = np.abs(a) <= np.abs(b)
-            out[fix] = 2.0 * np.where(a_small, a, b) * (np.where(a_small, b, a) / (a + b))
+        return _limit_where(dl, dr, out)
+
+
+def _limit_where(dl, dr, out):
+    # _limit as a select, for a call in which a value overflowed or fell below
+    # the normal range.  A positive dl dr that is inexact there keeps only a few
+    # digits, so those cells take 2 small (big / (dl + dr)), which forms no tiny
+    # product.  An exact product keeps the first form, so a cell's result does
+    # not depend on whether another cell of the call raised.
+    with np.errstate(under="ignore", divide="ignore", invalid="ignore"):
+        prod = dl * dr
+        out[...] = np.where(prod > 0, 2.0 * prod / (dl + dr), prod * 0)
+        dl, dr = np.broadcast_arrays(dl, dr)
+        fix = np.array((prod > 0) & (prod < np.finfo(out.dtype).tiny))
+        fix[fix] = [Fraction(x) * Fraction(y) != Fraction(p) for x, y, p in
+                    zip(dl[fix].tolist(), dr[fix].tolist(), prod[fix].tolist())]
+        a, b = dl[fix], dr[fix]
+        a_small = np.abs(a) <= np.abs(b)
+        out[fix] = 2.0 * np.where(a_small, a, b) * (np.where(a_small, b, a) / (a + b))
     return out
 
 
@@ -267,13 +276,14 @@ class _Block:
         # M = rows * P: the block u 5 and its field bc 3 (one stack, so one
         # ghost fill serves both), the field products (sq1, total, pm, b1b) 6
         # and the movers wp, wm 10 live through both stages; four 5M stacks
-        # s0-s3 and a boolean 5M mask hold each stage's short-lived values, so
-        # the arena takes about 45 M.  Lifetimes in the stacks, in order of use:
+        # s0-s3 hold each stage's short-lived values, so the arena takes about
+        # 44 M.  Lifetimes in the stacks, in order of use:
         #   load:      the centred field, contiguous, in s3
         #   field:     bc2^2, bc3^2 in s2 (a2, tot)
         #   stage:     v, p, tmp in s0; f5 in s1; a2, tot, cf (then c_rows) in
         #              s2; all dead once wp and wm are formed
-        #   limiter:   d in s0, lim in s1, prod (then its select) in s2, zero in s3
+        #   limiter:   d in s0, lim in s1, prod (then 2 prod) in s2, 0 - prod
+        #              (then its sign, then +0 or +inf) in s3
         #   half step: the flux change in s0, subtracted in place from u
         #   update:    the flux change in s0; the final pressure in s1
         #   cfl:       unpadded rows: the centred field squared and two images in
@@ -281,9 +291,8 @@ class _Block:
         padded = (rows, n1 + 2 * _GHOST)
         m = rows * padded[1]
         n = 5 * m
-        (ub, sq1, total, pm, b1b, c, wp, wm, s0, s1, s2, s3, mask) = scratch(
-            dtype, 8 * m, m, m, m, 3 * m, rows, n, n, n, n, n, n,
-            -(-n // np.dtype(dtype).itemsize))
+        (ub, sq1, total, pm, b1b, c, wp, wm, s0, s1, s2, s3) = scratch(
+            dtype, 8 * m, m, m, m, 3 * m, rows, n, n, n, n, n, n)
         ub = ub.reshape((8,) + padded)
         self.u, self.bc = ub[:5], ub[5:]  # (5, R, P) the block, then its half step; the field
         self.rho, self.m, self.e = self.u[0], self.u[1:4], self.u[4]
@@ -313,7 +322,7 @@ class _Block:
         self.wp_hi, self.wp_lo, self.wm_hi, self.wm_lo = wp[1:], wp[:-1], wm[1:], wm[:-1]
         self.d, self.dl, self.dc, self.dr = s0[:-1], s0[:-3], s0[1:-2], s0[2:-1]
         self.lim = s1[:-3]
-        self.limiter = (self.lim, s2[:-3], s3[:-3], mask.view(bool)[:n - 3])
+        self.limiter = (self.lim, s2[:-3], s3[:-3])
         # The flux change F(q) - F(q - 1) at positions [_GHOST, size - _GHOST),
         # and the rows it updates.
         self.flux_hi, self.flux_lo = wp[2:-2], wp[1:-3]
@@ -420,8 +429,8 @@ def _sweep_block(u, ws, u5, lam, gamma, where, shape, row0):
     # the fluid rows from state row row0 on of the state block u; writes u5.
     # Passes per cell (one ufunc over one padded array; a stack counts once
     # per variable): load and field 23; each stage 81, of which the fluxes
-    # and movers take 44, plus 130 in stage 2 for the two limited corrections
-    # (the limiter alone 2 x 50); the half step 15; the update and its check 27.
+    # and movers take 44, plus 110 in stage 2 for the two limited corrections
+    # (the limiter alone 2 x 40); the half step 15; the update and its check 27.
     # Each pass runs over whole rows as one flat run, except the copies into
     # the padded rows, each stage's row maxima, and the update, which reads
     # the flux change from the padded rows: numpy runs a strided operand row

@@ -39,7 +39,7 @@ from .parallel import chunks, parallel_for, partition, scratch, workspace
 # Bytes per array of one chunk.  A chunk's workspace in the scratch arena is
 # 6.25 such arrays padded by 3 cells per row (see `_Chunk`): single precision
 # 0.85 / 1.64 / 1.60 MiB at 32^3 / 64^3 / 128^3, within the fluid block's
-# 2.39 / 2.25 / 2.19 MiB, so the magnetic sweep does not grow the arena
+# 2.32 / 2.19 / 2.13 MiB, so the magnetic sweep does not grow the arena
 # (tests/test_scratch.py pins this).
 # Magnetic ms per cycle (the untraced `StepReport` section) on a 2-core host,
 # single precision, solenoidal_random, 64^3 on 1 worker, cycles alternated in
@@ -67,9 +67,9 @@ class _Chunk:
         # Six regions r0-r5 of a x o padded rows and a boolean r6, with every
         # region's lifetimes, in order of use: v1 (r0), v on the face (r1), v on
         # the edge (r2, kept to the flux); b (r0), its slopes d (r1), the limited
-        # slopes (r3) with the limiter's scratch in r4-r6; the time-centering
-        # factor (r1), the two movers (r4, r5) and the edge flux (r5); the flux
-        # difference (r1).
+        # slopes (r3) with the limiter's scratch in r4 and r5; the time-centering
+        # factor (r1), the two movers (r4, r5), the upwind mask (r6) and the
+        # edge flux (r5); the flux difference (r1).
         padded = (a, o, n + 3)
         self.size = math.prod(padded)
         self.slab = o * (n + 3)  # values per row along the coupling axis
@@ -77,7 +77,7 @@ class _Chunk:
         self.r = r + [mask.view(bool)[:self.size]]
         r0 = r[0].reshape(padded)
         self.cells = r0[..., 2:-1]  # where v1, then b, is loaded
-        self.limiter = [x[:-2] for x in self.r[3:]]  # the limiter's output and scratch
+        self.limiter = [x[:-2] for x in r[3:]]  # the limiter's output and scratch
         self.ghosts = fluid._ghost_runs(r0, 2, 1)
         # The edges of the flux difference (r1) and of the flux (r5), shaped as b.
         self.dphi, self.phi = (x.reshape(padded)[..., :n] for x in (r[1], r[5]))
@@ -114,8 +114,8 @@ def _advect(b, b1, rho, mom1, lam, axis):
     # edge flux on row n (the lower face of row n along `axis`) is taken from
     # b1 row n and given to b1 row n - 1.  The chunk must span the whole of
     # `axis`, whose length is even.  The workspace is a _Chunk.  Passes per
-    # cell (one ufunc over one padded chunk array): velocities 5, edge flux 23
-    # (the limiter 10), updates of b and b1 about 6.
+    # cell (one ufunc over one padded chunk array): velocities 5, edge flux 21
+    # (the limiter 8), updates of b and b1 about 6.
     b, b1, rho, mom1 = (np.moveaxis(x, axis, 0) for x in (b, b1, rho, mom1))
     ws = workspace(_Chunk, *b.shape, b.dtype)
     r0, r1, r2 = ws.r[:3]

@@ -298,9 +298,9 @@ def cycle_times(runs, repeats, precision) -> list[list[StepReport]]:
     (allocator and frequency settling) and then `repeats` timed rounds, so a
     slow phase of the host falls on every run alike.  Returns the `repeats`
     reports of each run, in the order of `runs`: wall ms and the per-section
-    ms of the same cycles.  The box is uniform, so every limiter mask is
-    constant; a cost that depends on how the masks vary shows only on data
-    such as `solenoidal_random`.
+    ms of the same cycles.  The box is uniform, so every slope is zero; a cost
+    that depends on the data, such as the magnetic sweep's upwind select,
+    shows only on data such as `solenoidal_random`.
     """
     params = SchemeParams(precision=precision)
     states = [ic.init_condition("uniform", GridShape(n, n, n), params, v=(1.0, 0.0, 0.0))

@@ -72,5 +72,5 @@ def vanleer(dl, dr) -> np.ndarray:
     broadcast shape and float dtype (a 0-d array for scalars).
     """
     dl, dr = np.broadcast_arrays(dl, dr)
-    out, prod, zero = (np.empty(dl.shape, np.result_type(dl, dr)) for _ in range(3))
-    return fluid._limit(dl, dr, out, prod, zero, np.empty(dl.shape, bool))
+    out, prod, work = (np.empty(dl.shape, np.result_type(dl, dr)) for _ in range(3))
+    return fluid._limit(dl, dr, out, prod, work)

@@ -181,8 +181,8 @@ def test_vanleer_cell_does_not_depend_on_the_others(dtype, cell, other):
 
 
 def _where_limit(dl, dr):
-    # The limiter written with np.where, the reference of its bit select, and
-    # cell by cell where a positive product fell inexactly below the normal
+    # The limiter written with np.where, the reference of its one division,
+    # and cell by cell where a positive product fell inexactly below the normal
     # range: there the limiter takes 2 small (big / (dl + dr)).
     prod = dl * dr
     with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
@@ -221,6 +221,126 @@ def test_vanleer_bit_select_matches_where(dtype, subnormal_products):
     assert got.tobytes() == want.tobytes()
     assert all(x.dtype == dtype for x in alone)
     assert b"".join(x.tobytes() for x in alone) == want.tobytes()
+
+
+def _special_words(dtype):
+    # The bit patterns of signed zeros, infinities, NaNs with payloads (quiet
+    # and signalling), the extreme subnormals and normals, and the largest
+    # value: each with the sign bit clear, then set.
+    info = np.finfo(dtype)
+    bits = 8 * info.dtype.itemsize
+    words = np.array([0, np.inf, info.max, info.tiny, info.smallest_subnormal,
+                      np.sqrt(info.max), np.sqrt(info.tiny)], dtype).view(f"u{bits // 8}")
+    exponent = int(words[1])  # the bits of +inf
+    nans = [exponent | 1, exponent | (1 << (info.nmant - 1)), exponent | ((1 << info.nmant) - 1)]
+    plus = [int(w) for w in words] + nans + [int(words[3]) - 1]  # the largest subnormal
+    return plus + [w | (1 << (bits - 1)) for w in plus]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@settings(deadline=None)
+@given(data=st.data())
+def test_vanleer_matches_where_on_any_bit_pattern(dtype, data):
+    # Any two words viewed as floats, alone and mixed into one call with others.
+    # Each is compared with the reference on the same call: which payload the
+    # product of two NaNs keeps depends on the call's length in numpy.
+    bits = 8 * np.dtype(dtype).itemsize
+    word = st.one_of(st.integers(0, 2 ** bits - 1), st.sampled_from(_special_words(dtype)))
+    pairs = data.draw(st.lists(st.tuples(word, word), min_size=1, max_size=12))
+    dl, dr = (np.array(col, f"u{bits // 8}").view(dtype) for col in zip(*pairs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        calls = [(dl, dr)] + [(dl[i:i + 1], dr[i:i + 1]) for i in range(len(dl))]
+        for args in calls:
+            got = vanleer(*args)
+            assert got.dtype == dtype and got.tobytes() == _where_limit(*args).tobytes()
+
+
+@pytest.fixture
+def limiter_calls(monkeypatch):
+    """Counts of the calls of fluid._limit and of its select form, fluid._limit_where."""
+    calls = {"_limit": 0, "_limit_where": 0}
+
+    def counted(name):
+        func = getattr(fluid, name)
+
+        def call(*args):
+            calls[name] += 1
+            return func(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(fluid, name, counted(name))
+    return calls
+
+
+@pytest.mark.parametrize("precision", ["single", "double"])
+def test_a_cycle_runs_the_limiters_main_path_only(limiter_calls, precision):
+    # One worker: the counters live in this process.
+    params = SchemeParams(precision=precision)
+    state = init_condition("solenoidal_random", GridShape(32, 32, 32), params, seed=0)
+    step_cycle(state, params, 1)
+    assert limiter_calls["_limit"] > 0 and limiter_calls["_limit_where"] == 0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("pair", ["overflow", "inexact subnormal"])
+def test_the_limiter_falls_back_once_on_an_overflow_or_a_tiny_product(limiter_calls, dtype,
+                                                                      pair):
+    info = np.finfo(dtype)
+    small = np.sqrt(info.tiny)
+    # 2 dl dr overflows to -inf, and -inf / +inf is NaN where the select gives
+    # -0; or dl dr is a positive subnormal that rounds.
+    cell = {"overflow": (3, -info.max / 4), "inexact subnormal": (small / 3, small / 5)}[pair]
+    dl, dr = (np.array([x], dtype) for x in cell)
+    if pair == "inexact subnormal":
+        prod = (dl * dr)[0]
+        assert 0 < prod < info.tiny
+        assert Fraction(float(dl[0])) * Fraction(float(dr[0])) != Fraction(float(prod))
+    with np.errstate(over="ignore"):
+        got = vanleer(dl, dr)
+        want = _where_limit(dl, dr)
+    assert limiter_calls == {"_limit": 1, "_limit_where": 1}
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ints", [np.int32, np.int64])
+def test_numpy_shifts_by_a_negative_count_to_zero(ints):
+    # The limiter's w = +inf's bits >> k with k = -1 or 0 relies on it; C
+    # leaves such a shift undefined.  Long arrays take numpy's vector loops.
+    inf_bits = np.array(np.inf, f"f{np.dtype(ints).itemsize}").view(ints)[()]
+    assert np.right_shift(inf_bits, -1) == 0
+    counts = np.resize(np.array([-1, 0], ints), 1001)
+    shifted = np.right_shift(inf_bits, counts, out=counts)
+    assert shifted.tolist() == [0, int(inf_bits)] * 500 + [0]
+
+
+class _UfuncCounter:
+    """numpy, with the name of every ufunc and copyto call recorded in `calls`."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not (isinstance(attr, np.ufunc) or name == "copyto"):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return attr(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_the_limiters_main_path_is_eight_passes(monkeypatch, limiter_calls, dtype):
+    slopes = np.random.default_rng(0).standard_normal((2, 4096)).astype(dtype)
+    vanleer(*slopes)  # warmed
+    numpy = _UfuncCounter()
+    monkeypatch.setattr(fluid, "np", numpy)
+    got = vanleer(*slopes)
+    assert len(numpy.calls) == 8, numpy.calls
+    assert limiter_calls["_limit_where"] == 0
+    assert got.tobytes() == _where_limit(*slopes).tobytes()
 
 
 @given(a=st.floats(0.01, 1e3), b=st.floats(0.01, 1e3), s=st.floats(0.01, 100))

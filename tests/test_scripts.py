@@ -156,3 +156,54 @@ def test_ab_measures_the_working_tree_and_refuses_one_commit_twice(two_commits, 
     assert out[0] == f"parent HEAD = {head}"
     assert out[1].startswith("change working tree = ") and head not in out[1]
     assert (two_commits / "arm").read_text() == "edited"
+
+
+def test_ab_appends_its_record_to_a_json_ledger(two_commits, monkeypatch, tmp_path, capsys):
+    ab = _load_script("ab")
+    monkeypatch.setattr(ab, "ROOT", two_commits)
+    ledger = tmp_path / "ledger.json"
+    argv = ["--parent", "HEAD~1", "--workload", "serial64_w1", "--pairs", "4",
+            "--json", str(ledger)]
+    for _ in range(2):
+        assert ab.main(argv, run=_stub_run([])) == 0
+    records = json.loads(ledger.read_text())
+    assert len(records) == 2 and records[0] == records[1]
+    record = records[0]
+    parent, head = subprocess.run(["git", "rev-parse", "HEAD~1", "HEAD"], cwd=two_commits,
+                                  check=True, capture_output=True, text=True).stdout.split()
+    assert record["parent"] == {"rev": "HEAD~1", "commit": parent}
+    assert record["change"] == {"rev": "working tree", "commit": head}
+    assert (record["workload"], record["pairs"], record["run_seconds"]) == ("serial64_w1", 4, 45)
+    assert [(r["seed"], r["arm"]) for r in record["runs"]] == [
+        (1, "parent"), (1, "change"), (2, "change"), (2, "parent"),
+        (3, "parent"), (3, "change"), (4, "change"), (4, "parent")]
+    first = record["runs"][0]
+    assert first["correct"] and first["digest"] == "state_sha256 after cycle 3: seed1"
+    assert first["metrics"]["cycle_ms_p50"] == 101.0
+    assert list(record["metrics"]) == ["cycle_ms_p50", "mcups", "model_gflops", "setup_s",
+                                       "peak_rss_mb"]
+    cycle = record["metrics"]["cycle_ms_p50"]
+    assert cycle["parent"] == {"median": 102.5, "quartiles": [101.25, 103.75]}
+    assert cycle["change"]["median"] == pytest.approx(103.525)
+    assert cycle["worse_pct"] == pytest.approx(1.0)
+    assert (cycle["change_wins"], cycle["gap_exceeds_parent_iqr"]) == (0, False)
+    assert (cycle["unit"], cycle["better"], cycle["bound"]) == ("ms", "lower", 0.25)
+    # The printed summary is the record's.
+    line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith("mcups"))
+    assert f"change wins {record['metrics']['mcups']['change_wins']}/4" in line
+
+
+@pytest.mark.parametrize("ledger", ["object", "no directory"])
+def test_ab_refuses_a_json_path_it_cannot_append_to_before_any_run(two_commits, monkeypatch,
+                                                                    tmp_path, ledger):
+    ab = _load_script("ab")
+    monkeypatch.setattr(ab, "ROOT", two_commits)
+    path = tmp_path / "missing" / "ledger.json"
+    if ledger == "object":
+        path = tmp_path / "ledger.json"
+        path.write_text("{}")
+    calls = []
+    with pytest.raises(SystemExit) as refused:
+        ab.main(["--parent", "HEAD~1", "--workload", "serial64_w1", "--json", str(path)],
+                run=_stub_run(calls))
+    assert refused.value.code == 2 and calls == []
