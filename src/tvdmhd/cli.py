@@ -8,6 +8,7 @@ variable when set.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from contextlib import closing, nullcontext
@@ -125,6 +126,8 @@ def run_command(cfg: RunConfig, out=sys.stdout) -> int:
         raise ConfigError("'snapshot_every' needs 'out' to name the snapshots")
     if cfg.cycles is not None and cfg.t_end is not None:
         raise ConfigError("give one stop rule, 'cycles' or 't_end', not both")
+    if cfg.t_end is not None and not math.isfinite(cfg.t_end):
+        raise ConfigError(f"'t_end' must be finite, got {cfg.t_end}")
     params = cfg.params()
     state = init_condition(cfg.ic, cfg.shape(), params, **cfg.ic_options())
     out.write("# cycle\tdt\ttime\twall_ms\n")

@@ -5,9 +5,10 @@ face field frozen.  The flux for every variable u with physical flux F is
 split into a right mover w+ = (F + c u)/2 and a left mover w- = (c u - F)/2,
 where the freezing speed c bounds every signal speed on the pencil; the
 interface flux is the upwind mover difference, with a Van Leer limited
-second-order correction.  Time integration is a midpoint pair: a half step
-with first-order fluxes produces the state the limited full-step fluxes are
-evaluated on.
+second-order correction.  The kernels form W+- = F +- c u = 2 w+- and apply
+the split's 1/2 once, in the factor of the flux change.  Time integration is
+a midpoint pair: a half step with first-order fluxes produces the state the
+limited full-step fluxes are evaluated on.
 
 The freezing speed is taken uniform along each pencil (the maximum of
 |v1| + c_fast over the line, re-evaluated each stage).  A per-cell speed
@@ -34,12 +35,12 @@ kept value comes from the same operations on the same operands as an
 unblocked evaluation, so results are bitwise independent of the block size
 and the worker count.
 
-The Van Leer limiter, shared with the magnetic sweep, selects nothing: every
-cell divides 2 dl dr by dl + dr + w, where w, formed from the sign bit of
-0 - dl dr, is +0 where the slopes agree and +inf elsewhere, so a cell whose
-slopes disagree gets exactly (dl dr) * 0.  The values are bitwise those of a
-plain ``where``, which a call falls back to when a value of it overflows or
-falls below the normal range.
+The Van Leer limiter, shared with the magnetic sweep, gives half the Van Leer
+slope and selects nothing: every cell divides dl dr by dl + dr + w, where w,
+formed from the sign bit of 0 - dl dr, is +0 where the slopes agree and +inf
+elsewhere, so a cell whose slopes disagree gets exactly (dl dr) * 0.  The
+values are bitwise those of a plain ``where``, which a call falls back to
+when a value of it overflows or falls below the normal range.
 """
 
 from __future__ import annotations
@@ -130,18 +131,18 @@ _INF_BITS = {np.dtype(t): np.array(np.inf, t).view(f"i{np.dtype(t).itemsize}")[(
 
 
 def _limit(dl, dr, out, prod, work):
-    # out = the Van Leer limited slope of dl and dr, 2 dl dr / (dl + dr) where
-    # the slopes agree and (dl dr) * 0 (a signed zero, or NaN) elsewhere; prod
-    # and work are scratch of out's shape and dtype.  Returns out.
+    # out = half the Van Leer slope of dl and dr, dl dr / (dl + dr) where the
+    # slopes agree and (dl dr) * 0 (a signed zero, or NaN) elsewhere; prod and
+    # work are scratch of out's shape and dtype.  Returns out.
     #
     # One division for every cell, with no select: the denominator is
     # dl + dr + w, where w is +0 where dl dr > 0 and +inf elsewhere, and
-    # 2 dl dr / +inf is exactly (dl dr) * 0.  0 - dl dr has its sign bit set
+    # dl dr / +inf is exactly (dl dr) * 0.  0 - dl dr has its sign bit set
     # exactly where dl dr > 0 (0 - (+-0) is +0); spread over the word by an
     # arithmetic shift it is -1 there and 0 elsewhere, and +inf's bits shifted
-    # by -1 are 0 (numpy's shift by a negative count), by 0 +inf.  A value
-    # that overflows (2 dl dr = -inf over +inf is NaN, not -0) or falls
-    # inexactly below the normal range raises, and _limit_where redoes the call.
+    # by -1 are 0 (numpy's shift by a negative count), by 0 +inf.  A call in
+    # which a value overflows or falls inexactly below the normal range
+    # raises, and _limit_where redoes it.
     try:
         with np.errstate(under="raise", over="raise", divide="ignore", invalid="ignore"):
             np.multiply(dl, dr, out=prod)
@@ -150,7 +151,7 @@ def _limit(dl, dr, out, prod, work):
             np.right_shift(w, 8 * work.itemsize - 1, out=w)
             np.right_shift(_INF_BITS[work.dtype], w, out=w)
             np.add(np.add(dl, dr, out=out), work, out=out)
-            return np.divide(np.multiply(2.0, prod, out=prod), out, out=out)
+            return np.divide(prod, out, out=out)
     except FloatingPointError:
         return _limit_where(dl, dr, out)
 
@@ -158,19 +159,19 @@ def _limit(dl, dr, out, prod, work):
 def _limit_where(dl, dr, out):
     # _limit as a select, for a call in which a value overflowed or fell below
     # the normal range.  A positive dl dr that is inexact there keeps only a few
-    # digits, so those cells take 2 small (big / (dl + dr)), which forms no tiny
+    # digits, so those cells take small (big / (dl + dr)), which forms no tiny
     # product.  An exact product keeps the first form, so a cell's result does
     # not depend on whether another cell of the call raised.
     with np.errstate(under="ignore", divide="ignore", invalid="ignore"):
         prod = dl * dr
-        out[...] = np.where(prod > 0, 2.0 * prod / (dl + dr), prod * 0)
+        out[...] = np.where(prod > 0, prod / (dl + dr), prod * 0)
         dl, dr = np.broadcast_arrays(dl, dr)
         fix = np.array((prod > 0) & (prod < np.finfo(out.dtype).tiny))
         fix[fix] = [Fraction(x) * Fraction(y) != Fraction(p) for x, y, p in
                     zip(dl[fix].tolist(), dr[fix].tolist(), prod[fix].tolist())]
         a, b = dl[fix], dr[fix]
         a_small = np.abs(a) <= np.abs(b)
-        out[fix] = 2.0 * np.where(a_small, a, b) * (np.where(a_small, b, a) / (a + b))
+        out[fix] = np.where(a_small, a, b) * (np.where(a_small, b, a) / (a + b))
     return out
 
 
@@ -243,15 +244,15 @@ def cfl_timestep(state: ConservedState, params: SchemeParams, workers: int = 1) 
     return params.courant * state.shape.dx / speed
 
 
-def _ghost_runs(x: np.ndarray, lower: int = _GHOST, upper: int = _GHOST):
+def _ghost_runs(x: np.ndarray):
     # The (images, cells) pairs whose copies fill the periodic images of every
-    # row of the C-contiguous padded stack x: `lower` images before a row's
-    # cells and `upper` after, each run of images one item of raw bytes.
+    # row of the C-contiguous padded stack x, _GHOST at each end of a row's
+    # cells, each run of images one item of raw bytes.
     rows = x.reshape(-1, x.shape[-1])
-    n = rows.shape[1] - lower - upper
-    low, up = (np.dtype((np.void, k * x.itemsize)) for k in (lower, upper))
-    return ((rows[:, :lower].view(low), rows[:, n:n + lower].view(low)),
-            (rows[:, lower + n:].view(up), rows[:, lower:lower + upper].view(up)))
+    n = rows.shape[1] - 2 * _GHOST
+    run = np.dtype((np.void, _GHOST * x.itemsize))
+    return ((rows[:, :_GHOST].view(run), rows[:, n:n + _GHOST].view(run)),
+            (rows[:, _GHOST + n:].view(run), rows[:, _GHOST:2 * _GHOST].view(run)))
 
 
 def _fill_ghosts(runs) -> None:
@@ -282,8 +283,8 @@ class _Block:
         #   field:     bc2^2, bc3^2 in s2 (a2, tot)
         #   stage:     v, p, tmp in s0; f5 in s1; a2, tot, cf (then c_rows) in
         #              s2; all dead once wp and wm are formed
-        #   limiter:   d in s0, lim in s1, prod (then 2 prod) in s2, 0 - prod
-        #              (then its sign, then +0 or +inf) in s3
+        #   limiter:   d in s0, lim in s1, prod in s2, 0 - prod (then its
+        #              sign, then +0 or +inf) in s3
         #   half step: the flux change in s0, subtracted in place from u
         #   update:    the flux change in s0; the final pressure in s1
         #   cfl:       unpadded rows: the centred field squared and two images in
@@ -321,8 +322,7 @@ class _Block:
         self.fp, self.fm = wp[1:-2], wm[2:-1]
         self.wp_hi, self.wp_lo, self.wm_hi, self.wm_lo = wp[1:], wp[:-1], wm[1:], wm[:-1]
         self.d, self.dl, self.dc, self.dr = s0[:-1], s0[:-3], s0[1:-2], s0[2:-1]
-        self.lim = s1[:-3]
-        self.limiter = (self.lim, s2[:-3], s3[:-3])
+        self.limiter = (s1[:-3], s2[:-3], s3[:-3])
         # The flux change F(q) - F(q - 1) at positions [_GHOST, size - _GHOST),
         # and the rows it updates.
         self.flux_hi, self.flux_lo = wp[2:-2], wp[1:-3]
@@ -365,28 +365,24 @@ def _physical_fluxes(ws: _Block) -> None:
 
 
 def _interface_flux(ws: _Block, order: int) -> np.ndarray:
-    # On the padded rows flattened to positions q: entry s is the flux through
-    # the interface between positions s + 1 and s + 2, returned as a view of
-    # ws.wp.  Entries whose stencil crosses a row end are garbage and are never
-    # kept.
+    # Twice the interface flux, from W+ = F + c u and W- = c u - F.  On the
+    # padded rows flattened to positions q: entry s is the flux through the
+    # interface between positions s + 1 and s + 2, returned as a view of ws.wp.
+    # Entries whose stencil crosses a row end are garbage and are never kept.
     # Each row's speed spread over the row first: a product with a broadcast
     # (rows, 1) operand would run row by row.
     np.copyto(ws.c_rows, ws.c)
     cu = np.multiply(ws.c_rows, ws.u, out=ws.cu)
     np.subtract(cu, ws.f5, out=ws.wm5)
     np.add(ws.f5, cu, out=cu)
-    np.multiply(0.5, ws.wp, out=ws.wp)
-    np.multiply(0.5, ws.wm, out=ws.wm)
-    fp, fm, lim = ws.fp, ws.fm, ws.lim
+    fp, fm = ws.fp, ws.fm
     if order == 2:
-        # Slopes of the right movers, then the left: the limiter takes the
-        # slopes on either side of each mover's cell.
+        # Slopes of the right movers, then the left: the limiter's half slope
+        # of the two beside each mover's cell is the Van Leer slope of w+-.
         np.subtract(ws.wp_hi, ws.wp_lo, out=ws.d)
-        _limit(ws.dl, ws.dc, *ws.limiter)
-        np.add(fp, np.multiply(0.5, lim, out=lim), out=fp)
+        np.add(fp, _limit(ws.dl, ws.dc, *ws.limiter), out=fp)
         np.subtract(ws.wm_lo, ws.wm_hi, out=ws.d)
-        _limit(ws.dr, ws.dc, *ws.limiter)
-        np.add(fm, np.multiply(0.5, lim, out=lim), out=fm)
+        np.add(fm, _limit(ws.dr, ws.dc, *ws.limiter), out=fm)
     return np.subtract(fp, fm, out=fp)
 
 
@@ -427,10 +423,7 @@ def _flux_change(ws: _Block, factor) -> None:
 def _sweep_block(u, ws, u5, lam, gamma, where, shape, row0):
     # Both stages and the update, in the workspace ws, of the block of rows u5,
     # the fluid rows from state row row0 on of the state block u; writes u5.
-    # Passes per cell (one ufunc over one padded array; a stack counts once
-    # per variable): load and field 23; each stage 81, of which the fluxes
-    # and movers take 44, plus 110 in stage 2 for the two limited corrections
-    # (the limiter alone 2 x 40); the half step 15; the update and its check 27.
+    # tests/test_fluid.py pins its numpy calls and output elements per cell.
     # Each pass runs over whole rows as one flat run, except the copies into
     # the padded rows, each stage's row maxima, and the update, which reads
     # the flux change from the padded rows: numpy runs a strided operand row
@@ -443,13 +436,14 @@ def _sweep_block(u, ws, u5, lam, gamma, where, shape, row0):
     ws.bc_in[...] = ws.centres
     _fill_ghosts(ws.ghosts)
     _field(ws)
-    # The half step, in place: u - (lam / 2) * (F(q) - F(q - 1)), ghosts refreshed.
+    # The fluxes are doubled (see _interface_flux).  The half step, in place:
+    # u - (lam / 4) * (F(q) - F(q - 1)), ghosts refreshed.
     _stage(ws, gamma, 1, where[0], shape, row0)
-    _flux_change(ws, 0.5 * lam)
+    _flux_change(ws, 0.25 * lam)
     np.subtract(ws.u_inner, ws.step, out=ws.u_inner)
     _fill_ghosts(ws.u_ghosts)
     _stage(ws, gamma, 2, where[1], shape, row0)
-    _flux_change(ws, lam)
+    _flux_change(ws, 0.5 * lam)
     np.subtract(u5, ws.step_in, out=u5)  # u5 still holds the block's values
 
     p = _pressure(u5[0], u5[1:4], u5[4], ws.pm_in, gamma, ws.p_cells, ws.tmp_cells)

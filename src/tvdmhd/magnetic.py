@@ -8,15 +8,15 @@ cancels in the divergence stencil exactly, so the face-flux balance of every
 cell is preserved to roundoff.  Edge fluxes exist one chunk at a time; no
 full-grid electromotive-force array is formed.
 
-Layout.  A chunk is laid out as the fluid block is: each row along i is
-copied into a row padded with two lower and one upper periodic image, and
-the velocities, slopes, limiter, movers, upwind select and flux difference
-run over the padded rows flattened, as 1-d shifted slices; values whose
-stencil crosses a row end are never kept.  So one limiter call on the padded
-slopes serves both movers, and the only wraps left are the coupling axis's
-(a shifted slice of whole rows) and each row's last edge (one strided column).
-The workspace of a chunk of a given shape is carved once per process and
-cached (`_Chunk`).
+Layout.  A chunk is laid out as the fluid block is: each row along i is copied
+into a row padded with ``fluid._GHOST`` periodic images at each end, and the
+velocities, slopes, limiter, movers, upwind select and flux difference run
+over the padded rows flattened, as 1-d shifted slices; values whose stencil
+crosses a row end are never kept.  So one limiter call serves both movers,
+each row's last flux difference takes the edge past its last cell like any
+other, and the only wrap left is the coupling axis's (a shifted slice of whole
+rows).  The workspace of a chunk of a given shape is carved once per process
+and cached (`_Chunk`).
 
 Invariant: a chunk spans the whole coupling axis (j for b2, k for b3), so the
 b1 faces it writes are its own; b2 runs on k slabs and b3 on j columns.  The
@@ -37,8 +37,8 @@ from .grid import ConservedState, SchemeParams
 from .parallel import chunks, parallel_for, partition, scratch, workspace
 
 # Bytes per array of one chunk.  A chunk's workspace in the scratch arena is
-# 6.25 such arrays padded by 3 cells per row (see `_Chunk`): single precision
-# 0.85 / 1.64 / 1.60 MiB at 32^3 / 64^3 / 128^3, within the fluid block's
+# 6.25 such arrays padded by 4 cells per row (see `_Chunk`): single precision
+# 0.88 / 1.66 / 1.61 MiB at 32^3 / 64^3 / 128^3, within the fluid block's
 # 2.32 / 2.19 / 2.13 MiB, so the magnetic sweep does not grow the arena
 # (tests/test_scratch.py pins this).
 # Magnetic ms per cycle (the untraced `StepReport` section) on a 2-core host,
@@ -56,11 +56,11 @@ class _Chunk:
     """The workspace of one chunk of a x o rows of n cells along i: arena views.
 
     Made once per process for each (a, o, n, dtype) by `parallel.workspace`.
-    Every row is padded to P = n + 3 along i, two periodic images below its
-    cells and one above, so position s of a padded row holds cell s - 2
-    (mod n), and the edge at position s is the lower-i edge of cell s.  The
-    passes run on the rows flattened to positions q, as 1-d shifted slices;
-    values whose stencil crosses a row end are garbage and never kept.
+    Every row is padded to P = n + 4 along i, two periodic images at each end,
+    so position s of a padded row holds cell s - 2 (mod n), and the edge at
+    position s, up to n, is the lower-i edge of cell s (mod n).  The passes
+    run on the rows flattened to positions q, as 1-d shifted slices; values
+    whose stencil crosses a row end are garbage and never kept.
     """
 
     def __init__(self, a: int, o: int, n: int, dtype):
@@ -70,40 +70,37 @@ class _Chunk:
         # slopes (r3) with the limiter's scratch in r4 and r5; the time-centering
         # factor (r1), the two movers (r4, r5), the upwind mask (r6) and the
         # edge flux (r5); the flux difference (r1).
-        padded = (a, o, n + 3)
+        padded = (a, o, n + 2 * fluid._GHOST)
         self.size = math.prod(padded)
-        self.slab = o * (n + 3)  # values per row along the coupling axis
+        self.slab = o * padded[2]  # values per row along the coupling axis
         *r, mask = scratch(dtype, *[self.size] * 6, -(-self.size // np.dtype(dtype).itemsize))
         self.r = r + [mask.view(bool)[:self.size]]
         r0 = r[0].reshape(padded)
-        self.cells = r0[..., 2:-1]  # where v1, then b, is loaded
+        self.cells = fluid._interior(r0)  # where v1, then b, is loaded
         self.limiter = [x[:-2] for x in r[3:]]  # the limiter's output and scratch
-        self.ghosts = fluid._ghost_runs(r0, 2, 1)
+        self.ghosts = fluid._ghost_runs(r0)
         # The edges of the flux difference (r1) and of the flux (r5), shaped as b.
         self.dphi, self.phi = (x.reshape(padded)[..., :n] for x in (r[1], r[5]))
-        # The flux difference of each row's last edge, which wraps to its first.
-        dphi, phi = (x.reshape(-1, n + 3) for x in (r[1], r[5]))
-        self.wrap = (phi[:, 0], phi[:, n - 1], dphi[:, n - 1])
 
 
 def _edge_flux(ws: _Chunk, lam) -> np.ndarray:
     # TVD upwind flux of the face field b (loaded in r0) through the lower-i edge
     # of each cell, with the edge velocity ve in r2, second-order via Van Leer
     # slopes with the local Courant time-centering.  With d_i = b_i - b_{i-1},
-    # the right mover takes VL(d_{i-1}, d_i) and the left mover VL(d_i, d_{i+1}):
-    # one limiter call on the padded slopes serves both.  Returns r5[:m].
+    # the right mover takes (1 - |ve| lam) VL(d_{i-1}, d_i) / 2 and the left
+    # mover the same of VL(d_i, d_{i+1}): one limiter call on the padded
+    # slopes, which gives VL / 2, serves both.  Returns r5[:m].
     r0, r1, r2, _, r4, r5, mask = ws.r
-    # Positions whose stencils stay inside the chunk; the last row's last
-    # edge, the last one kept, is at size - 4.
+    # Positions whose stencils stay inside the chunk; the last row's edge n,
+    # the last one kept, is at size - 4.
     m = ws.size - 3
     d = np.subtract(r0[1:], r0[:-1], out=r1[:-1])  # at position s: d_{s-1}
-    lim = fluid._limit(d[:-1], d[1:], *ws.limiter)  # at s: VL(d_{s-1}, d_s)
-    ve, half = r2[:m], r1[:m]
-    np.multiply(0.5, np.subtract(1.0, np.multiply(np.abs(ve, out=half), lam, out=half),
-                                 out=half), out=half)
-    up = np.multiply(half, lim[:m], out=r4[:m])
+    lim = fluid._limit(d[:-1], d[1:], *ws.limiter)  # at s: VL(d_{s-1}, d_s) / 2
+    ve, centre = r2[:m], r1[:m]
+    np.subtract(1.0, np.multiply(np.abs(ve, out=centre), lam, out=centre), out=centre)
+    up = np.multiply(centre, lim[:m], out=r4[:m])
     np.add(r0[1:m + 1], up, out=up)  # b_{s-1} + ...
-    dn = np.multiply(half, lim[1:m + 1], out=r5[:m])
+    dn = np.multiply(centre, lim[1:m + 1], out=r5[:m])
     np.subtract(r0[2:m + 2], dn, out=dn)  # b_s - ...
     np.copyto(dn, up, where=np.greater(ve, 0, out=mask[:m]))
     return np.multiply(ve, dn, out=dn)
@@ -113,9 +110,8 @@ def _advect(b, b1, rho, mom1, lam, axis):
     # Advect the face field b of one chunk along i with v1 = mom1 / rho; the
     # edge flux on row n (the lower face of row n along `axis`) is taken from
     # b1 row n and given to b1 row n - 1.  The chunk must span the whole of
-    # `axis`, whose length is even.  The workspace is a _Chunk.  Passes per
-    # cell (one ufunc over one padded chunk array): velocities 5, edge flux 21
-    # (the limiter 8), updates of b and b1 about 6.
+    # `axis`, whose length is even.  The workspace is a _Chunk.
+    # tests/test_fluid.py pins its numpy calls and output elements per cell.
     b, b1, rho, mom1 = (np.moveaxis(x, axis, 0) for x in (b, b1, rho, mom1))
     ws = workspace(_Chunk, *b.shape, b.dtype)
     r0, r1, r2 = ws.r[:3]
@@ -131,12 +127,9 @@ def _advect(b, b1, rho, mom1, lam, axis):
     ws.cells[...] = b
     fluid._fill_ghosts(ws.ghosts)
     phi = _edge_flux(ws, lam)
-    # lam (phi(i + 1) - phi(i)) off b, each row's last edge taking its first.
-    m = len(phi)
-    np.subtract(phi[1:], phi[:-1], out=r1[:m - 1])
-    first, last, out = ws.wrap
-    np.subtract(first, last, out=out)
-    np.multiply(lam, r1[:m], out=r1[:m])
+    # lam (phi(i + 1) - phi(i)) off b, where phi(n) is phi(0).
+    dphi = np.subtract(phi[1:], phi[:-1], out=r1[:len(phi) - 1])
+    np.multiply(lam, dphi, out=dphi)
     b -= ws.dphi
     np.multiply(lam, phi, out=phi)
     f = ws.phi  # lam phi, shaped as b

@@ -10,6 +10,7 @@ memory transposes per cycle.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -79,6 +80,10 @@ def run(state: ConservedState, params: SchemeParams, n_cycles: int | None = None
     """
     if (n_cycles is None) == (t_end is None):
         raise ValueError("specify exactly one of n_cycles or t_end")
+    if n_cycles is not None and n_cycles < 0:
+        raise ValueError(f"n_cycles must be non-negative, got {n_cycles}")
+    if t_end is not None and not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
     reports: list[StepReport] = []
     while True:
         if n_cycles is not None and len(reports) >= n_cycles:

@@ -68,8 +68,8 @@ def copy_state(state: ConservedState) -> ConservedState:
 def vanleer(dl, dr) -> np.ndarray:
     """The sweeps' Van Leer limiter, `fluid._limit`, on float slopes into fresh arrays.
 
-    2 dl dr / (dl + dr) where the slopes agree, else 0, of the slopes'
-    broadcast shape and float dtype (a 0-d array for scalars).
+    Half the Van Leer slope: dl dr / (dl + dr) where the slopes agree, else 0,
+    of the slopes' broadcast shape and float dtype (a 0-d array for scalars).
     """
     dl, dr = np.broadcast_arrays(dl, dr)
     out, prod, work = (np.empty(dl.shape, np.result_type(dl, dr)) for _ in range(3))

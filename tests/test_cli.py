@@ -182,6 +182,21 @@ def test_run_rejects_both_stop_rules(tmp_path, capsys, flags, config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, config", [
+    (["--t-end", "nan"], ""), (["--t-end", "inf"], ""), (["--t-end=-inf"], ""),
+    ([], "t_end = nan"),
+])
+def test_run_refuses_a_non_finite_t_end_before_any_output(tmp_path, capsys, flags, config):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"size = 8\nworkers = 1\n{config}\n")
+    out = tmp_path / "a.snap"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: 't_end' must be finite, got -?(nan|inf)\n", captured.err)
+    assert not out.exists()
+
+
 def test_bench_command_table_and_derived_block():
     buf = io.StringIO()
     assert cli.bench_command([16], repeats=2, workers=1, precision="single",

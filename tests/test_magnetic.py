@@ -77,8 +77,9 @@ def _reference_sequential_sweep(state, dt, params):
     def edge_flux(b, ve):
         d = b - np.roll(b, 1, axis=-1)
         nu = np.abs(ve) * lam
-        up = np.roll(b, 1, axis=-1) + 0.5 * (1 - nu) * vanleer(np.roll(d, 1, axis=-1), d)
-        dn = b - 0.5 * (1 - nu) * vanleer(d, np.roll(d, -1, axis=-1))
+        # vanleer gives half the Van Leer slope.
+        up = np.roll(b, 1, axis=-1) + (1 - nu) * vanleer(np.roll(d, 1, axis=-1), d)
+        dn = b - (1 - nu) * vanleer(d, np.roll(d, -1, axis=-1))
         return ve * np.where(ve > 0, up, dn)
 
     for j in list(range(1, n2, 2)) + list(range(0, n2, 2)):

@@ -133,6 +133,20 @@ def test_run_requires_exactly_one_stop_rule(params):
         run(state, params, n_cycles=1, t_end=1.0)
 
 
+@pytest.mark.parametrize("stop, message", [
+    ({"t_end": float("nan")}, "t_end must be finite, got nan"),
+    ({"t_end": float("inf")}, "t_end must be finite, got inf"),
+    ({"n_cycles": -1}, "n_cycles must be non-negative, got -1"),
+])
+def test_run_refuses_a_stop_rule_it_cannot_meet_or_read(params, stop, message):
+    # time >= nan is never true, and time >= inf not on a finite run: such a
+    # run never stopped.  A negative count returned at once.
+    state = init_condition("uniform", GridShape(8, 8, 8), params)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run(state, params, **stop)
+    assert state.cycle == 0
+
+
 def test_single_precision_cycle_keeps_dtype():
     params32 = SchemeParams(precision="single")
     state = init_condition("solenoidal_random", GridShape(16, 16, 16), params32, seed=1)
