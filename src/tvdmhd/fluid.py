@@ -39,8 +39,8 @@ The Van Leer limiter, shared with the magnetic sweep, gives half the Van Leer
 slope and selects nothing: every cell divides dl dr by dl + dr + w, where w,
 formed from the sign bit of 0 - dl dr, is +0 where the slopes agree and +inf
 elsewhere, so a cell whose slopes disagree gets exactly (dl dr) * 0.  The
-values are bitwise those of a plain ``where``, which a call falls back to
-when a value of it overflows or falls below the normal range.
+values are bitwise those of a plain ``where``, overflow included, which a call
+falls back to when a value of it falls inexactly below the normal range.
 """
 
 from __future__ import annotations
@@ -86,9 +86,9 @@ def check_positive(rho: np.ndarray, p: np.ndarray | None, shape: GridShape,
     """
     # The minimum is NaN if any value is, so these pass exactly when every
     # cell does; only a failure forms the per-cell test that names the cell.
-    if not rho.min() > 0:
+    if not np.minimum.reduce(rho, axis=None) > 0:
         _require(rho > 0, rho, "density", "non-positive", shape, where, row0)
-    if p is not None and not p.min() >= 0:
+    if p is not None and not np.minimum.reduce(p, axis=None) >= 0:
         _require(p >= 0, p, "pressure", "negative", shape, where, row0)
 
 
@@ -140,11 +140,13 @@ def _limit(dl, dr, out, prod, work):
     # dl dr / +inf is exactly (dl dr) * 0.  0 - dl dr has its sign bit set
     # exactly where dl dr > 0 (0 - (+-0) is +0); spread over the word by an
     # arithmetic shift it is -1 there and 0 elsewhere, and +inf's bits shifted
-    # by -1 are 0 (numpy's shift by a negative count), by 0 +inf.  A call in
-    # which a value overflows or falls inexactly below the normal range
-    # raises, and _limit_where redoes it.
+    # by -1 are 0 (numpy's shift by a negative count), by 0 +inf.  An
+    # overflow needs no select: +-inf / (dl + dr + w) is the select's own
+    # value, and -inf / +inf the same NaN as -inf * 0.  A call in which a
+    # value falls inexactly below the normal range raises, and _limit_where
+    # redoes it.
     try:
-        with np.errstate(under="raise", over="raise", divide="ignore", invalid="ignore"):
+        with np.errstate(under="raise", divide="ignore", invalid="ignore"):
             np.multiply(dl, dr, out=prod)
             w = work.view(f"i{work.itemsize}")
             np.subtract(0, prod, out=work)
@@ -157,15 +159,15 @@ def _limit(dl, dr, out, prod, work):
 
 
 def _limit_where(dl, dr, out):
-    # _limit as a select, for a call in which a value overflowed or fell below
-    # the normal range.  A positive dl dr that is inexact there keeps only a few
-    # digits, so those cells take small (big / (dl + dr)), which forms no tiny
-    # product.  An exact product keeps the first form, so a cell's result does
-    # not depend on whether another cell of the call raised.
+    # _limit as a select, for a call in which a value fell inexactly below the
+    # normal range; dl and dr have out's shape.  A positive dl dr that is
+    # inexact there keeps only a few digits, so those cells take
+    # small (big / (dl + dr)), which forms no tiny product.  An exact product
+    # keeps the first form, so a cell's result does not depend on whether
+    # another cell of the call raised.
     with np.errstate(under="ignore", divide="ignore", invalid="ignore"):
         prod = dl * dr
         out[...] = np.where(prod > 0, prod / (dl + dr), prod * 0)
-        dl, dr = np.broadcast_arrays(dl, dr)
         fix = np.array((prod > 0) & (prod < np.finfo(out.dtype).tiny))
         fix[fix] = [Fraction(x) * Fraction(y) != Fraction(p) for x, y, p in
                     zip(dl[fix].tolist(), dr[fix].tolist(), prod[fix].tolist())]
@@ -204,22 +206,21 @@ def _cfl_slab(u, maxima, gamma, where, shape, i, lo, hi):
     # Slab kernel: maxima[i] = the largest |v| + c_fast over planes [lo, hi) and
     # all axes.  It has the state's dtype, as does every speed, so it is exact.
     # The three axes run as one (3, rows, n1) stack in the block's workspace.
-    # Passes per cell (one ufunc over one row-block array): the field, bsq and
-    # p 30, the axes 48, of which a^2 and 4 a^2 take 3, once for the three axes.
+    # tests/test_fluid.py pins its numpy calls and output elements per cell.
     speed = 0.0
     for ws, u5, row0 in _rows(u, lo, hi):
         rho, m, e = u5[0], u5[1:4], u5[4]
         sq, bsq, sig, p = ws.centres, ws.bsq, ws.sig, ws.p_cells
         row_centers(u, row0, row0 + len(rho), sq)
         np.square(sq, out=sq)
-        ws.sq_images[...] = ws.sq_head
+        np.copyto(ws.sq_images, ws.sq_head)
         np.add(np.add(sq, ws.sq_from1, out=bsq), ws.sq_from2, out=bsq)
         pm = np.multiply(0.5, bsq[0], out=ws.pm_cells)
         _pressure(rho, m, e, pm, gamma, p, ws.tmp_cells)
         check_positive(rho, p, shape, where, row0)
         _fast_speed(rho, p, sq, bsq, gamma, ws.fast, p, bsq, sig)  # a^2 in place of p
         np.add(np.abs(np.divide(m, rho, out=sig), out=sig), ws.fast, out=sig)
-        top = float(np.max(sig))
+        top = float(np.maximum.reduce(sig, axis=None))
         if not top < math.inf:
             for s in sig:  # the first failing cell of axis 1, then of axis 2, ...
                 _require(s < math.inf, s, "signal speed", "non-finite", shape, where, row0)
@@ -317,7 +318,6 @@ class _Block:
         # The movers and their slopes on the padded rows flattened to positions
         # q; entry s of the flux is the interface between positions s + 1 and
         # s + 2 (see _interface_flux).
-        self.wp, self.wm = wp, wm
         self.cu, self.wm5 = wp.reshape(self.u.shape), wm.reshape(self.u.shape)
         self.fp, self.fm = wp[1:-2], wm[2:-1]
         self.wp_hi, self.wp_lo, self.wm_hi, self.wm_lo = wp[1:], wp[:-1], wm[1:], wm[:-1]
@@ -354,9 +354,9 @@ def _physical_fluxes(ws: _Block) -> None:
     # are overwritten.
     m, v, f5 = ws.m, ws.v, ws.f5
     pstar = np.add(ws.p, ws.pm, out=ws.p)
-    f5[0] = m[0]
+    np.copyto(f5[0], m[0])
     np.multiply(m, v[0], out=f5[1:4])
-    f5[1] += pstar
+    np.add(f5[1], pstar, out=f5[1])
     np.subtract(f5[1:4], ws.b1b, out=f5[1:4])
     ev = np.multiply(np.add(ws.e, pstar, out=pstar), v[0], out=pstar)
     bv = np.multiply(ws.bc, v, out=v)
@@ -367,7 +367,7 @@ def _physical_fluxes(ws: _Block) -> None:
 def _interface_flux(ws: _Block, order: int) -> np.ndarray:
     # Twice the interface flux, from W+ = F + c u and W- = c u - F.  On the
     # padded rows flattened to positions q: entry s is the flux through the
-    # interface between positions s + 1 and s + 2, returned as a view of ws.wp.
+    # interface between positions s + 1 and s + 2, returned as ws.fp.
     # Entries whose stencil crosses a row end are garbage and are never kept.
     # Each row's speed spread over the row first: a product with a broadcast
     # (rows, 1) operand would run row by row.
@@ -404,7 +404,7 @@ def _stage(ws: _Block, gamma, order, where, shape, row0) -> np.ndarray:
     p = _pressure(rho, m, ws.e, ws.pm, gamma, ws.p, ws.tmp)
     # The ghosts are bitwise copies of cells, so the padded rows' minima are
     # the cells'; only a failure needs the interior, to name the cell.
-    if not (rho.min() > 0 and p.min() >= 0):
+    if not (np.minimum.reduce(rho, axis=None) > 0 and np.minimum.reduce(p, axis=None) >= 0):
         check_positive(ws.rho_in, ws.p_in, shape, where, row0)
     # p = +inf passes that check: name the cell whose |v1| + c_fast is not finite.
     if not np.maximum.reduce(_freezing_speed(rho, v[0], p, ws, gamma), axis=None) < math.inf:
@@ -431,9 +431,9 @@ def _sweep_block(u, ws, u5, lam, gamma, where, shape, row0):
     # block's values back in the padded rows and a copy out, which measured
     # no faster, op by op (26 against 26 us per block at 64^3) and as a whole
     # sweep.  Set-up per block: one cached lookup.
-    ws.u_in[...] = u5
+    np.copyto(ws.u_in, u5)
     row_centers(u, row0, row0 + u5.shape[1], ws.centres)
-    ws.bc_in[...] = ws.centres
+    np.copyto(ws.bc_in, ws.centres)
     _fill_ghosts(ws.ghosts)
     _field(ws)
     # The fluxes are doubled (see _interface_flux).  The half step, in place:

@@ -177,7 +177,7 @@ def _tiled_copy(view: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
         rows = slice(max(a, lo), min(a + _TILE, hi))
         for b in range(0, s1, _TILE):
             for c in range(0, s2, _TILE):
-                out[rows, b:b + _TILE, c:c + _TILE] = view[rows, b:b + _TILE, c:c + _TILE]
+                np.copyto(out[rows, b:b + _TILE, c:c + _TILE], view[rows, b:b + _TILE, c:c + _TILE])
 
 
 def _transpose_slab(u, out, axes, sources, _i, lo, hi):

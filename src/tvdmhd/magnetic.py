@@ -65,11 +65,11 @@ class _Chunk:
 
     def __init__(self, a: int, o: int, n: int, dtype):
         # Six regions r0-r5 of a x o padded rows and a boolean r6, with every
-        # region's lifetimes, in order of use: v1 (r0), v on the face (r1), v on
-        # the edge (r2, kept to the flux); b (r0), its slopes d (r1), the limited
-        # slopes (r3) with the limiter's scratch in r4 and r5; the time-centering
-        # factor (r1), the two movers (r4, r5), the upwind mask (r6) and the
-        # edge flux (r5); the flux difference (r1).
+        # region's lifetimes, in order of use: v1 (r0), the face sums 2 v (r1),
+        # the edge sums of those 4 ve (r2, kept to the flux); b (r0), its slopes
+        # d (r1), the limited slopes (r3) with the limiter's scratch in r4, r5;
+        # the time-centering factor (r1), the two movers (r4, r5), the upwind
+        # mask (r6) and 4 phi (r5); the flux difference of 4 phi (r1).
         padded = (a, o, n + 2 * fluid._GHOST)
         self.size = math.prod(padded)
         self.slab = o * padded[2]  # values per row along the coupling axis
@@ -83,13 +83,13 @@ class _Chunk:
         self.dphi, self.phi = (x.reshape(padded)[..., :n] for x in (r[1], r[5]))
 
 
-def _edge_flux(ws: _Chunk, lam) -> np.ndarray:
-    # TVD upwind flux of the face field b (loaded in r0) through the lower-i edge
-    # of each cell, with the edge velocity ve in r2, second-order via Van Leer
-    # slopes with the local Courant time-centering.  With d_i = b_i - b_{i-1},
-    # the right mover takes (1 - |ve| lam) VL(d_{i-1}, d_i) / 2 and the left
-    # mover the same of VL(d_i, d_{i+1}): one limiter call on the padded
-    # slopes, which gives VL / 2, serves both.  Returns r5[:m].
+def _edge_flux(ws: _Chunk, lam4) -> np.ndarray:
+    # 4 phi, four times the TVD upwind flux of the face field b (in r0) through
+    # the lower-i edge of each cell, from 4 ve in r2 and lam4 = lam / 4, with
+    # Van Leer slopes and the local Courant time-centering.  With d_i = b_i -
+    # b_{i-1}, the right mover takes (1 - |4 ve| lam4) VL(d_{i-1}, d_i) / 2 and
+    # the left mover the same of VL(d_i, d_{i+1}): one limiter call on the
+    # padded slopes, which gives VL / 2, serves both.  Returns r5[:m].
     r0, r1, r2, _, r4, r5, mask = ws.r
     # Positions whose stencils stay inside the chunk; the last row's edge n,
     # the last one kept, is at size - 4.
@@ -97,7 +97,7 @@ def _edge_flux(ws: _Chunk, lam) -> np.ndarray:
     d = np.subtract(r0[1:], r0[:-1], out=r1[:-1])  # at position s: d_{s-1}
     lim = fluid._limit(d[:-1], d[1:], *ws.limiter)  # at s: VL(d_{s-1}, d_s) / 2
     ve, centre = r2[:m], r1[:m]
-    np.subtract(1.0, np.multiply(np.abs(ve, out=centre), lam, out=centre), out=centre)
+    np.subtract(1.0, np.multiply(np.abs(ve, out=centre), lam4, out=centre), out=centre)
     up = np.multiply(centre, lim[:m], out=r4[:m])
     np.add(r0[1:m + 1], up, out=up)  # b_{s-1} + ...
     dn = np.multiply(centre, lim[1:m + 1], out=r5[:m])
@@ -110,34 +110,33 @@ def _advect(b, b1, rho, mom1, lam, axis):
     # Advect the face field b of one chunk along i with v1 = mom1 / rho; the
     # edge flux on row n (the lower face of row n along `axis`) is taken from
     # b1 row n and given to b1 row n - 1.  The chunk must span the whole of
-    # `axis`, whose length is even.  The workspace is a _Chunk.
+    # `axis`, whose length is even.  The workspace is a _Chunk.  Velocities are
+    # kept as sums, 2 v and 4 ve, so the flux is 4 phi and lam enters as lam / 4.
     # tests/test_fluid.py pins its numpy calls and output elements per cell.
     b, b1, rho, mom1 = (np.moveaxis(x, axis, 0) for x in (b, b1, rho, mom1))
     ws = workspace(_Chunk, *b.shape, b.dtype)
     r0, r1, r2 = ws.r[:3]
-    s = ws.slab
+    s, lam4 = ws.slab, 0.25 * lam
     np.divide(mom1, rho, out=ws.cells)
     fluid._fill_ghosts(ws.ghosts)
-    # v1 on the lower face along `axis`, from the row before it (the last for the first).
+    # 2 v on the lower face along `axis`, from the row before it (the last for the first).
     np.add(r0[-s:], r0[:s], out=r1[:s])
     np.add(r0[:-s], r0[s:], out=r1[s:])
-    r1 *= 0.5
-    ve = np.add(r1[2:], r1[1:-1], out=r2[:-2])  # and on the lower-i edge of that face
-    ve *= 0.5
-    ws.cells[...] = b
+    np.add(r1[2:], r1[1:-1], out=r2[:-2])  # and 4 ve on the lower-i edge of that face
+    np.copyto(ws.cells, b)
     fluid._fill_ghosts(ws.ghosts)
-    phi = _edge_flux(ws, lam)
+    phi = _edge_flux(ws, lam4)
     # lam (phi(i + 1) - phi(i)) off b, where phi(n) is phi(0).
     dphi = np.subtract(phi[1:], phi[:-1], out=r1[:len(phi) - 1])
-    np.multiply(lam, dphi, out=dphi)
-    b -= ws.dphi
-    np.multiply(lam, phi, out=phi)
+    np.multiply(lam4, dphi, out=dphi)
+    np.subtract(b, ws.dphi, out=b)
+    np.multiply(lam4, phi, out=phi)
     f = ws.phi  # lam phi, shaped as b
-    b1[1::2] -= f[1::2]
-    b1[0::2] += f[1::2]
-    b1[0::2] -= f[0::2]
-    b1[1:-1:2] += f[2::2]
-    b1[-1] += f[0]
+    np.subtract(b1[1::2], f[1::2], out=b1[1::2])
+    np.add(b1[0::2], f[1::2], out=b1[0::2])
+    np.subtract(b1[0::2], f[0::2], out=b1[0::2])
+    np.add(b1[1:-1:2], f[2::2], out=b1[1:-1:2])
+    np.add(b1[-1], f[0], out=b1[-1])
 
 
 def _b2_slab(u, lam, where, shape, _i, lo, hi):

@@ -1,4 +1,5 @@
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -74,3 +75,22 @@ def vanleer(dl, dr) -> np.ndarray:
     dl, dr = np.broadcast_arrays(dl, dr)
     out, prod, work = (np.empty(dl.shape, np.result_type(dl, dr)) for _ in range(3))
     return fluid._limit(dl, dr, out, prod, work)
+
+
+def where_limit(dl, dr) -> np.ndarray:
+    """The limiter written with np.where: the reference of `fluid._limit`, on slopes of one shape.
+
+    Half the Van Leer slope, dl dr / (dl + dr) where the slopes agree and
+    (dl dr) * 0 elsewhere, and cell by cell where a positive product fell
+    inexactly below the normal range: there the limiter takes
+    small (big / (dl + dr)).
+    """
+    prod = dl * dr
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+        out = np.where(prod > 0, prod / (dl + dr), prod * 0)
+        for cell in zip(*np.nonzero((prod > 0) & (prod < np.finfo(prod.dtype).tiny))):
+            a, b = dl[cell], dr[cell]
+            if Fraction(float(a)) * Fraction(float(b)) != Fraction(float(prod[cell])):
+                small, big = (a, b) if abs(a) <= abs(b) else (b, a)
+                out[cell] = small * (big / (a + b))
+    return out

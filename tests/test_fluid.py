@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvdmhd import (GridShape, PositivityError, SchemeParams, allocate_state,
-                    cfl_timestep, face_to_center, fluid, fluid_sweep, init_condition,
+                    cfl_timestep, face_to_center, fluid, fluid_sweep, grid, init_condition,
                     magnetic, magnetic_sweep, parallel, step_cycle, totals, transpose)
 from tvdmhd.fluid import check_positive
 
-from conftest import copy_state, random_state, vanleer
+from conftest import copy_state, random_state, vanleer, where_limit
 
 
 # --- fast speed -----------------------------------------------------------------
@@ -181,21 +181,6 @@ def test_vanleer_cell_does_not_depend_on_the_others(dtype, cell, other):
     assert together[0] == alone[0]
 
 
-def _where_limit(dl, dr):
-    # The limiter written with np.where, the reference of its one division,
-    # and cell by cell where a positive product fell inexactly below the normal
-    # range: there the limiter takes small (big / (dl + dr)).
-    prod = dl * dr
-    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-        out = np.where(prod > 0, prod / (dl + dr), prod * 0)
-        for cell in zip(*np.nonzero((prod > 0) & (prod < np.finfo(prod.dtype).tiny))):
-            a, b = dl[cell], dr[cell]
-            if Fraction(float(a)) * Fraction(float(b)) != Fraction(float(prod[cell])):
-                small, big = (a, b) if abs(a) <= abs(b) else (b, a)
-                out[cell] = small * (big / (a + b))
-    return out
-
-
 def _slope_values(dtype, subnormal_products):
     # Signed zeros, infinities, NaN, products that overflow, and mixed signs;
     # with subnormal_products also slopes whose product is subnormal, inexact
@@ -215,7 +200,7 @@ def test_vanleer_bit_select_matches_where(dtype, subnormal_products):
     dl, dr = vals[:, None], vals[None, :]  # every pair, by broadcasting
     # The overflowing and infinite slopes warn alike in both forms.
     with np.errstate(over="ignore", invalid="ignore"):
-        want = _where_limit(*np.broadcast_arrays(dl, dr))
+        want = where_limit(*np.broadcast_arrays(dl, dr))
         got = vanleer(dl, dr)
         alone = [vanleer(a, b) for a in vals for b in vals]  # each cell in a call of its own
     assert got.shape == want.shape == (vals.size, vals.size) and got.dtype == dtype
@@ -253,7 +238,7 @@ def test_vanleer_matches_where_on_any_bit_pattern(dtype, data):
         calls = [(dl, dr)] + [(dl[i:i + 1], dr[i:i + 1]) for i in range(len(dl))]
         for args in calls:
             got = vanleer(*args)
-            assert got.dtype == dtype and got.tobytes() == _where_limit(*args).tobytes()
+            assert got.dtype == dtype and got.tobytes() == where_limit(*args).tobytes()
 
 
 @pytest.fixture
@@ -284,9 +269,9 @@ def test_a_cycle_runs_the_limiters_main_path_only(limiter_calls, precision):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("pair", ["overflow", "inexact subnormal"])
-def test_the_limiter_falls_back_once_on_an_overflow_or_a_tiny_product(limiter_calls, dtype,
-                                                                      pair):
+@pytest.mark.parametrize("pair, fallbacks", [("overflow", 0), ("inexact subnormal", 1)])
+def test_the_limiter_falls_back_once_on_a_tiny_product_and_never_on_an_overflow(
+        limiter_calls, dtype, pair, fallbacks):
     info = np.finfo(dtype)
     small = np.sqrt(info.tiny)
     # dl dr overflows to -inf; or dl dr is a positive subnormal that rounds.
@@ -298,8 +283,8 @@ def test_the_limiter_falls_back_once_on_an_overflow_or_a_tiny_product(limiter_ca
         assert Fraction(float(dl[0])) * Fraction(float(dr[0])) != Fraction(float(prod))
     with np.errstate(over="ignore"):
         got = vanleer(dl, dr)
-        want = _where_limit(dl, dr)
-    assert limiter_calls == {"_limit": 1, "_limit_where": 1}
+        want = where_limit(dl, dr)
+    assert limiter_calls == {"_limit": 1, "_limit_where": fallbacks}
     assert got.tobytes() == want.tobytes()
 
 
@@ -318,8 +303,6 @@ class _NumpyCensus:
     """numpy, with every call of a ufunc, of a ufunc's reduce and of copyto recorded.
 
     `calls` holds (name, elements of the call's output) in call order.
-    Python operators and slice assignments (``x -= y``, ``x[...] = y``) go
-    to numpy without passing here, so they are not counted.
     """
 
     def __init__(self):
@@ -366,42 +349,48 @@ def test_the_limiters_main_path_is_seven_passes(monkeypatch, limiter_calls, dtyp
     assert len(numpy.calls) == 7, numpy.calls
     assert numpy.elements_per_cell(4096) == 7
     assert limiter_calls["_limit_where"] == 0
-    assert got.tobytes() == _where_limit(*slopes).tobytes()
+    assert got.tobytes() == where_limit(*slopes).tobytes()
 
 
-# The numpy census of one warmed call of each sweep kernel at 32^3 single: a
-# fluid row block of 384 rows (48 KiB per variable) and a magnetic chunk of
-# the whole grid (b2's), each as (calls through the census, output elements
-# of those calls per cell of the block).  A padded array has (32 + 4) / 32
-# elements per cell, and a ghost copy one per run of images.  A change that
-# moves a figure updates it here and says why.
-_CENSUS = {"_sweep_block": (133, 303.87), "_advect": (29, 27.0)}
+# The numpy census of one warmed call of each kernel at 32^3 single: a fluid
+# row block and a cfl block of 384 rows (48 KiB per variable, planes 0-11), a
+# magnetic chunk of the whole grid (b2's) and a forward transpose slab of the
+# whole grid, each as (calls through the census, output elements of those
+# calls per cell of the call).  Every pass of these kernels is a call through
+# the np of fluid, magnetic or grid, so the figures count every pass.  A padded
+# array has (32 + 4) / 32 elements per cell, a ghost copy one per run of
+# images and a reduction over the whole call one.  A change that moves a
+# figure updates it here and says why.
+_CENSUS = {"_sweep_block": (152, 322.43), "_cfl_slab": (42, 73.06), "_advect": (36, 31.0),
+           "_transpose_slab": (8, 8.0)}
+_LIMITER_CALLS = {"_sweep_block": 2, "_advect": 1}
 
 
 @pytest.mark.parametrize("kernel", list(_CENSUS))
-def test_the_sweep_kernels_numpy_census(monkeypatch, limiter_calls, kernel):
+def test_the_kernels_numpy_census(monkeypatch, limiter_calls, kernel):
     params = SchemeParams(precision="single")
     state = init_condition("solenoidal_random", GridShape(32, 32, 32), params, seed=0)
-    u, lam = state.u, 0.1
-    if kernel == "_sweep_block":
-        ws, u5, row0 = next(fluid._rows(u, 0, state.shape.n3))
-        cells = u5[0].size
-        assert cells == 384 * 32
-
-        def call():
-            fluid._sweep_block(u, ws, u5, lam, params.gamma, ("",) * 3, state.shape, row0)
-    else:
-        cells = state.shape.cells
-
-        def call():
-            magnetic._advect(u[6], u[5], u[0], u[1], lam, axis=1)
+    u, lam, shape = state.u, 0.1, state.shape
+    ws, u5, row0 = next(fluid._rows(u, 0, shape.n3))
+    assert u5[0].size == 384 * 32 == 12 * shape.n2 * shape.n1
+    out = state.spare.reshape(u.shape)  # a cube's forward transpose keeps its shape
+    call, cells = {
+        "_sweep_block": (lambda: fluid._sweep_block(u, ws, u5, lam, params.gamma, ("",) * 3,
+                                                    shape, row0), u5[0].size),
+        "_cfl_slab": (lambda: fluid._cfl_slab(u, np.zeros(1), params.gamma, "", shape, 0, 0, 12),
+                      u5[0].size),
+        "_advect": (lambda: magnetic._advect(u[6], u[5], u[0], u[1], lam, axis=1), shape.cells),
+        "_transpose_slab": (lambda: grid._transpose_slab(u, out, grid._FWD_AXES,
+                                                         grid._FWD_SOURCES, 0, 0, shape.n3),
+                            shape.cells),
+    }[kernel]
     call()  # warmed
     limiter_calls["_limit"] = 0
     numpy = _NumpyCensus()
-    for module in (fluid, magnetic):
+    for module in (fluid, magnetic, grid):
         monkeypatch.setattr(module, "np", numpy)
     call()
-    assert limiter_calls == {"_limit": 1 if kernel == "_advect" else 2, "_limit_where": 0}
+    assert limiter_calls == {"_limit": _LIMITER_CALLS.get(kernel, 0), "_limit_where": 0}
     census = (len(numpy.calls), round(numpy.elements_per_cell(cells), 2))
     assert census == _CENSUS[kernel], numpy.calls
 

@@ -4,7 +4,7 @@ import pytest
 from tvdmhd import (GridShape, SchemeParams, discrete_divergence, fluid_sweep,
                     init_condition, magnetic_sweep)
 
-from conftest import copy_state, random_state, vanleer
+from conftest import copy_state, random_state, where_limit
 
 
 # --- magnetic_sweep ----------------------------------------------------------
@@ -77,9 +77,9 @@ def _reference_sequential_sweep(state, dt, params):
     def edge_flux(b, ve):
         d = b - np.roll(b, 1, axis=-1)
         nu = np.abs(ve) * lam
-        # vanleer gives half the Van Leer slope.
-        up = np.roll(b, 1, axis=-1) + (1 - nu) * vanleer(np.roll(d, 1, axis=-1), d)
-        dn = b - (1 - nu) * vanleer(d, np.roll(d, -1, axis=-1))
+        # where_limit, the limiter's np.where reference, gives half the Van Leer slope.
+        up = np.roll(b, 1, axis=-1) + (1 - nu) * where_limit(np.roll(d, 1, axis=-1), d)
+        dn = b - (1 - nu) * where_limit(d, np.roll(d, -1, axis=-1))
         return ve * np.where(ve > 0, up, dn)
 
     for j in list(range(1, n2, 2)) + list(range(0, n2, 2)):
