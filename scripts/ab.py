@@ -7,8 +7,11 @@ the parent first on odd pairs, so a drift in the host's speed falls on both
 arms alike.  Prints every run, then for each end-to-end metric of the
 parent's BENCHMARK.json both medians with their quartiles, how much worse
 the change's median is than the parent's beside the metric's bound, the
-change's wins out of N (ties count for neither) and whether the median gap
-exceeds the parent's quartile distance.
+median and quartiles of the per-pair ratio change / parent, the change's
+wins out of N (ties count for neither) and whether the median gap exceeds
+the parent's quartile distance.  A drift of the host's speed over the
+session widens both arms' quartiles, but each pair runs back to back, so
+the per-pair ratio stays near the change's own effect.
 
     python3 scripts/ab.py --parent HEAD~1 --workload serial64_w1 --pairs 10
 
@@ -85,10 +88,13 @@ def _parse(stdout: str) -> tuple[dict | None, str | None]:
 def summarise(metric: dict, parent: list[float], change: list[float]) -> dict:
     """The comparison of one end-to-end metric over the pairs (parent[i], change[i])."""
     sign = 1 if metric["better"] == "lower" else -1
-    (p1, pm, p3), (c1, cm, c3) = (statistics.quantiles(v, n=4) for v in (parent, change))
+    ratios = [c / p for p, c in zip(parent, change)]
+    (p1, pm, p3), (c1, cm, c3), (r1, rm, r3) = (statistics.quantiles(v, n=4)
+                                                for v in (parent, change, ratios))
     return {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
             "parent": {"median": pm, "quartiles": [p1, p3]},
             "change": {"median": cm, "quartiles": [c1, c3]},
+            "ratio": {"median": rm, "quartiles": [r1, r3]},
             "worse_pct": 100 * sign * (cm - pm) / pm,
             "change_wins": sum(sign * (p - c) > 0 for p, c in zip(parent, change)),
             "gap_exceeds_parent_iqr": abs(cm - pm) > p3 - p1}
@@ -164,11 +170,12 @@ def main(argv: list[str] | None = None, run=run_perfbench) -> int:
         par, chg = ([r["metrics"][name] for r in runs if r["arm"] == arm]
                     for arm in ("parent", "change"))
         s = summary[name] = summarise(m, par, chg)
-        (p1, p3), (c1, c3) = s["parent"]["quartiles"], s["change"]["quartiles"]
+        (p1, p3), (c1, c3), (r1, r3) = (s[k]["quartiles"] for k in ("parent", "change", "ratio"))
         print(f"{name} ({m['unit']}, {m['better']} is better): "
               f"parent {s['parent']['median']:.6g} [{p1:.6g}, {p3:.6g}]  "
               f"change {s['change']['median']:.6g} [{c1:.6g}, {c3:.6g}]  "
               f"worse by {s['worse_pct']:+.1f}% (bound {100 * m['bound']:g}%)  "
+              f"change/parent per pair {s['ratio']['median']:.4g} [{r1:.4g}, {r3:.4g}]  "
               f"change wins {s['change_wins']}/{args.pairs}  median gap > parent IQR: "
               f"{'yes' if s['gap_exceeds_parent_iqr'] else 'no'}")
     if args.json:

@@ -232,11 +232,12 @@ def slice_command(args, out=sys.stdout) -> int:
     if args.snapshot and (args.size is not None or args.ic is not None):
         raise ConfigError("--size and --ic build a start state; a --snapshot slice takes neither")
     cfg = load_config(args.config, {"size": args.size, "ic": args.ic, "gamma": args.gamma})
+    params = cfg.params()  # refuses a bad gamma on both paths, before any output
     if args.snapshot:
         state = read_snapshot(args.snapshot)
     else:
-        state = init_condition(cfg.ic, cfg.shape(), cfg.params(), **cfg.ic_options())
-    slice_export(state, (args.axis, args.index), args.out, gamma=cfg.gamma)
+        state = init_condition(cfg.ic, cfg.shape(), params, **cfg.ic_options())
+    slice_export(state, (args.axis, args.index), args.out, gamma=params.gamma)
     out.write(f"# slice written to {args.out}\n")
     return 0
 

@@ -57,7 +57,7 @@ from .grid import ConservedState, GridShape, SchemeParams, face_to_center, row_c
 from .parallel import chunks, parallel_for, partition, scratch, workspace
 
 # Bytes per variable of one row block.  The block's workspace in the scratch
-# arena is about 44 such arrays (see `_Block`), so the size trades cache reuse
+# arena is about 42 such arrays (see `_Block`), so the size trades cache reuse
 # against per-block call overhead.  Cycle ms on a 2-core host (2 MiB L2 per
 # core), 64^3 single on 1 worker, cycles of the three sizes alternated in one
 # process, median of 16, two runs; 32 / 48 / 64 KiB: 258 / 237 / 243 and
@@ -177,21 +177,22 @@ def _limit_where(dl, dr, out):
     return out
 
 
-def _fast_speed(rho, p, b1sq, bsq, gamma, out, a2, tot, tmp):
+def _fast_speed(rho, p, b1sq, pm, gamma, out, a2, h, tmp):
     # Fast magnetosonic speed along the axis, with a^2 = gamma p / rho:
-    # c_f^2 = [a^2 + b^2/rho + sqrt((a^2 + b^2/rho)^2 - 4 a^2 b1^2/rho)] / 2.
-    # Unchecked: callers have already checked rho and p.  b1sq = b1^2 along
-    # the axis, bsq = b1^2 + b2^2 + b3^2 summed in that order; both may stack
-    # axes that rho and p broadcast over.  Written into out.  a2 is scratch of
-    # p's shape and takes a^2, then 4 a^2 in place, so both are formed once
-    # for the stack (a2 may be p); tot and tmp are scratch of out's (tot may
-    # be bsq).  Where the shapes agree, tmp may be a2.
-    np.divide(np.multiply(gamma, p, out=a2), rho, out=a2)
-    np.add(a2, np.divide(bsq, rho, out=tot), out=tot)
-    np.divide(np.multiply(np.multiply(4.0, a2, out=a2), b1sq, out=tmp), rho, out=tmp)
-    np.subtract(np.multiply(tot, tot, out=out), tmp, out=out)  # the discriminant
+    # c_f^2 = [a^2 + b^2/rho + sqrt((a^2 + b^2/rho)^2 - 4 a^2 b1^2/rho)] / 2,
+    # in half form h + sqrt(h^2 - a^2 b1^2/rho), h = a^2/2 + pm/rho: every
+    # factor moved is a power of two.  Unchecked: callers have checked rho and
+    # p.  b1sq = b1^2 along the axis, pm = (b1^2 + b2^2 + b3^2) / 2 summed in
+    # that order; both may stack axes that rho and p broadcast over.  Written
+    # into out.  a2 is scratch of p's shape and takes a^2/2, then a^2 in
+    # place, each formed once for the stack (a2 may be p); h and tmp are
+    # scratch of out's (h may be pm).  Where the shapes agree, tmp may be a2.
+    np.divide(np.multiply(0.5 * gamma, p, out=a2), rho, out=a2)
+    np.add(a2, np.divide(pm, rho, out=h), out=h)
+    np.divide(np.multiply(np.add(a2, a2, out=a2), b1sq, out=tmp), rho, out=tmp)
+    np.subtract(np.multiply(h, h, out=out), tmp, out=out)  # the discriminant, over 4
     np.sqrt(np.maximum(out, 0, out=out), out=out)
-    return np.sqrt(np.multiply(0.5, np.add(tot, out, out=out), out=out), out=out)
+    return np.sqrt(np.add(h, out, out=out), out=out)
 
 
 def _rows(u, lo, hi):
@@ -215,10 +216,10 @@ def _cfl_slab(u, maxima, gamma, where, shape, i, lo, hi):
         np.square(sq, out=sq)
         np.copyto(ws.sq_images, ws.sq_head)
         np.add(np.add(sq, ws.sq_from1, out=bsq), ws.sq_from2, out=bsq)
-        pm = np.multiply(0.5, bsq[0], out=ws.pm_cells)
-        _pressure(rho, m, e, pm, gamma, p, ws.tmp_cells)
+        pm = np.multiply(0.5, bsq, out=bsq)  # the pressure takes axis 1's, as its sweep does
+        _pressure(rho, m, e, pm[0], gamma, p, ws.tmp_cells)
         check_positive(rho, p, shape, where, row0)
-        _fast_speed(rho, p, sq, bsq, gamma, ws.fast, p, bsq, sig)  # a^2 in place of p
+        _fast_speed(rho, p, sq, pm, gamma, ws.fast, p, pm, sig)  # a^2 in place of p
         np.add(np.abs(np.divide(m, rho, out=sig), out=sig), ws.fast, out=sig)
         top = float(np.maximum.reduce(sig, axis=None))
         if not top < math.inf:
@@ -276,25 +277,25 @@ class _Block:
     def __init__(self, rows: int, n1: int, dtype):
         # Rows are padded to P = n1 + 2 _GHOST.  In units of one padded array
         # M = rows * P: the block u 5 and its field bc 3 (one stack, so one
-        # ghost fill serves both), the field products (sq1, total, pm, b1b) 6
-        # and the movers wp, wm 10 live through both stages; four 5M stacks
-        # s0-s3 hold each stage's short-lived values, so the arena takes about
-        # 44 M.  Lifetimes in the stacks, in order of use:
+        # ghost fill serves both), the field products (pm, b1b) 4 and the
+        # movers wp, wm 10 live through both stages; four 5M stacks s0-s3 hold
+        # each stage's short-lived values, so the arena takes about 42 M.
+        # Lifetimes in the stacks, in order of use:
         #   load:      the centred field, contiguous, in s3
-        #   field:     bc2^2, bc3^2 in s2 (a2, tot)
-        #   stage:     v, p, tmp in s0; f5 in s1; a2, tot, cf (then c_rows) in
+        #   field:     bc3^2 in s2 (a2)
+        #   stage:     v, p, tmp in s0; f5 in s1; a2, h, cf (then c_rows) in
         #              s2; all dead once wp and wm are formed
         #   limiter:   d in s0, lim in s1, prod in s2, 0 - prod (then its
         #              sign, then +0 or +inf) in s3
         #   half step: the flux change in s0, subtracted in place from u
         #   update:    the flux change in s0; the final pressure in s1
         #   cfl:       unpadded rows: the centred field squared and two images in
-        #              s3; p, its scratch, bsq in s1; fast speeds, pm in s2; sig in s0
+        #              s3; p, its scratch, bsq (then pm) in s1; fast speeds in s2; sig in s0
         padded = (rows, n1 + 2 * _GHOST)
         m = rows * padded[1]
         n = 5 * m
-        (ub, sq1, total, pm, b1b, c, wp, wm, s0, s1, s2, s3) = scratch(
-            dtype, 8 * m, m, m, m, 3 * m, rows, n, n, n, n, n, n)
+        (ub, pm, b1b, c, wp, wm, s0, s1, s2, s3) = scratch(
+            dtype, 8 * m, m, 3 * m, rows, n, n, n, n, n, n)
         ub = ub.reshape((8,) + padded)
         self.u, self.bc = ub[:5], ub[5:]  # (5, R, P) the block, then its half step; the field
         self.rho, self.m, self.e = self.u[0], self.u[1:4], self.u[4]
@@ -303,17 +304,15 @@ class _Block:
         sq = s3[:5 * k].reshape(5, rows, n1)
         self.centres = sq[:3]
         self.ghosts, self.u_ghosts = _ghost_runs(ub), _ghost_runs(self.u)
-        # The frozen field's products: bc1^2, |bc|^2, the magnetic pressure
-        # and bc1 * (bc1, bc2, bc3).
-        self.sq1, self.total, self.pm = (x.reshape(padded) for x in (sq1, total, pm))
-        self.b1b = b1b.reshape((3,) + padded)
+        # The frozen field's products: the magnetic pressure and bc1 * (bc1, bc2, bc3).
+        self.pm, self.b1b = pm.reshape(padded), b1b.reshape((3,) + padded)
         self.c = c.reshape(rows, 1)  # freezing speed of each row
         # A stage: velocities, pressure (then p + pm) and scratch; the physical
-        # fluxes; the fast speed's scratch (a2 also bc2^2, tot also bc3^2).
+        # fluxes; the fast speed's scratch (a2 also bc3^2).
         self.v, (self.p, self.tmp) = np.split(s0.reshape((5,) + padded), [3])
         self.rho_in, self.p_in = _interior(self.rho), _interior(self.p)
         self.f5 = s1.reshape((5,) + padded)
-        self.a2, self.tot, self.cf = s2[:3 * m].reshape((3,) + padded)
+        self.a2, self.h, self.cf = s2[:3 * m].reshape((3,) + padded)
         self.c_rows = self.cf  # then the freezing speed, spread along each row
         # The movers and their slopes on the padded rows flattened to positions
         # q; entry s of the flux is the interface between positions s + 1 and
@@ -332,20 +331,20 @@ class _Block:
         # where sq[a:a + 3] runs from axis a on, so bsq[a] sums as its sweep does.
         (self.p_cells, self.tmp_cells), self.bsq = np.split(s1[:5 * k].reshape(5, rows, n1), [2])
         self.pm_in = _interior(self.pm)
-        self.fast, (self.pm_cells,) = np.split(s2[:4 * k].reshape(4, rows, n1), [3])
+        self.fast = s2[:3 * k].reshape(3, rows, n1)
         self.sig = s0[:3 * k].reshape(3, rows, n1)
         self.sq_from1, self.sq_from2 = sq[1:4], sq[2:]
         self.sq_images, self.sq_head = sq[3:], sq[:2]
 
 
 def _field(ws: _Block) -> None:
-    # The products of the frozen field ws.bc (ghosts filled) shared by both stages.
+    # The products of the frozen field ws.bc (ghosts filled) shared by both
+    # stages: b1b = bc1 * bc, whose first is bc1^2, and pm = |bc|^2 / 2.
     bc = ws.bc
-    np.multiply(bc[0], bc[0], out=ws.sq1)
-    np.add(ws.sq1, np.multiply(bc[1], bc[1], out=ws.a2), out=ws.total)
-    np.add(ws.total, np.multiply(bc[2], bc[2], out=ws.tot), out=ws.total)
-    np.multiply(0.5, ws.total, out=ws.pm)
-    np.multiply(bc[0], bc, out=ws.b1b)
+    b1b = np.multiply(bc[0], bc, out=ws.b1b)
+    pm = np.add(b1b[0], np.multiply(bc[1], bc[1], out=ws.pm), out=ws.pm)
+    np.add(pm, np.multiply(bc[2], bc[2], out=ws.a2), out=pm)
+    np.multiply(0.5, pm, out=pm)
 
 
 def _physical_fluxes(ws: _Block) -> None:
@@ -389,7 +388,7 @@ def _interface_flux(ws: _Block, order: int) -> np.ndarray:
 def _freezing_speed(rho, v1, p, ws: _Block, gamma) -> np.ndarray:
     # ws.c = the relaxing speed of each row: max over the row of |v1| + c_fast.
     a2 = ws.a2
-    cf = _fast_speed(rho, p, ws.sq1, ws.total, gamma, ws.cf, a2, ws.tot, a2)
+    cf = _fast_speed(rho, p, ws.b1b[0], ws.pm, gamma, ws.cf, a2, ws.h, a2)
     sig = np.add(np.abs(v1, out=a2), cf, out=a2)
     # Ghosts repeat cells: the same max.  A ufunc reduction skips np.max's
     # Python wrapper, about 2 us a call.

@@ -20,6 +20,7 @@ worker processes of `parallel` write in place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Iterator
@@ -48,8 +49,8 @@ class GridShape:
                 raise ValueError(f"dimension {n} below minimum 8")
             if n % 4 != 0:
                 raise ValueError(f"dimension {n} not a multiple of 4")
-        if not self.dx > 0:
-            raise ValueError(f"cell width must be positive, got {self.dx}")
+        if not 0 < self.dx < math.inf:
+            raise ValueError(f"cell width must be positive and finite, got {self.dx}")
         if tuple(self.orientation) not in ORIENTATIONS:
             raise ValueError(f"orientation {self.orientation} is not a cyclic permutation of (x, y, z)")
 
@@ -80,8 +81,8 @@ class SchemeParams:
     precision: str = "double"
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
+        if not 1.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and exceed 1, got {self.gamma}")
         if not 0.0 < self.courant <= 1.0:
             raise ValueError(f"courant must lie in (0, 1], got {self.courant}")
         if self.precision not in ("single", "double"):

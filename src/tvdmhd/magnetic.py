@@ -37,9 +37,9 @@ from .grid import ConservedState, SchemeParams
 from .parallel import chunks, parallel_for, partition, scratch, workspace
 
 # Bytes per array of one chunk.  A chunk's workspace in the scratch arena is
-# 6.25 such arrays padded by 4 cells per row (see `_Chunk`): single precision
-# 0.88 / 1.66 / 1.61 MiB at 32^3 / 64^3 / 128^3, within the fluid block's
-# 2.32 / 2.19 / 2.13 MiB, so the magnetic sweep does not grow the arena
+# 6 such arrays padded by 4 cells per row (see `_Chunk`): single precision
+# 0.84 / 1.59 / 1.55 MiB at 32^3 / 64^3 / 128^3, within the fluid block's
+# 2.22 / 2.09 / 2.03 MiB, so the magnetic sweep does not grow the arena
 # (tests/test_scratch.py pins this).
 # Magnetic ms per cycle (the untraced `StepReport` section) on a 2-core host,
 # single precision, solenoidal_random, 64^3 on 1 worker, cycles alternated in
@@ -64,17 +64,17 @@ class _Chunk:
     """
 
     def __init__(self, a: int, o: int, n: int, dtype):
-        # Six regions r0-r5 of a x o padded rows and a boolean r6, with every
-        # region's lifetimes, in order of use: v1 (r0), the face sums 2 v (r1),
-        # the edge sums of those 4 ve (r2, kept to the flux); b (r0), its slopes
-        # d (r1), the limited slopes (r3) with the limiter's scratch in r4, r5;
+        # Six regions r0-r5 of a x o padded rows, with every region's
+        # lifetimes, in order of use: v1 (r0), the face sums 2 v (r1), the
+        # edge sums of those 4 ve (r2, kept to the flux); b (r0), its slopes d
+        # (r1), the limited slopes (r3) with the limiter's scratch in r4, r5;
         # the time-centering factor (r1), the two movers (r4, r5), the upwind
-        # mask (r6) and 4 phi (r5); the flux difference of 4 phi (r1).
+        # mask (r3 as booleans) and 4 phi (r5); the flux difference of 4 phi (r1).
         padded = (a, o, n + 2 * fluid._GHOST)
         self.size = math.prod(padded)
         self.slab = o * padded[2]  # values per row along the coupling axis
-        *r, mask = scratch(dtype, *[self.size] * 6, -(-self.size // np.dtype(dtype).itemsize))
-        self.r = r + [mask.view(bool)[:self.size]]
+        r = scratch(dtype, *[self.size] * 6)
+        self.r = r + [r[3].view(bool)]
         r0 = r[0].reshape(padded)
         self.cells = fluid._interior(r0)  # where v1, then b, is loaded
         self.limiter = [x[:-2] for x in r[3:]]  # the limiter's output and scratch
@@ -89,7 +89,7 @@ def _edge_flux(ws: _Chunk, lam4) -> np.ndarray:
     # Van Leer slopes and the local Courant time-centering.  With d_i = b_i -
     # b_{i-1}, the right mover takes (1 - |4 ve| lam4) VL(d_{i-1}, d_i) / 2 and
     # the left mover the same of VL(d_i, d_{i+1}): one limiter call on the
-    # padded slopes, which gives VL / 2, serves both.  Returns r5[:m].
+    # padded slopes, which gives VL / 2, serves both.  The upwind mask reuses r3.  Returns r5[:m].
     r0, r1, r2, _, r4, r5, mask = ws.r
     # Positions whose stencils stay inside the chunk; the last row's edge n,
     # the last one kept, is at size - 4.

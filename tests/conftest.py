@@ -94,3 +94,23 @@ def where_limit(dl, dr) -> np.ndarray:
                 small, big = (a, b) if abs(a) <= abs(b) else (b, a)
                 out[cell] = small * (big / (a + b))
     return out
+
+
+def textbook_pressure(rho, m, e, pm, gamma):
+    """p = (gamma - 1)(e - |m|^2 / (2 rho) - pm), with m the three momenta and pm = |b|^2 / 2.
+
+    The kernels' reference: each sum and product in the order they take it.
+    """
+    return (gamma - 1.0) * ((e - 0.5 * ((m[0] * m[0] + m[1] * m[1]) + m[2] * m[2]) / rho) - pm)
+
+
+def textbook_fast_speed(rho, p, b1sq, bsq, gamma):
+    """The fast magnetosonic speed along axis 1 in its textbook form, from b1^2 and |b|^2.
+
+    c_f^2 = [a^2 + b^2/rho + sqrt((a^2 + b^2/rho)^2 - 4 a^2 b1^2/rho)] / 2 with
+    a^2 = gamma p / rho; the kernels' half form differs from it by exact powers of two.
+    """
+    a2 = gamma * p / rho
+    tot = a2 + bsq / rho
+    root = np.sqrt(np.maximum(tot * tot - 4.0 * a2 * b1sq / rho, 0))
+    return np.sqrt(0.5 * (tot + root))

@@ -439,6 +439,40 @@ def test_slice_of_a_snapshot_refuses_size_and_ic(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["snapshot", "built"])
+@pytest.mark.parametrize("gamma", ["0.5", "1", "inf", "nan"])
+def test_slice_refuses_a_bad_gamma_before_any_output(tmp_path, capsys, source, gamma):
+    out = tmp_path / "a.tsv"
+    if source == "snapshot":
+        snap = tmp_path / "a.snap"
+        write_snapshot(init_condition("sod_x", tvdmhd.GridShape(8, 8, 8), tvdmhd.SchemeParams()),
+                       snap)
+        flags = ["--snapshot", str(snap)]
+    else:
+        flags = ["--ic", "sod_x", "--size", "8"]
+    assert cli.main(["slice", "--gamma", gamma, "--out", str(out)] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: gamma must be finite and exceed 1, got {float(gamma)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("dx", "inf", "cell width must be positive and finite, got inf"),
+    ("gamma", "inf", "gamma must be finite and exceed 1, got inf"),
+])
+def test_run_refuses_a_non_finite_dx_or_gamma_before_any_output(tmp_path, capsys, key, value,
+                                                                 message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"size = 8\nworkers = 1\n{key} = {value}\n")
+    out = tmp_path / "a.snap"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # The builder of each kind takes exactly these initial-condition keys.
 IC_KEY_VALUES = {"seed": "1", "amplitude": "0.1", "b_amplitude": "0.1", "width": "2.0",
                  "velocity": "0.5", "profile": "sine"}

@@ -11,18 +11,19 @@ from tvdmhd import (GridShape, PositivityError, SchemeParams, allocate_state,
                     magnetic, magnetic_sweep, parallel, step_cycle, totals, transpose)
 from tvdmhd.fluid import check_positive
 
-from conftest import copy_state, random_state, vanleer, where_limit
+from conftest import (copy_state, random_state, textbook_fast_speed, textbook_pressure, vanleer,
+                      where_limit)
 
 
 # --- fast speed -----------------------------------------------------------------
-# fluid._fast_speed(rho, p, b1^2, b^2, gamma, out, a2, tot, tmp): the speed of
-# both the sweep and the cfl step
+# fluid._fast_speed(rho, p, b1^2, |b|^2 / 2, gamma, out, a2, h, tmp): the speed
+# of both the sweep and the cfl step
 
 def _fast_speed(rho, p, b1sq, bsq, gamma):
-    """fluid._fast_speed into fresh arrays of the inputs' broadcast shape."""
+    """fluid._fast_speed of b1^2 and |b|^2 = bsq, into fresh arrays of the broadcast shape."""
     shape = np.broadcast(rho, p, b1sq, bsq).shape
-    out, a2, tot = (np.empty(shape) for _ in range(3))
-    return fluid._fast_speed(rho, p, b1sq, bsq, gamma, out, a2, tot, a2)
+    out, a2, h = (np.empty(shape) for _ in range(3))
+    return fluid._fast_speed(rho, p, b1sq, 0.5 * np.asarray(bsq), gamma, out, a2, h, a2)
 
 
 def test_fast_speed_reduces_to_sound_speed():
@@ -85,17 +86,14 @@ def test_cfl_scales_with_dx(params):
 
 def _signal_speeds_per_axis(state, params):
     """|v| + c_f of every cell along each axis, one axis at a time, each summing |b|^2 in
-    its own order: (3, n3 * n2, n1)."""
+    its own order: (3, n3 * n2, n1).  The textbook formulas, apart from fluid's kernels."""
     gamma = params.gamma
     rho, m1, m2, m3, e = (state.u[c] for c in range(5))
     sq1, sq2, sq3 = (np.square(bc) for bc in face_to_center(state))
-    work = np.empty((3,) + rho.shape, rho.dtype)
-    pm = 0.5 * ((sq1 + sq2) + sq3)
-    p = fluid._pressure(rho, (m1, m2, m3), e, pm, gamma, work[0], work[1]).copy()
+    p = textbook_pressure(rho, (m1, m2, m3), e, 0.5 * ((sq1 + sq2) + sq3), gamma)
     speeds = []
     for m, along, t1, t2 in ((m1, sq1, sq2, sq3), (m2, sq2, sq3, sq1), (m3, sq3, sq1, sq2)):
-        bsq = (along + t1) + t2
-        cf = fluid._fast_speed(rho, p, along, bsq, gamma, work[0], work[1], work[2], work[1])
+        cf = textbook_fast_speed(rho, p, along, (along + t1) + t2, gamma)
         speeds.append(np.abs(m / rho) + cf)
     return np.stack(speeds).reshape(3, -1, state.shape.n1)
 
@@ -361,7 +359,7 @@ def test_the_limiters_main_path_is_seven_passes(monkeypatch, limiter_calls, dtyp
 # array has (32 + 4) / 32 elements per cell, a ghost copy one per run of
 # images and a reduction over the whole call one.  A change that moves a
 # figure updates it here and says why.
-_CENSUS = {"_sweep_block": (152, 322.43), "_cfl_slab": (42, 73.06), "_advect": (36, 31.0),
+_CENSUS = {"_sweep_block": (149, 319.06), "_cfl_slab": (41, 72.06), "_advect": (36, 31.0),
            "_transpose_slab": (8, 8.0)}
 _LIMITER_CALLS = {"_sweep_block": 2, "_advect": 1}
 
@@ -625,10 +623,12 @@ def _textbook_sweep(state, dt, params):
 
     The scheme in its textbook form: movers w+- = (F +- c u) / 2, the Van
     Leer slope 2 dl dr / (dl + dr) by np.where, half of it added to each
-    mover, and a half step of lam / 2; neighbours by np.roll along the
-    fastest axis, with no blocks, arena or pool.  Each value takes the
-    operations, in the order, that the kernels document, so the result is
-    bitwise fluid_sweep's.  The state is not changed.
+    mover, a half step of lam / 2 and the textbook fast speed; neighbours by
+    np.roll along the fastest axis, with no blocks, arena or pool.  Each
+    value takes the operations, in the order, that the kernels document;
+    the kernels differ from this form only by exact powers of two (the
+    split's 1/2, the fast speed's half form), so the result is bitwise
+    fluid_sweep's.  The state is not changed.
     """
     g, lam = params.gamma, dt / state.shape.dx
     b = state.u[5:]
@@ -648,11 +648,9 @@ def _textbook_sweep(state, dt, params):
     def flux(u, order):  # F[i], through the interface between cells i and i + 1
         rho, m, e = u[0], u[1:4], u[4]
         v = m / rho
-        p = (g - 1.0) * ((e - 0.5 * ((m[0] * m[0] + m[1] * m[1]) + m[2] * m[2]) / rho) - pm)
-        a2 = g * p / rho
-        tot = a2 + total / rho
-        root = np.sqrt(np.maximum(tot * tot - 4.0 * a2 * sq1 / rho, 0))
-        c = np.max(np.abs(v[0]) + np.sqrt(0.5 * (tot + root)), axis=-1, keepdims=True)
+        p = textbook_pressure(rho, m, e, pm, g)
+        c = np.max(np.abs(v[0]) + textbook_fast_speed(rho, p, sq1, total, g), axis=-1,
+                   keepdims=True)
         pstar = p + pm
         f = np.stack([m[0], m[0] * v[0] + pstar - bc[0] * bc[0], m[1] * v[0] - bc[0] * bc[1],
                       m[2] * v[0] - bc[0] * bc[2],

@@ -32,6 +32,18 @@ def test_allocate_rejects_small_dimension(params):
         allocate_state(GridShape(4, 16, 16), params)
 
 
+@pytest.mark.parametrize("dx", [0.0, -1.0, math.inf, math.nan])
+def test_grid_shape_refuses_a_cell_width_that_is_not_positive_and_finite(dx):
+    with pytest.raises(ValueError, match=f"^cell width must be positive and finite, got {dx}$"):
+        GridShape(8, 8, 8, dx=dx)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5, math.inf, math.nan])
+def test_scheme_params_refuse_a_gamma_that_is_not_finite_and_above_1(gamma):
+    with pytest.raises(ValueError, match=f"^gamma must be finite and exceed 1, got {gamma}$"):
+        SchemeParams(gamma=gamma)
+
+
 def test_canonical_box_cell_count():
     assert GridShape(128, 128, 128).cells == 2_097_152
 

@@ -90,7 +90,7 @@ def test_the_magnetic_chunk_fits_in_the_fluid_blocks_arena(monkeypatch, n):
     assert parallel._arena.nbytes == block
 
 
-@pytest.mark.parametrize("n, nbytes", [(32, 2_434_560), (64, 2_298_624), (128, 2_230_656)])
+@pytest.mark.parametrize("n, nbytes", [(32, 2_323_968), (64, 2_194_176), (128, 2_129_280)])
 def test_a_fresh_process_arena_is_the_fluid_blocks_after_a_cycle(monkeypatch, n, nbytes):
     # The fluid block's workspace sizes the arena: the cfl runs in it, and
     # the magnetic chunk's fits in it.

@@ -81,16 +81,17 @@ def two_commits(tmp_path):
     return repo
 
 
-def _stub_run(calls, fault=None):
-    # A run of perfbench from an exported tree: the change's runs are 1% slower
-    # in every metric; `fault` = (arm, seed, kind) spoils one run.
+def _stub_run(calls, fault=None, drift=lambda seed: 100.0 + seed, effect=1.01):
+    # A run of perfbench from an exported tree: every metric of a run of seed s
+    # is drift(s), times `effect` in the change's runs (1% slower by default);
+    # `fault` = (arm, seed, kind) spoils one run.
     spec = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
 
     def run(tree, workload, seed, seconds):
         arm = (tree / "arm").read_text()
         calls.append((arm, workload, seed, seconds))
         kind = fault[2] if fault and fault[:2] == (arm, seed) else None
-        value = (100.0 + seed) * (1.01 if arm == "change" else 1.0)
+        value = drift(seed) * (effect if arm == "change" else 1.0)
         result = {"correct": kind != "incorrect", "attempted": 1, "failed": int(kind == "incorrect"),
                   "metrics": {m["name"]: {"value": value if m["better"] == "lower" else 1 / value,
                                           "unit": m["unit"]} for m in spec["end_to_end"]}}
@@ -119,6 +120,30 @@ def test_ab_alternates_the_arms_and_summarises_every_metric(two_commits, monkeyp
         assert "change wins 0/4" in line and "median gap > parent IQR: no" in line
     assert "parent 102.5 [101.25, 103.75]  change 103.525" in summary[0]
     assert "worse by +1.0% (bound 25%)" in summary[0]
+    assert "change/parent per pair 1.01 [1.01, 1.01]" in summary[0]
+
+
+def test_ab_per_pair_ratio_stays_flat_while_both_arms_drift(two_commits, monkeypatch, tmp_path,
+                                                            capsys):
+    # The host slows 10% a seed and the change is 2% faster in every pair:
+    # the drift swamps the medians, and the per-pair ratio shows the effect.
+    ab = _load_script("ab")
+    monkeypatch.setattr(ab, "ROOT", two_commits)
+    ledger = tmp_path / "ledger.json"
+    run = _stub_run([], drift=lambda seed: 100.0 * 1.1 ** seed, effect=0.98)
+    assert ab.main(["--parent", "HEAD~1", "--workload", "serial64_w1", "--pairs", "10",
+                    "--json", str(ledger)], run=run) == 0
+    cycle, mcups = (json.loads(ledger.read_text())[0]["metrics"][name]
+                    for name in ("cycle_ms_p50", "mcups"))
+    assert cycle["ratio"]["median"] == pytest.approx(0.98)
+    assert cycle["ratio"]["quartiles"] == pytest.approx([0.98, 0.98])
+    assert mcups["ratio"]["median"] == pytest.approx(1 / 0.98)
+    for metric in (cycle, mcups):
+        assert metric["change_wins"] == 10 and not metric["gap_exceeds_parent_iqr"]
+    q1, q3 = cycle["parent"]["quartiles"]
+    assert q3 - q1 > 0.3 * cycle["parent"]["median"]  # the drift's spread
+    line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith("cycle_ms_p50"))
+    assert "change/parent per pair 0.98 [0.98, 0.98]  change wins 10/10" in line
 
 
 @pytest.mark.parametrize("fault, message", [
@@ -187,6 +212,7 @@ def test_ab_appends_its_record_to_a_json_ledger(two_commits, monkeypatch, tmp_pa
     assert cycle["change"]["median"] == pytest.approx(103.525)
     assert cycle["worse_pct"] == pytest.approx(1.0)
     assert (cycle["change_wins"], cycle["gap_exceeds_parent_iqr"]) == (0, False)
+    assert cycle["ratio"]["median"] == pytest.approx(1.01)
     assert (cycle["unit"], cycle["better"], cycle["bound"]) == ("ms", "lower", 0.25)
     # The printed summary is the record's.
     line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith("mcups"))
