@@ -12,10 +12,12 @@ uniform, and the field is in units where the magnetic pressure is ``b^2/2``.
 
 A memory transpose reorients the grid so the next sweep direction becomes the
 fastest axis; the ``orientation`` tag on :class:`GridShape` records which
-physical axis currently plays each role.  It writes into a spare block of the
-same size and then swaps the two, so no cycle allocates state memory.  The
-block and its spare are the two halves of one shared mapping, which the
-worker processes of `parallel` write in place.
+physical axis currently plays each role.  Forward it moves the fastest axis
+to the slowest end, inverse the two fastest, so each component, viewed as the
+C-order matrix ``(n3 n2, n1)`` or ``(n3, n2 n1)``, is transposed.  It writes
+into a spare block of the same size and then swaps the two, so no cycle
+allocates state memory.  The block and its spare are the two halves of one
+shared mapping, which the worker processes of `parallel` write in place.
 """
 
 from __future__ import annotations
@@ -151,63 +153,56 @@ def allocate_state(shape: GridShape, params: SchemeParams) -> ConservedState:
 # ---------------------------------------------------------------------------
 # memory transpose
 
-# Forward: the middle axis becomes fastest; out[i, k, j] = in[k, j, i].
-_FWD_AXES = (2, 0, 1)
-# Inverse: the slowest axis becomes fastest; out[j, i, k] = in[k, j, i].
-_INV_AXES = (1, 2, 0)
-# Source row of each output row: momenta and face fields are relabeled with
-# their axes, so component 1 always lies along the fastest axis.
-_FWD_SOURCES = (0, 2, 3, 1, 4, 6, 7, 5)
-_INV_SOURCES = (0, 3, 1, 2, 4, 7, 5, 6)
+# Source row of each output row, for a cyclic shift by k: momenta and face
+# fields are relabeled with their axes, so component 1 always lies along the
+# fastest axis.
+_SOURCES = {1: (0, 2, 3, 1, 4, 6, 7, 5), 2: (0, 3, 1, 2, 4, 7, 5, 6)}
 
 
-# Edge of the cubic blocks a transpose copies.  Per-call ms of one transpose
-# of all eight single-precision arrays on a 2-core host, tiles 8/16/32/64:
-# 64^3 1 worker 11.6/5.5/4.4/3.9; 128^3 1 worker 98/80/55/118, 2 pool
-# workers (median of 5 interleaved processes) 99/57/39/76.  At 128^3 single
-# on 2 workers, whole-slab copies raised the transpose section from 102 to
-# 162 ms per cycle, and 2-D tiles moved the cycle by less than its
-# run-to-run spread.
+# A transpose tile is _TILE along the matrix's short side and _TILE**2 along
+# its long side, so each copy moves _TILE**3 elements, and as a step along the
+# short side strides a whole long row, only _TILE long rows are in flight.
+# Median ms of one cold-cache transpose of all eight single-precision arrays,
+# forward / inverse, 1 worker on a 2-vCPU Xeon, 11 rounds, by (short x long)
+# tile sides: 128^3 32x1024 36 / 36, 16x2048 42 / 35, 64x512 37 / 105,
+# 1024x32 66 / 144, 3-D 32^3 cubes 56 / 44; 64^3 32x1024 3.6 / 2.8, 16x2048
+# 3.6 / 3.0, cubes 3.9 / 2.8.
 _TILE = 32
 
 
-def _tiled_copy(view: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
-    # Copy output rows [lo, hi) in _TILE^3 blocks (clipped at slab edges).
-    _, s1, s2 = out.shape
-    for a in range(_TILE * (lo // _TILE), hi, _TILE):
-        rows = slice(max(a, lo), min(a + _TILE, hi))
-        for b in range(0, s1, _TILE):
-            for c in range(0, s2, _TILE):
-                np.copyto(out[rows, b:b + _TILE, c:c + _TILE], view[rows, b:b + _TILE, c:c + _TILE])
-
-
-def _transpose_slab(u, out, axes, sources, _i, lo, hi):
-    # Slab kernel: output planes [lo, hi) of every component.
-    for c, dst in zip(sources, out):
-        _tiled_copy(u[c].transpose(axes), dst, lo, hi)
+def _transpose_slab(u, out, k, _i, lo, hi):
+    # Slab kernel: output planes [lo, hi) of every component, q rows each of
+    # the (cols, rows) transpose of the source matrix (rows, cols), which is
+    # (n3 n2, n1) for k = 1 and (n3, n2 n1) for k = 2.
+    rows = math.prod(u.shape[1:4 - k])
+    cols = u[0].size // rows
+    q = cols // len(out[0])
+    t0, t1 = (_TILE, _TILE ** 2) if cols <= rows else (_TILE ** 2, _TILE)
+    for dst, c in zip(out, _SOURCES[k]):
+        src, dst = u[c].reshape(rows, cols).T, dst.reshape(cols, rows, copy=False)
+        for a in range(lo * q, hi * q, t0):
+            tile = slice(a, min(a + t0, hi * q))
+            for b in range(0, rows, t1):
+                np.copyto(dst[tile, b:b + t1], src[tile, b:b + t1])
 
 
 def transpose(state: ConservedState, inverse: bool = False, workers: int = 1) -> ConservedState:
     """Reorient the grid by one cyclic step, copying the block into the spare and swapping.
 
     Forward, the previous middle axis becomes fastest-varying (three applications
-    restore the input bitwise); `inverse=True` undoes one forward step.  Momentum
-    and field components are relabeled with the axes so `mom1`/`b1` always refer
+    restore the input bitwise); `inverse=True` undoes one forward step.  The
+    extents and orientation roll by k = 1 forward, 2 inverse.  Momentum and
+    field components are relabeled with the axes so `mom1`/`b1` always refer
     to the current fastest axis.
     """
     shape = state.shape
-    f, m, s = shape.orientation
-    if inverse:
-        n1, n2, n3, orientation = shape.n3, shape.n1, shape.n2, (s, f, m)
-        axes, sources = _INV_AXES, _INV_SOURCES
-    else:
-        n1, n2, n3, orientation = shape.n2, shape.n3, shape.n1, (m, s, f)
-        axes, sources = _FWD_AXES, _FWD_SOURCES
-    new_shape = GridShape(n1, n2, n3, dx=shape.dx, orientation=orientation)
+    k = 2 if inverse else 1
+    extents, orientation = (shape.n1, shape.n2, shape.n3), tuple(shape.orientation)
+    new_shape = GridShape(*extents[k:], *extents[:k], dx=shape.dx,
+                          orientation=orientation[k:] + orientation[:k])
 
-    out = state.spare.reshape((len(sources),) + new_shape.array_shape, copy=False)
-    parallel_for(partition(new_shape.n3, workers),
-                 partial(_transpose_slab, state.u, out, axes, sources))
+    out = state.spare.reshape((len(COMPONENT_NAMES),) + new_shape.array_shape, copy=False)
+    parallel_for(partition(new_shape.n3, workers), partial(_transpose_slab, state.u, out, k))
 
     state.shape, state.u, state.spare = new_shape, out, state.u
     return state
@@ -247,13 +242,17 @@ def row_centers(u: np.ndarray, g0: int, g1: int, out: np.ndarray) -> None:
     # b2: from the next row, then once more for each plane's last row (the
     # local rows w, w + n2, ...) from the plane's first row.
     top = min(g1, rows - 1)
-    np.add(b2[g0:top], b2[g0 + 1:top + 1], out=c2[:top - g0])
+    if g0 < top:
+        np.add(b2[g0:top], b2[g0 + 1:top + 1], out=c2[:top - g0])
     w = (n2 - 1 - g0) % n2
-    np.add(b2[g0 + w:g1:n2], b2[g0 + w + 1 - n2:max(g1 + 1 - n2, 0):n2], out=c2[w::n2])
+    if g0 + w < g1:
+        np.add(b2[g0 + w:g1:n2], b2[g0 + w + 1 - n2:max(g1 + 1 - n2, 0):n2], out=c2[w::n2])
     # b3: from the row n2 on; the rows of the last plane from plane 0.
     mid = min(max(g0, rows - n2), g1)
-    np.add(b3[g0:mid], b3[g0 + n2:mid + n2], out=c3[:mid - g0])
-    np.add(b3[mid:g1], b3[mid + n2 - rows:g1 + n2 - rows], out=c3[mid - g0:])
+    if g0 < mid:
+        np.add(b3[g0:mid], b3[g0 + n2:mid + n2], out=c3[:mid - g0])
+    if mid < g1:
+        np.add(b3[mid:g1], b3[mid + n2 - rows:g1 + n2 - rows], out=c3[mid - g0:])
     np.multiply(out, 0.5, out=out)
 
 

@@ -15,12 +15,14 @@ Snapshot layout (all little-endian):
     56      ...          8 raw component arrays, fastest-axis-major, in the
                          fixed order rho, mom1..3, e, b1..3
 
-Snapshots round-trip bitwise.  Reading a higher format version fails cleanly, as
+Snapshots round-trip bitwise.  Reading a format version other than 1, a
+non-finite time or a negative cycle fails cleanly before any allocation, as
 does a file whose length is not exactly header plus payload.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -65,10 +67,14 @@ def read_snapshot(path: str | Path) -> ConservedState:
         if len(head) < _HEADER.size or head[:8] != MAGIC:
             raise SnapshotError(f"{path}: not a snapshot file")
         _, version, n1, n2, n3, orient, width, dx, time_, cycle = _HEADER.unpack(head)
-        if version > VERSION:
+        if not 1 <= version <= VERSION:
             raise SnapshotError(f"{path}: unsupported snapshot version {version}")
         if orient >= len(ORIENTATIONS) or width not in (4, 8):
             raise SnapshotError(f"{path}: corrupt header")
+        if not math.isfinite(time_):
+            raise SnapshotError(f"{path}: non-finite time {time_}")
+        if cycle < 0:
+            raise SnapshotError(f"{path}: negative cycle {cycle}")
         try:
             shape = GridShape(n1, n2, n3, dx=dx, orientation=ORIENTATIONS[orient])
         except ValueError as exc:

@@ -84,6 +84,8 @@ def run(state: ConservedState, params: SchemeParams, n_cycles: int | None = None
         raise ValueError(f"n_cycles must be non-negative, got {n_cycles}")
     if t_end is not None and not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
+    if t_end is not None and not math.isfinite(state.time):
+        raise ValueError(f"a run to t_end needs a finite state time, got {state.time}")
     reports: list[StepReport] = []
     while True:
         if n_cycles is not None and len(reports) >= n_cycles:

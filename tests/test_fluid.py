@@ -352,15 +352,15 @@ def test_the_limiters_main_path_is_seven_passes(monkeypatch, limiter_calls, dtyp
 
 # The numpy census of one warmed call of each kernel at 32^3 single: a fluid
 # row block and a cfl block of 384 rows (48 KiB per variable, planes 0-11), a
-# magnetic chunk of the whole grid (b2's) and a forward transpose slab of the
-# whole grid, each as (calls through the census, output elements of those
-# calls per cell of the call).  Every pass of these kernels is a call through
-# the np of fluid, magnetic or grid, so the figures count every pass.  A padded
-# array has (32 + 4) / 32 elements per cell, a ghost copy one per run of
-# images and a reduction over the whole call one.  A change that moves a
-# figure updates it here and says why.
-_CENSUS = {"_sweep_block": (149, 319.06), "_cfl_slab": (41, 72.06), "_advect": (36, 31.0),
-           "_transpose_slab": (8, 8.0)}
+# magnetic chunk of the whole grid (b2's) and a forward and an inverse
+# transpose slab of the whole grid, each as (calls through the census, output
+# elements of those calls per cell of the call).  Every pass of these kernels
+# is a call through the np of fluid, magnetic or grid, so the figures count
+# every pass.  A padded array has (32 + 4) / 32 elements per cell, a ghost
+# copy one per run of images and a reduction over the whole call one.  A
+# change that moves a figure updates it here and says why.
+_CENSUS = {"_sweep_block": (148, 319.06), "_cfl_slab": (40, 72.06), "_advect": (36, 31.0),
+           "_transpose_slab": (8, 8.0), "_inverse_transpose_slab": (8, 8.0)}
 _LIMITER_CALLS = {"_sweep_block": 2, "_advect": 1}
 
 
@@ -371,16 +371,16 @@ def test_the_kernels_numpy_census(monkeypatch, limiter_calls, kernel):
     u, lam, shape = state.u, 0.1, state.shape
     ws, u5, row0 = next(fluid._rows(u, 0, shape.n3))
     assert u5[0].size == 384 * 32 == 12 * shape.n2 * shape.n1
-    out = state.spare.reshape(u.shape)  # a cube's forward transpose keeps its shape
+    out = state.spare.reshape(u.shape)  # a cube's transposes keep its shape
     call, cells = {
         "_sweep_block": (lambda: fluid._sweep_block(u, ws, u5, lam, params.gamma, ("",) * 3,
                                                     shape, row0), u5[0].size),
         "_cfl_slab": (lambda: fluid._cfl_slab(u, np.zeros(1), params.gamma, "", shape, 0, 0, 12),
                       u5[0].size),
         "_advect": (lambda: magnetic._advect(u[6], u[5], u[0], u[1], lam, axis=1), shape.cells),
-        "_transpose_slab": (lambda: grid._transpose_slab(u, out, grid._FWD_AXES,
-                                                         grid._FWD_SOURCES, 0, 0, shape.n3),
-                            shape.cells),
+        "_transpose_slab": (lambda: grid._transpose_slab(u, out, 1, 0, 0, shape.n3), shape.cells),
+        "_inverse_transpose_slab": (lambda: grid._transpose_slab(u, out, 2, 0, 0, shape.n3),
+                                    shape.cells),
     }[kernel]
     call()  # warmed
     limiter_calls["_limit"] = 0

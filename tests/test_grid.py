@@ -4,9 +4,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tvdmhd import (GridShape, SchemeParams, allocate_state, discrete_divergence,
                     face_to_center, step_cycle, totals, transpose)
+from tvdmhd import grid
 from tvdmhd.grid import COMPONENT_NAMES, row_centers
 
 from conftest import copy_state, random_state
@@ -142,6 +145,36 @@ def test_inverse_transpose_undoes_forward(params):
         assert (arr == getattr(ref, name)).all()
 
 
+# numpy's spelling of the two transposes: forward out[i, k, j] = in[k, j, i],
+# inverse out[j, i, k] = in[k, j, i].
+_NUMPY_AXES = {False: (2, 0, 1), True: (1, 2, 0)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(dims=st.tuples(*[st.integers(2, 20).map(lambda m: 4 * m)] * 3), inverse=st.booleans(),
+       precision=st.sampled_from(["single", "double"]), workers=st.integers(1, 3))
+@example(dims=(44, 40, 76), inverse=False, precision="single", workers=3)
+@example(dims=(44, 40, 76), inverse=True, precision="double", workers=2)
+@example(dims=(80, 8, 8), inverse=False, precision="single", workers=1)
+def test_transpose_matches_numpy_at_tile_scale(dims, inverse, precision, workers):
+    # Sides up to 80 cells, so matrix sides pass a tile's 32 and 1024 elements
+    # and the tiles clip at matrix and slab edges.  Each vector component is
+    # the one along its slot's new axis: slot r of the result is the old slot
+    # that held physical axis orientation[r].
+    state = allocate_state(GridShape(*dims), SchemeParams(precision=precision))
+    state.u[...] = np.random.default_rng(list(dims)).standard_normal(state.u.shape)
+    before, old = state.u.copy(), state.shape.orientation
+    transpose(state, inverse=inverse, workers=workers)
+    new = state.shape.orientation
+    assert new == (("z", "x", "y") if inverse else ("y", "z", "x"))
+    for c, name in enumerate(COMPONENT_NAMES):
+        if name[-1].isdigit():
+            name = name[:-1] + str(old.index(new[int(name[-1]) - 1]) + 1)
+        want = np.transpose(before[COMPONENT_NAMES.index(name)], _NUMPY_AXES[inverse])
+        assert state.u[c].shape == want.shape
+        assert state.u[c].tobytes() == want.tobytes(), (c, name)
+
+
 # --- face_to_center ---------------------------------------------------------
 
 def test_face_to_center_uniform(params):
@@ -179,11 +212,28 @@ def test_face_to_center_linear_field_away_from_seam(params):
     assert np.allclose(interior, expected[np.newaxis, np.newaxis, :], rtol=0, atol=0)
 
 
+class _AddSizes:
+    """numpy, with the output size of every `add` call recorded in `sizes`."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def add(self, a, b, out):
+        self.sizes.append(out.size)
+        return np.add(a, b, out=out)
+
+
 @pytest.mark.parametrize("shape", [GridShape(16, 12, 8), GridShape(8, 8, 12)],
                          ids=["16x12x8", "8x8x12"])
-def test_row_centers_match_the_rolled_whole_grid_field(shape):
+def test_row_centers_match_the_rolled_whole_grid_field(shape, monkeypatch):
     # Every row range of a small grid with unequal axes: ranges inside one
-    # plane, across plane ends, and into and through the last plane.
+    # plane, across plane ends, and into and through the last plane.  No add
+    # runs over an empty range.
+    numpy = _AddSizes()
+    monkeypatch.setattr(grid, "np", numpy)
     state = random_state(shape, SchemeParams(precision="single"), seed=4)
     n3, n2, n1 = shape.array_shape
     want = np.stack([0.5 * (state.b1 + np.roll(state.b1, -1, axis=2)),
@@ -195,6 +245,7 @@ def test_row_centers_match_the_rolled_whole_grid_field(shape):
             got = np.full((3, g1 - g0, n1), np.nan, dtype=state.dtype)
             row_centers(state.u, g0, g1, got)
             assert got.tobytes() == want[:, g0:g1].tobytes(), (g0, g1)
+    assert min(numpy.sizes) > 0
 
 
 def test_row_centers_refuse_a_strided_block(params):

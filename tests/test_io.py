@@ -1,5 +1,6 @@
 import errno
 import io
+import re
 import struct
 import tracemalloc
 
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvdmhd import (GridShape, SchemeParams, allocate_state, discrete_divergence,
-                    face_to_center, init_condition, read_snapshot, slice_export, totals,
-                    transpose, write_snapshot)
+from tvdmhd import (ConservedState, GridShape, SchemeParams, allocate_state,
+                    discrete_divergence, face_to_center, init_condition, read_snapshot,
+                    slice_export, totals, transpose, write_snapshot)
 from tvdmhd.snapshot import MAGIC, SnapshotError
 from tvdmhd import fluid, ic, snapshot
 
@@ -337,6 +338,28 @@ def test_snapshot_future_version_rejected(tmp_path, params):
     data[8:12] = (99).to_bytes(4, "little")
     path.write_bytes(bytes(data))
     with pytest.raises(SnapshotError, match="unsupported snapshot version"):
+        read_snapshot(path)
+
+
+@pytest.mark.parametrize("offset, fmt, value, message", [
+    (8, "<I", 0, "unsupported snapshot version 0"),
+    (40, "<d", float("nan"), "non-finite time nan"),
+    (40, "<d", float("-inf"), "non-finite time -inf"),
+    (48, "<q", -7, "negative cycle -7"),
+], ids=["version-0", "time-nan", "time-minus-inf", "cycle-negative"])
+def test_snapshot_header_field_out_of_range_rejected_before_allocating(
+        tmp_path, params, monkeypatch, offset, fmt, value, message):
+    # From a NaN or -inf time, a run to t_end would never stop.
+    path = tmp_path / "odd.snap"
+    write_snapshot(random_state(GridShape(8, 8, 8), params, seed=5), path)
+    data = bytearray(path.read_bytes())
+    struct.pack_into(fmt, data, offset, value)
+    path.write_bytes(bytes(data))
+
+    def allocate(*args):
+        raise AssertionError("the state was allocated before the header was checked")
+    monkeypatch.setattr(ConservedState, "zeros", allocate)
+    with pytest.raises(SnapshotError, match=f"^{re.escape(str(path))}: {message}$"):
         read_snapshot(path)
 
 

@@ -147,6 +147,21 @@ def test_run_refuses_a_stop_rule_it_cannot_meet_or_read(params, stop, message):
     assert state.cycle == 0
 
 
+@pytest.mark.parametrize("start", [float("nan"), float("inf"), float("-inf")])
+def test_run_to_t_end_refuses_a_non_finite_state_time(params, start):
+    # From a NaN or -inf start time, time >= t_end never holds: the run would
+    # never stop.  A cycle that does start ends the test through `on_cycle`.
+    state = init_condition("uniform", GridShape(8, 8, 8), params)
+    state.time = start
+
+    def cycled(report):
+        raise AssertionError("a cycle ran from a non-finite time")
+    message = f"a run to t_end needs a finite state time, got {start}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run(state, params, t_end=1.0, on_cycle=cycled)
+    assert state.cycle == 0
+
+
 def test_single_precision_cycle_keeps_dtype():
     params32 = SchemeParams(precision="single")
     state = init_condition("solenoidal_random", GridShape(16, 16, 16), params32, seed=1)
