@@ -130,10 +130,14 @@ def run_command(cfg: RunConfig, out=sys.stdout) -> int:
         raise ConfigError(f"'t_end' must be finite, got {cfg.t_end}")
     params = cfg.params()
     state = init_condition(cfg.ic, cfg.shape(), params, **cfg.ic_options())
-    out.write("# cycle\tdt\ttime\twall_ms\n")
+    out.write("# cycle\tdt\ttime\twall_ms" + "".join(f"\t{s}_ms" for s in SECTIONS)
+              + "\tminflt_self\tminflt_workers\n")
 
     def log(report):
-        out.write(f"{state.cycle}\t{report.dt:.6g}\t{state.time:.6g}\t{report.wall_ms:.3f}\n")
+        sections = "".join(f"\t{report.sections[s]:.3f}" for s in SECTIONS)
+        faults = [str(n) for n in report.faults.values()]
+        out.write(f"{state.cycle}\t{report.dt:.6g}\t{state.time:.6g}\t{report.wall_ms:.3f}"
+                  f"{sections}\t{faults[0] if faults else '-'}\t{','.join(faults[1:]) or '-'}\n")
         if cfg.snapshot_every and state.cycle % cfg.snapshot_every == 0:
             write_snapshot(state, f"{cfg.out}.cycle{state.cycle}")
 
@@ -176,7 +180,7 @@ def bench_command(sizes, repeats, workers, precision, machines_path=None,
     if perf.BASELINE_LABEL not in machines:
         raise ConfigError(f"the machines file has no {perf.BASELINE_LABEL!r} baseline record")
     baseline = perf.check_baseline(machines[perf.BASELINE_LABEL])
-    width = 4 if precision == "single" else 8
+    width = SchemeParams(precision=precision).dtype.itemsize
     avail = _available_memory_bytes()
     measured: dict[int, float] = {}
 

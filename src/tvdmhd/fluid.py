@@ -79,17 +79,24 @@ class PositivityError(ValueError):
 
 def check_positive(rho: np.ndarray, p: np.ndarray | None, shape: GridShape,
                    where: str = "", row0: int = 0) -> None:
-    """Raise PositivityError at the first cell with rho <= 0 or p < 0; NaN fails both.
+    """Raise PositivityError at the first cell with rho <= 0 or p < 0; NaN and +inf fail both.
 
     `p` may be None to check the density alone.  The arrays hold whole rows of
     n1 cells of the grid `shape`, in order from state row `row0` = k * n2 + j on.
     """
-    # The minimum is NaN if any value is, so these pass exactly when every
-    # cell does; only a failure forms the per-cell test that names the cell.
-    if not np.minimum.reduce(rho, axis=None) > 0:
-        _require(rho > 0, rho, "density", "non-positive", shape, where, row0)
-    if p is not None and not np.minimum.reduce(p, axis=None) >= 0:
-        _require(p >= 0, p, "pressure", "negative", shape, where, row0)
+    # Only a failure forms the per-cell tests that name the cell.
+    if not _in_range(rho, p):
+        _require((rho > 0) & (rho < math.inf), rho, "density", "non-positive", shape, where, row0)
+        if p is not None:
+            _require((p >= 0) & (p < math.inf), p, "pressure", "negative", shape, where, row0)
+
+
+def _in_range(rho, p) -> bool:
+    # Whether every rho lies in (0, inf) and every p, unless None, in [0, inf).
+    # A minimum or maximum is NaN if any value is, so NaN fails.
+    lo, hi = np.minimum.reduce, np.maximum.reduce
+    return (lo(rho, axis=None) > 0 and hi(rho, axis=None) < math.inf
+            and (p is None or (lo(p, axis=None) >= 0 and hi(p, axis=None) < math.inf)))
 
 
 def _require(ok, arr, name, kind, shape, where, row0):
@@ -401,11 +408,12 @@ def _stage(ws: _Block, gamma, order, where, shape, row0) -> np.ndarray:
     rho, m = ws.rho, ws.m
     v = np.divide(m, rho, out=ws.v)
     p = _pressure(rho, m, ws.e, ws.pm, gamma, ws.p, ws.tmp)
-    # The ghosts are bitwise copies of cells, so the padded rows' minima are
+    # The ghosts are bitwise copies of cells, so the padded rows' extremes are
     # the cells'; only a failure needs the interior, to name the cell.
-    if not (np.minimum.reduce(rho, axis=None) > 0 and np.minimum.reduce(p, axis=None) >= 0):
+    if not _in_range(rho, p):
         check_positive(ws.rho_in, ws.p_in, shape, where, row0)
-    # p = +inf passes that check: name the cell whose |v1| + c_fast is not finite.
+    # A finite rho and p can still overflow |v1| + c_fast (a subnormal density
+    # does): name the cell whose signal speed is not finite.
     if not np.maximum.reduce(_freezing_speed(rho, v[0], p, ws, gamma), axis=None) < math.inf:
         sig = _interior(ws.a2)
         _require(sig < math.inf, sig, "signal speed", "non-finite", shape, where, row0)

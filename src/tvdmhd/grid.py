@@ -31,8 +31,9 @@ import numpy as np
 
 from .parallel import parallel_for, partition, shared_pair
 
-ORIENTATIONS = (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y"))
-CANONICAL = ORIENTATIONS[0]
+CANONICAL = ("x", "y", "z")
+# The orientations k forward transposes reach: CANONICAL rolled by k.
+ORIENTATIONS = tuple(CANONICAL[k:] + CANONICAL[:k] for k in range(3))
 
 
 @dataclass(frozen=True)
@@ -155,8 +156,9 @@ def allocate_state(shape: GridShape, params: SchemeParams) -> ConservedState:
 
 # Source row of each output row, for a cyclic shift by k: momenta and face
 # fields are relabeled with their axes, so component 1 always lies along the
-# fastest axis.
-_SOURCES = {1: (0, 2, 3, 1, 4, 6, 7, 5), 2: (0, 3, 1, 2, 4, 7, 5, 6)}
+# fastest axis; new component j of each comes from old component (j + k) % 3.
+_SOURCES = {k: (0, *(1 + (j + k) % 3 for j in range(3)), 4, *(5 + (j + k) % 3 for j in range(3)))
+            for k in (1, 2)}
 
 
 # A transpose tile is _TILE along the matrix's short side and _TILE**2 along

@@ -321,6 +321,26 @@ class _Pool:
                 raise err
 
 
+def minor_faults() -> dict[int, int]:
+    """The minor page faults so far of this process and of each live pool worker, by pid.
+
+    This process comes first, then the workers in pool order.  Read from
+    ``/proc/<pid>/stat``; empty where there is no ``/proc``, and a worker
+    whose file has gone is left out.
+    """
+    pool = _Pool.current
+    counts = {}
+    for pid in [os.getpid()] + ([w.pid for w in pool.workers] if pool is not None else []):
+        try:
+            with open(f"/proc/{pid}/stat") as f:
+                # The fields after the parenthesised command name start at `state`.
+                counts[pid] = int(f.read().rsplit(")", 1)[1].split()[7])
+        except OSError:
+            if pid == os.getpid():  # no /proc
+                return {}
+    return counts
+
+
 def _replies(w: _Worker, share) -> list[Exception | None]:
     # The slab errors of a worker's share, or RuntimeError if the worker died.
     try:

@@ -19,6 +19,8 @@ from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
+from .grid import SchemeParams
+
 GB = 1.0e9
 BASELINE_LABEL = "x86(1)"
 
@@ -103,8 +105,8 @@ class TrafficEstimate:
 
 
 def bytes_per_step(shape, precision: str = "single") -> TrafficEstimate:
-    """Census traffic for one step at the given real width (4 or 8 bytes)."""
-    width = 4 if precision == "single" else 8
+    """Census traffic for one step at the real width of `precision` (see `SchemeParams`)."""
+    width = SchemeParams(precision=precision).dtype.itemsize
     cells, box = _box(shape)
     reads = float(TrafficModel.reads_per_cell) * cells * width
     writes = float(TrafficModel.writes_per_cell) * cells * width

@@ -18,6 +18,7 @@ from typing import Callable
 from .fluid import cfl_timestep, fluid_sweep
 from .grid import CANONICAL, ConservedState, SchemeParams, transpose
 from .magnetic import magnetic_sweep
+from .parallel import minor_faults
 
 # The legs of one cycle: (sweep axis, transpose direction to apply afterwards).
 SCHEDULE = (("x", "fwd"), ("y", "fwd"), ("z", None),
@@ -28,11 +29,18 @@ SECTIONS = ("cfl", "fluid", "magnetic", "transpose")
 
 @dataclass
 class StepReport:
-    """dt, wall time and per-section milliseconds of one cycle."""
+    """dt, wall time and per-section milliseconds of one cycle.
+
+    `faults` holds the minor page faults the cycle cost each process by pid,
+    this process first and then each pool worker (see
+    `parallel.minor_faults`).  `run` fills it; it is empty from `step_cycle`
+    alone and where there is no ``/proc``.
+    """
 
     dt: float
     wall_ms: float
     sections: dict[str, float] = field(default_factory=dict)
+    faults: dict[int, int] = field(default_factory=dict)
 
 
 def step_cycle(state: ConservedState, params: SchemeParams,
@@ -74,9 +82,11 @@ def run(state: ConservedState, params: SchemeParams, n_cycles: int | None = None
         ) -> tuple[ConservedState, list[StepReport]]:
     """Iterate step_cycle until the cycle count, or until a cycle starts at >= t_end.
 
-    `on_cycle`, when given, is called with each cycle's report right after the
-    cycle, while the state holds that cycle's result.  Returns the state and
-    every report in order.
+    Each report carries the minor faults of its cycle, read before and after
+    it; a worker forked during the cycle counts from its fork.  `on_cycle`,
+    when given, is called with each cycle's report right after the cycle,
+    while the state holds that cycle's result.  Returns the state and every
+    report in order.
     """
     if (n_cycles is None) == (t_end is None):
         raise ValueError("specify exactly one of n_cycles or t_end")
@@ -92,7 +102,10 @@ def run(state: ConservedState, params: SchemeParams, n_cycles: int | None = None
             break
         if t_end is not None and state.time >= t_end:
             break
-        reports.append(step_cycle(state, params, workers=workers))
+        before = minor_faults()
+        report = step_cycle(state, params, workers=workers)
+        report.faults = {pid: n - before.get(pid, 0) for pid, n in minor_faults().items()}
+        reports.append(report)
         if on_cycle is not None:
             on_cycle(reports[-1])
     return state, reports

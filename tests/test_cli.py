@@ -301,6 +301,14 @@ def test_main_bench_refuses_a_bad_count_or_size_before_any_output(flags, message
     assert report.read_bytes() == b"# old report\n"
 
 
+def test_bench_command_refuses_an_unknown_precision_before_any_output(monkeypatch):
+    monkeypatch.setattr(validation, "cycle_times", lambda *args: pytest.fail("timed a cycle"))
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="precision must be 'single' or 'double', got 'half'"):
+        cli.bench_command([16], repeats=1, workers=1, precision="half", out=buf)
+    assert buf.getvalue() == ""
+
+
 @pytest.mark.parametrize("avail_mib, timed", [(20, [64]), (16, [])])
 def test_bench_skips_a_size_whose_state_and_arena_do_not_fit(monkeypatch, avail_mib, timed):
     # 64^3 single: 16 MiB of state arrays and one 2.5 MiB arena.
@@ -345,6 +353,36 @@ def test_main_exits_quietly_when_stdout_closes_early():
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 141
     assert err == b""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_prints_each_cycles_sections_and_page_faults(workers):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(tvdmhd.__file__).parents[1]),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "tvdmhd", "run", "--size", "16", "--workers",
+                           str(workers), "--cycles", "2", "--precision", "single"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, *lines = proc.stdout.splitlines()
+    names = header.removeprefix("# ").split("\t")
+    assert names == (["cycle", "dt", "time", "wall_ms"] + [f"{s}_ms" for s in SECTIONS]
+                     + ["minflt_self", "minflt_workers"])
+    assert len(lines) == 2
+    for cycle, line in enumerate(lines, start=1):
+        fields = dict(zip(names, line.split("\t"), strict=True))
+        assert int(fields["cycle"]) == cycle
+        assert all(float(fields[name]) > 0 for name in names[1:4])
+        assert all(float(fields[f"{s}_ms"]) >= 0 for s in SECTIONS)
+        if not os.path.exists("/proc/self/stat"):
+            assert fields["minflt_self"] == fields["minflt_workers"] == "-"
+            continue
+        assert int(fields["minflt_self"]) >= 0
+        if workers == 1:  # no pool is forked
+            assert fields["minflt_workers"] == "-"
+        else:  # one worker per slab, at most one per CPU the process may run on
+            counts = [int(c) for c in fields["minflt_workers"].split(",")]
+            assert len(counts) == min(workers, len(os.sched_getaffinity(0)))
+            assert min(counts) >= 0
 
 
 def test_validate_command_report_is_machine_readable(monkeypatch):

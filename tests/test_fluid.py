@@ -1,4 +1,5 @@
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,8 @@ from tvdmhd import (GridShape, PositivityError, SchemeParams, allocate_state,
                     magnetic, magnetic_sweep, parallel, step_cycle, totals, transpose)
 from tvdmhd.fluid import check_positive
 
-from conftest import (copy_state, random_state, textbook_fast_speed, textbook_pressure, vanleer,
-                      where_limit)
+from conftest import (cfl_per_axis, copy_state, random_state, signal_speeds_per_axis,
+                      textbook_sweep, vanleer, where_limit)
 
 
 # --- fast speed -----------------------------------------------------------------
@@ -84,25 +85,6 @@ def test_cfl_scales_with_dx(params):
     assert cfl_timestep(b, params) == pytest.approx(cfl_timestep(a, params) / 4, rel=1e-13)
 
 
-def _signal_speeds_per_axis(state, params):
-    """|v| + c_f of every cell along each axis, one axis at a time, each summing |b|^2 in
-    its own order: (3, n3 * n2, n1).  The textbook formulas, apart from fluid's kernels."""
-    gamma = params.gamma
-    rho, m1, m2, m3, e = (state.u[c] for c in range(5))
-    sq1, sq2, sq3 = (np.square(bc) for bc in face_to_center(state))
-    p = textbook_pressure(rho, (m1, m2, m3), e, 0.5 * ((sq1 + sq2) + sq3), gamma)
-    speeds = []
-    for m, along, t1, t2 in ((m1, sq1, sq2, sq3), (m2, sq2, sq3, sq1), (m3, sq3, sq1, sq2)):
-        cf = textbook_fast_speed(rho, p, along, (along + t1) + t2, gamma)
-        speeds.append(np.abs(m / rho) + cf)
-    return np.stack(speeds).reshape(3, -1, state.shape.n1)
-
-
-def _cfl_per_axis(state, params):
-    """The cfl dt over the whole grid from the per-axis signal speeds."""
-    return params.courant * state.shape.dx / float(np.max(_signal_speeds_per_axis(state, params)))
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("turns", [0, 1])
 @pytest.mark.parametrize("precision", ["single", "double"])
@@ -114,7 +96,7 @@ def test_cfl_is_bitwise_the_per_axis_evaluation(precision, turns, workers):
     # A row block ends inside a plane, so row_centers starts blocks mid-plane.
     n2, n1 = state.shape.n2, state.shape.n1
     assert (fluid._BLOCK_BYTES // (n1 * state.dtype.itemsize)) % n2 != 0
-    assert cfl_timestep(state, params, workers).hex() == _cfl_per_axis(state, params).hex()
+    assert cfl_timestep(state, params, workers).hex() == cfl_per_axis(state, params).hex()
 
 
 @pytest.mark.parametrize("turns", [0, 1, 2])
@@ -132,7 +114,7 @@ def test_cfl_signal_speed_of_every_cell_is_bitwise_the_per_axis_evaluation(preci
     assert fluid._BLOCK_BYTES >= n3 * n2 * n1 * state.dtype.itemsize
     cfl_timestep(state, params, 1)
     ws = parallel.workspace(fluid._Block, n3 * n2, n1, state.dtype)
-    assert ws.sig.tobytes() == _signal_speeds_per_axis(state, params).tobytes()
+    assert ws.sig.tobytes() == signal_speeds_per_axis(state, params).tobytes()
 
 
 # --- vanleer ---------------------------------------------------------------
@@ -357,9 +339,10 @@ def test_the_limiters_main_path_is_seven_passes(monkeypatch, limiter_calls, dtyp
 # elements of those calls per cell of the call).  Every pass of these kernels
 # is a call through the np of fluid, magnetic or grid, so the figures count
 # every pass.  A padded array has (32 + 4) / 32 elements per cell, a ghost
-# copy one per run of images and a reduction over the whole call one.  A
-# change that moves a figure updates it here and says why.
-_CENSUS = {"_sweep_block": (148, 319.06), "_cfl_slab": (40, 72.06), "_advect": (36, 31.0),
+# copy one per run of images and a reduction over the whole call one.  Each
+# positivity check takes a minimum and a maximum of rho and of p, so +inf
+# fails as NaN does.  A change that moves a figure updates it here and says why.
+_CENSUS = {"_sweep_block": (154, 319.06), "_cfl_slab": (42, 72.06), "_advect": (36, 31.0),
            "_transpose_slab": (8, 8.0), "_inverse_transpose_slab": (8, 8.0)}
 _LIMITER_CALLS = {"_sweep_block": 2, "_advect": 1}
 
@@ -618,64 +601,12 @@ def test_sweep_mirror_symmetry(params):
     assert np.allclose(mirror.e, state.e[:, :, ::-1], rtol=1e-12, atol=1e-13)
 
 
-def _textbook_sweep(state, dt, params):
-    """fluid_sweep over the whole grid, written apart from its kernels: the new u[:5].
-
-    The scheme in its textbook form: movers w+- = (F +- c u) / 2, the Van
-    Leer slope 2 dl dr / (dl + dr) by np.where, half of it added to each
-    mover, a half step of lam / 2 and the textbook fast speed; neighbours by
-    np.roll along the fastest axis, with no blocks, arena or pool.  Each
-    value takes the operations, in the order, that the kernels document;
-    the kernels differ from this form only by exact powers of two (the
-    split's 1/2, the fast speed's half form), so the result is bitwise
-    fluid_sweep's.  The state is not changed.
-    """
-    g, lam = params.gamma, dt / state.shape.dx
-    b = state.u[5:]
-    bc = np.stack([0.5 * (b[a] + np.roll(b[a], -1, axis=2 - a)) for a in range(3)])
-    sq1 = bc[0] * bc[0]
-    total = (sq1 + bc[1] * bc[1]) + bc[2] * bc[2]
-    pm = 0.5 * total
-
-    def right(x, k):  # x at the cell k places further along the axis
-        return np.roll(x, -k, axis=-1)
-
-    def full_vanleer(dl, dr):
-        prod = dl * dr
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(prod > 0, 2.0 * prod / (dl + dr), prod * 0)
-
-    def flux(u, order):  # F[i], through the interface between cells i and i + 1
-        rho, m, e = u[0], u[1:4], u[4]
-        v = m / rho
-        p = textbook_pressure(rho, m, e, pm, g)
-        c = np.max(np.abs(v[0]) + textbook_fast_speed(rho, p, sq1, total, g), axis=-1,
-                   keepdims=True)
-        pstar = p + pm
-        f = np.stack([m[0], m[0] * v[0] + pstar - bc[0] * bc[0], m[1] * v[0] - bc[0] * bc[1],
-                      m[2] * v[0] - bc[0] * bc[2],
-                      (e + pstar) * v[0] - bc[0] * ((bc[0] * v[0] + bc[1] * v[1]) + bc[2] * v[2])])
-        wp, wm = 0.5 * (f + c * u), 0.5 * (c * u - f)
-        if order == 2:
-            dp, dm = wp - right(wp, -1), wm - right(wm, 1)
-            wp = wp + 0.5 * full_vanleer(dp, right(dp, 1))
-            wm = wm + 0.5 * full_vanleer(dm, right(dm, -1))
-        return wp - right(wm, 1)
-
-    def change(fx):
-        return fx - right(fx, -1)
-
-    u = state.u[:5]
-    half = u - (0.5 * lam) * change(flux(u, 1))
-    return u - lam * change(flux(half, 2))
-
-
 @settings(max_examples=60, deadline=None)
 @given(dims=st.tuples(*[st.sampled_from([8, 12, 16, 20, 24])] * 3),
        precision=st.sampled_from(["single", "double"]), workers=st.sampled_from([1, 2]),
        turns=st.sampled_from([0, 1, 2]), row_blocks=st.booleans(), seed=st.integers(0, 99),
        dt=st.floats(0.01, 0.4))
-def test_fluid_sweep_is_bitwise_the_textbook_sweep(dims, precision, workers, turns, row_blocks,
+def test_fluid_sweep_is_bitwise_thetextbook_sweep(dims, precision, workers, turns, row_blocks,
                                                   seed, dt):
     params = SchemeParams(precision=precision)
     with pytest.MonkeyPatch.context() as patch:
@@ -686,7 +617,7 @@ def test_fluid_sweep_is_bitwise_the_textbook_sweep(dims, precision, workers, tur
         state = random_state(GridShape(*dims), params, seed=seed)
         for _ in range(turns):
             transpose(state, workers=workers)
-        want = _textbook_sweep(state, dt, params)
+        want = textbook_sweep(state, dt, params)
         field = state.u[5:].tobytes()
         fluid_sweep(state, dt, params, workers)
     assert state.u[:5].tobytes() == want.tobytes()
@@ -756,18 +687,48 @@ def test_cfl_non_finite_signal_speed(params):
             cfl_timestep(state, params32)
 
 
-def test_sweep_infinite_pressure_names_the_cell_of_its_signal_speed(params):
-    # p = +inf passes p >= 0; the row's infinite freezing speed then turned
-    # the whole row to NaN, and the half step's check named its first cell.
-    state = init_condition("uniform", GridShape(16, 8, 8), params)
-    state.e[3, 2, 9] = np.inf
-    for call, where in ((fluid_sweep, "in the x sweep"),
-                        (cfl_timestep, r"in the cfl timestep \(x fastest\)")):
-        args = (state, 0.1, params) if call is fluid_sweep else (state, params)
-        with pytest.raises(PositivityError, match=rf"^non-finite signal speed at cell "
-                                                  rf"\(9, 2, 3\) {where}, cycle 0$"):
-            with np.errstate(invalid="ignore"):
-                call(*args)
+def test_sweep_non_finite_signal_speed_names_the_cell(params):
+    # As test_cfl_non_finite_signal_speed, in the first stage of the sweep:
+    # the row's infinite freezing speed would turn the whole row to NaN.
+    params32 = SchemeParams(precision="single")
+    state = init_condition("uniform", GridShape(16, 8, 8), params32)
+    state.rho[3, 2, 9] = np.float32(1e-45)
+    state.mom1[3, 2, 9] = 1e-6
+    state.e[3, 2, 9] = 1e34
+    with pytest.raises(PositivityError, match=r"^non-finite signal speed at cell \(9, 2, 3\) "
+                                              r"in the x sweep, cycle 0$"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            fluid_sweep(state, 0.1, params32)
+
+
+@pytest.mark.parametrize("precision", ["single", "double"])
+@pytest.mark.parametrize("name, kind", [("rho", "density"), ("e", "pressure")])
+def test_an_infinite_density_or_energy_is_non_finite(precision, name, kind):
+    # +inf once passed rho > 0 and p >= 0: an infinite density gave a finite
+    # dt, an infinite energy an infinite fast speed, and each raised numpy
+    # warnings in the sweep before a check named the cell.  Any warning fails
+    # this test.
+    params = SchemeParams(precision=precision)
+    for call, where in ((step_cycle, r"in the cfl timestep \(x fastest\)"),
+                        (lambda s, p: fluid_sweep(s, 0.1, p), "in the x sweep")):
+        state = init_condition("uniform", GridShape(16, 16, 16), params, v=(0.5, 0.0, 0.0))
+        getattr(state, name)[3, 2, 9] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PositivityError, match=rf"^non-finite {kind} at cell "
+                                                      rf"\(9, 2, 3\) {where}, cycle 0$"):
+                call(state, params)
+
+
+def test_check_positive_fails_plus_infinity_as_non_finite():
+    shape = GridShape(8, 8, 8)
+    ones, inf = np.ones((8, 8, 8)), np.ones((8, 8, 8))
+    inf[1, 2, 3] = np.inf
+    with pytest.raises(PositivityError, match=r"^non-finite density at cell \(3, 2, 1\)$"):
+        check_positive(inf, None, shape)
+    with pytest.raises(PositivityError, match=r"^non-finite pressure at cell \(3, 2, 1\)$"):
+        check_positive(ones, inf, shape)
+    check_positive(ones, np.zeros((8, 8, 8)), shape)
 
 
 def test_magnetic_entry_check_names_non_finite_density(params):

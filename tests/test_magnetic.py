@@ -4,7 +4,7 @@ import pytest
 from tvdmhd import (GridShape, SchemeParams, discrete_divergence, fluid_sweep,
                     init_condition, magnetic_sweep)
 
-from conftest import copy_state, random_state, where_limit
+from conftest import copy_state, random_state, sequential_magnetic_sweep
 
 
 # --- magnetic_sweep ----------------------------------------------------------
@@ -68,37 +68,6 @@ def test_face_sums_conserved(params):
         assert getattr(state, f"b{i}").sum() == pytest.approx(ref, rel=0, abs=1e-12)
 
 
-def _reference_sequential_sweep(state, dt, params):
-    """Independent row-by-row odd-then-even reimplementation of the update."""
-    lam = dt / state.shape.dx
-    v1 = state.mom1 / state.rho
-    n3, n2, _ = state.shape.array_shape
-
-    def edge_flux(b, ve):
-        d = b - np.roll(b, 1, axis=-1)
-        nu = np.abs(ve) * lam
-        # where_limit, the limiter's np.where reference, gives half the Van Leer slope.
-        up = np.roll(b, 1, axis=-1) + (1 - nu) * where_limit(np.roll(d, 1, axis=-1), d)
-        dn = b - (1 - nu) * where_limit(d, np.roll(d, -1, axis=-1))
-        return ve * np.where(ve > 0, up, dn)
-
-    for j in list(range(1, n2, 2)) + list(range(0, n2, 2)):
-        vf = 0.5 * (v1[:, j - 1, :] + v1[:, j, :])
-        ve = 0.5 * (vf + np.roll(vf, 1, axis=-1))
-        phi = edge_flux(state.b2[:, j, :], ve)
-        state.b2[:, j, :] -= lam * (np.roll(phi, -1, axis=-1) - phi)
-        state.b1[:, j, :] -= lam * phi
-        state.b1[:, j - 1, :] += lam * phi
-    for k in list(range(1, n3, 2)) + list(range(0, n3, 2)):
-        vf = 0.5 * (v1[k - 1] + v1[k])
-        ve = 0.5 * (vf + np.roll(vf, 1, axis=-1))
-        phi = edge_flux(state.b3[k], ve)
-        state.b3[k] -= lam * (np.roll(phi, -1, axis=-1) - phi)
-        state.b1[k] -= lam * phi
-        state.b1[k - 1] += lam * phi
-    return state
-
-
 @pytest.mark.parametrize("dims, precision, workers", [
     pytest.param((16, 12, 8), "double", 1, id="1"),
     pytest.param((16, 12, 8), "double", 2, id="2"),
@@ -116,7 +85,7 @@ def _reference_sequential_sweep(state, dt, params):
 def test_sequential_equivalence(dims, precision, workers):
     params = SchemeParams(precision=precision)
     state = random_state(GridShape(*dims), params, seed=4)
-    ref = _reference_sequential_sweep(copy_state(state), 0.07, params)
+    ref = sequential_magnetic_sweep(copy_state(state), 0.07, params)
     magnetic_sweep(state, 0.07, params, workers=workers)
     for i in (1, 2, 3):
         assert (getattr(state, f"b{i}") == getattr(ref, f"b{i}")).all()

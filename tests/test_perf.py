@@ -57,6 +57,12 @@ def test_bytes_per_step_double_small():
     assert est.canonical_read_bytes is None
 
 
+def test_bytes_per_step_refuses_an_unknown_precision():
+    # The real width is SchemeParams'; an unknown precision once counted as 8 bytes.
+    with pytest.raises(ValueError, match="precision must be 'single' or 'double', got 'half'"):
+        bytes_per_step((16, 16, 16), "half")
+
+
 @given(n=st.sampled_from([8, 16, 24, 32, 64]))
 def test_model_totals_scale_linearly_in_cells(n):
     unit = flops_per_step((8, 8, 8)).model_flops / 512

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tvdmhd import (GridShape, SchemeParams, cfl_timestep, fluid, fluid_sweep, init_condition,
-                    magnetic, magnetic_sweep, parallel, step_cycle)
+                    magnetic, magnetic_sweep, parallel, run, step_cycle)
 
 
 def test_scratch_carves_aligned_disjoint_views_from_one_buffer():
@@ -136,12 +136,6 @@ def test_a_warmed_kernel_allocates_nothing(warmed, kernel, bound):
     assert peak < bound << 10, f"{kernel} traced a {peak >> 10} KiB peak"
 
 
-def _minor_faults(pid) -> int:
-    with open(f"/proc/{pid}/stat") as f:
-        # The fields after the parenthesised command name start at `state`.
-        return int(f.read().rsplit(")", 1)[1].split()[7])
-
-
 @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs Linux /proc")
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_cycle_takes_no_page_faults(workers):
@@ -149,11 +143,7 @@ def test_a_cycle_takes_no_page_faults(workers):
     # raised the allocator's thresholds, so per-cycle temporaries would fault.
     params = SchemeParams(precision="single")
     state = init_condition("solenoidal_random", GridShape(32, 32, 32), params, seed=0)
-    step_cycle(state, params, workers)
-    pool = parallel._Pool.current
-    pids = ["self"] + ([w.pid for w in pool.workers] if workers > 1 else [])
-    for _ in range(2):
-        before = [_minor_faults(pid) for pid in pids]
-        step_cycle(state, params, workers)
-        faults = [_minor_faults(pid) - b for pid, b in zip(pids, before)]
-        assert max(faults) <= 100, dict(zip(pids, faults))
+    _, reports = run(state, params, n_cycles=3, workers=workers)
+    for report in reports[1:]:  # after a warm-up cycle
+        assert len(report.faults) >= (2 if workers > 1 else 1), report.faults
+        assert max(report.faults.values()) <= 100, report.faults

@@ -2,7 +2,7 @@
 
 import importlib.util
 import json
-import os
+import re
 import shutil
 import subprocess
 import sys
@@ -37,23 +37,13 @@ def test_orszag_tang_demo_writes_a_slice_per_stride(tmp_path):
         "ot_cycle0.tsv", "ot_cycle1.tsv", "ot_cycle2.tsv"]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_cycle_faults_prints_a_line_per_cycle(workers):
-    lines = _run("cycle_faults.py", "--size", "16", "--workers", str(workers),
-                 "--cycles", "2").splitlines()
-    assert len(lines) == 2
-    for cycle, line in enumerate(lines, start=1):
-        fields = dict(token.split("=") for token in line.split())
-        assert list(fields) == ["cycle", "wall_ms", "cfl_ms", "fluid_ms", "magnetic_ms",
-                                "transpose_ms", "minflt_self", "minflt_workers"]
-        assert fields["cycle"] == str(cycle)
-        assert int(fields["minflt_self"]) >= 0
-        if workers == 1:  # no pool is forked
-            assert fields["minflt_workers"] == "-"
-        else:  # one worker per slab, at most one per CPU the process may run on
-            counts = [int(c) for c in fields["minflt_workers"].split(",")]
-            assert len(counts) == min(workers, len(os.sched_getaffinity(0)))
-            assert min(counts) >= 0
+def test_the_readme_layout_names_every_script():
+    # The Layout's scripts/ entry runs up to the tests/ entry.
+    readme = (SCRIPTS.parent / "README.md").read_text()
+    entry = readme.split("\n## Layout\n", 1)[1].split("\n    scripts/", 1)[1]
+    entry = entry.split("\n    tests/", 1)[0]
+    named = re.findall(r"\b[\w.]+\.py\b", entry)
+    assert sorted(named) == sorted(p.name for p in SCRIPTS.iterdir() if p.is_file())
 
 
 def _load_script(name):

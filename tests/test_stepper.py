@@ -9,7 +9,7 @@ import pytest
 from tvdmhd import (GridShape, SchemeParams, discrete_divergence, fluid, grid,
                     init_condition, magnetic, run, step_cycle, stepper, totals, transpose)
 
-from conftest import copy_state, state_bytes
+from conftest import copy_state, random_state, state_bytes, textbook_cycle
 
 
 def _recorded_cycle(monkeypatch, params, kind, **options):
@@ -60,6 +60,21 @@ def test_cycle_calls_sweeps_and_transposes_in_order(params, monkeypatch):
         ("fluid", "x", None), ("magnetic", "x", None),
     ]
     assert report.dt > 0 and report.wall_ms > 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("precision", ["single", "double"])
+@pytest.mark.parametrize("dims", [(16, 12, 8), (8, 20, 12), (12, 8, 24)], ids=str)
+def test_step_cycle_is_bitwise_the_textbook_cycle(dims, precision, workers):
+    # Unequal extents, so a leg run on the wrong axis or a momentum or face
+    # relabeled wrongly in a transpose changes the bytes.
+    params = SchemeParams(precision=precision)
+    state = random_state(GridShape(*dims), params, seed=sum(dims))
+    want = textbook_cycle(state, params)
+    report = step_cycle(state, params, workers)
+    assert state.shape == want.shape and (state.time, state.cycle) == (want.time, want.cycle)
+    assert 2.0 * report.dt == want.time
+    assert state.u.tobytes() == want.u.tobytes()
 
 
 def test_uniform_static_state_unchanged_bitwise(params):
