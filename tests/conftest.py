@@ -188,7 +188,7 @@ def textbook_sweep(state, dt, params):
 
 
 def sequential_magnetic_sweep(state, dt, params):
-    """Independent row-by-row odd-then-even reimplementation of the update."""
+    """magnetic_sweep as an independent row-by-row odd-then-even loop; updates `state` in place."""
     lam = dt / state.shape.dx
     v1 = state.mom1 / state.rho
     n3, n2, _ = state.shape.array_shape

@@ -606,7 +606,7 @@ def test_sweep_mirror_symmetry(params):
        precision=st.sampled_from(["single", "double"]), workers=st.sampled_from([1, 2]),
        turns=st.sampled_from([0, 1, 2]), row_blocks=st.booleans(), seed=st.integers(0, 99),
        dt=st.floats(0.01, 0.4))
-def test_fluid_sweep_is_bitwise_thetextbook_sweep(dims, precision, workers, turns, row_blocks,
+def test_fluid_sweep_is_bitwise_the_textbook_sweep(dims, precision, workers, turns, row_blocks,
                                                   seed, dt):
     params = SchemeParams(precision=precision)
     with pytest.MonkeyPatch.context() as patch:
