@@ -235,7 +235,8 @@ def slice_command(args, out=sys.stdout) -> int:
     """Slice a snapshot or a built start state, with gamma from the same config and flags."""
     if args.snapshot and (args.size is not None or args.ic is not None):
         raise ConfigError("--size and --ic build a start state; a --snapshot slice takes neither")
-    cfg = load_config(args.config, {"size": args.size, "ic": args.ic, "gamma": args.gamma})
+    cfg = load_config(args.config, {"size": args.size, "ic": args.ic, "gamma": args.gamma,
+                                    "workers": 1})  # no sweep runs: TVDMHD_WORKERS is not read
     params = cfg.params()  # refuses a bad gamma on both paths, before any output
     if args.snapshot:
         state = read_snapshot(args.snapshot)

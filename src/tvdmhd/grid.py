@@ -23,7 +23,7 @@ shared mapping, which the worker processes of `parallel` write in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator
 
@@ -145,9 +145,9 @@ class ConservedState:
 
 
 def allocate_state(shape: GridShape, params: SchemeParams) -> ConservedState:
-    """Zero-initialized state in canonical (x, y, z) orientation."""
+    """Zeroed state of a canonical (x, y, z) shape; another orientation raises ValueError."""
     if tuple(shape.orientation) != CANONICAL:
-        shape = replace(shape, orientation=CANONICAL)
+        raise ValueError(f"allocate_state requires canonical orientation, got {shape.orientation}")
     return ConservedState.zeros(shape, params.dtype)
 
 

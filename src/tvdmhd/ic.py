@@ -108,23 +108,22 @@ def _curl_faces(shape: GridShape, faces: np.ndarray, potential) -> None:
     The faces are exactly divergence-free.  `potential(k0, k1)` gives
     (a1, a2, a3) on the planes [k0, k1), each broadcasting over them.  The
     faces of slab [k0, k1) need the potential on planes k0..k1, where plane
-    n3 is plane 0 (periodic).  Each plane is evaluated once: the plane a slab
-    shares with the next, and plane 0, are carried over.
+    n3 is plane 0 (periodic).  Each plane is evaluated once: plane 0 before
+    the first slab, then planes k0 + 1 .. k1 of each slab, whose plane k0 is
+    carried over from the slab before; the last slab ends on plane 0 again.
     """
     n3, n2, n1 = shape.array_shape
     dx = shape.dx
-    head = tail = None  # copies of the potential on plane 0 and on the shared plane k0
+
+    def planes(lo, hi):
+        return [np.broadcast_to(a, (hi - lo, n2, n1)) for a in potential(lo, hi)]
+    head = carry = [a.copy() for a in planes(0, 1)]  # plane 0, then the shared plane k0
     for k0, k1 in chunks(0, n3, 8 * n1 * n2, _SLAB_BYTES):
-        lo, hi = (k0 if tail is None else k0 + 1), min(k1 + 1, n3)
-        parts = [[np.broadcast_to(a, (hi - lo, n2, n1)) for a in potential(lo, hi)]]
-        if tail is None:
-            head = [a[:1].copy() for a in parts[0]]
-        else:
-            parts.insert(0, tail)
+        parts = [carry, planes(k0 + 1, min(k1 + 1, n3))]
         if k1 == n3:
             parts.append(head)
-        a1, a2, a3 = (np.concatenate(planes) for planes in zip(*parts))
-        tail = [a[-1:].copy() for a in (a1, a2, a3)]
+        a1, a2, a3 = (np.concatenate(a) for a in zip(*parts))
+        carry = [a[-1:].copy() for a in (a1, a2, a3)]
         del parts
         l1, l2, l3 = (a[:-1] for a in (a1, a2, a3))  # planes k0 .. k1 - 1
         faces[0, k0:k1] = (np.roll(l3, -1, axis=1) - l3 - a2[1:] + l2) / dx

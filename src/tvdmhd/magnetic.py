@@ -19,10 +19,11 @@ rows).  The workspace of a chunk of a given shape is carved once per process
 and cached (`_Chunk`).
 
 Invariant: a chunk spans the whole coupling axis (j for b2, k for b3), so the
-b1 faces it writes are its own; b2 runs on k slabs and b3 on j columns.  The
-b1 pieces are applied in strided parity passes, in the order of a sequential
-odd-rows-then-even-rows loop, so results are bitwise equal to that loop for
-any worker count and chunk size.
+b1 faces it writes are its own; b2 runs on k slabs and b3 on j columns, each
+a view of the block with the coupling axis first.  The b1 pieces are applied
+in strided parity passes, in the order of a sequential odd-rows-then-even-rows
+loop, so results are bitwise equal to that loop for any worker count and
+chunk size.
 """
 
 from __future__ import annotations
@@ -106,20 +107,20 @@ def _edge_flux(ws: _Chunk, lam4) -> np.ndarray:
     return np.multiply(ve, dn, out=dn)
 
 
-def _advect(b, b1, rho, mom1, lam, axis):
-    # Advect the face field b of one chunk along i with v1 = mom1 / rho; the
-    # edge flux on row n (the lower face of row n along `axis`) is taken from
-    # b1 row n and given to b1 row n - 1.  The chunk must span the whole of
-    # `axis`, whose length is even.  The workspace is a _Chunk.  Velocities are
-    # kept as sums, 2 v and 4 ve, so the flux is 4 phi and lam enters as lam / 4.
+def _advect(b, b1, rho, mom1, lam):
+    # Advect the face field b of one chunk (a, o, n) along i with v1 = mom1 /
+    # rho.  The first axis is the coupling axis: the edge flux on row n (the
+    # lower face of row n along it) is taken from b1 row n and given to b1 row
+    # n - 1.  The chunk must span the whole coupling axis, whose length is
+    # even.  The workspace is a _Chunk.  Velocities are kept as sums, 2 v and
+    # 4 ve, so the flux is 4 phi and lam enters as lam / 4.
     # tests/test_fluid.py pins its numpy calls and output elements per cell.
-    b, b1, rho, mom1 = (np.moveaxis(x, axis, 0) for x in (b, b1, rho, mom1))
     ws = workspace(_Chunk, *b.shape, b.dtype)
     r0, r1, r2 = ws.r[:3]
     s, lam4 = ws.slab, 0.25 * lam
     np.divide(mom1, rho, out=ws.cells)
     fluid._fill_ghosts(ws.ghosts)
-    # 2 v on the lower face along `axis`, from the row before it (the last for the first).
+    # 2 v on the lower coupling-axis face, from the row before it (the last for the first).
     np.add(r0[-s:], r0[:s], out=r1[:s])
     np.add(r0[:-s], r0[s:], out=r1[s:])
     np.add(r1[2:], r1[1:-1], out=r2[:-2])  # and 4 ve on the lower-i edge of that face
@@ -143,9 +144,9 @@ def _b2_slab(u, lam, where, shape, _i, lo, hi):
     # Slab kernel: k planes [lo, hi), with the density checked before v1 = mom1 / rho.
     _, _, n2, n1 = u.shape
     for k0, k1 in chunks(lo, hi, n2 * n1 * u.itemsize, _CHUNK_BYTES):
-        rho = u[0, k0:k1]
-        fluid.check_positive(rho, None, shape, where, k0 * n2)
-        _advect(u[6, k0:k1], u[5, k0:k1], rho, u[1, k0:k1], lam, axis=1)
+        fluid.check_positive(u[0, k0:k1], None, shape, where, k0 * n2)
+        c = u[:, k0:k1].swapaxes(1, 2)  # (8, j, k, i): the coupling axis j first
+        _advect(c[6], c[5], c[0], c[1], lam)
 
 
 def _b3_slab(u, lam, _i, lo, hi):
@@ -153,8 +154,8 @@ def _b3_slab(u, lam, _i, lo, hi):
     # checked the density of every plane.
     _, n3, _, n1 = u.shape
     for j0, j1 in chunks(lo, hi, n3 * n1 * u.itemsize, _CHUNK_BYTES):
-        s = (slice(None), slice(j0, j1))
-        _advect(u[7][s], u[5][s], u[0][s], u[1][s], lam, axis=0)
+        c = u[:, :, j0:j1]  # (8, k, j, i): the coupling axis k is first
+        _advect(c[7], c[5], c[0], c[1], lam)
 
 
 def magnetic_sweep(state: ConservedState, dt: float, params: SchemeParams,

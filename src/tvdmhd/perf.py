@@ -14,6 +14,7 @@ The module also reads the ``key = value`` text of run configs and machine files.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, fields
 from importlib import resources
@@ -70,10 +71,12 @@ class MachineSpec:
     reference_runtime_ms_128: float | None = None
 
     def __post_init__(self):
-        for name in ("peak_gflops", "peak_gbps"):
+        for name in ("peak_gflops", "peak_gbps", "reference_runtime_ms_128"):
             v = getattr(self, name)
             if v is not None and not v > 0:
                 raise ValueError(f"{name} must be positive, got {v}")
+            if v == math.inf:
+                raise ValueError(f"{name} must be finite, got {v}")
 
 
 def _box(shape) -> tuple[int, bool]:

@@ -119,12 +119,7 @@ def slice_export(state: ConservedState, plane: tuple[str, int], path: str | Path
     # The in-plane field components, fastest first: bc[r] lies along orientation[r].
     names, values = zip(*[(f"b_{a}", b[take]) for a, b in zip(shape.orientation, bc)
                           if a != axis])
-    plane_2d = entropy[take]
-
-    rows, cols = plane_2d.shape
-    with open(path, "w") as fh:
-        fh.write("# i\tj\tentropy\t" + "\t".join(names) + "\n")
-        for a in range(rows):
-            for b in range(cols):
-                fh.write(f"{b}\t{a}\t{plane_2d[a, b]:.17g}\t"
-                         f"{values[0][a, b]:.17g}\t{values[1][a, b]:.17g}\n")
+    j, i = np.indices(entropy[take].shape)
+    table = np.stack([i, j, entropy[take], *values], axis=-1).reshape(-1, 5)
+    np.savetxt(path, table, fmt=["%d", "%d"] + ["%.17g"] * 3, delimiter="\t",
+               header="i\tj\tentropy\t" + "\t".join(names))

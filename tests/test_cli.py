@@ -262,7 +262,16 @@ def test_bench_host_row_is_written_like_every_machine(tmp_path, monkeypatch):
      "baseline 'x86(1)' has no reference runtime"),
     ("label = x86(1)\npeak_gflops =\npeak_gbps = 19.2\nreference_runtime_ms_128 = 8770\n",
      "baseline 'x86(1)' is missing peak figures"),
-], ids=["no_baseline", "bad_value", "no_baseline_runtime", "no_baseline_peak"])
+    ("label = x86(1)\npeak_gflops = 17\npeak_gbps = 19.2\nreference_runtime_ms_128 = 0\n",
+     "line 1: reference_runtime_ms_128 must be positive, got 0.0"),
+    ("label = x86(1)\npeak_gflops = 17\npeak_gbps = 19.2\nreference_runtime_ms_128 = 8770\n\n"
+     "label = x\npeak_gflops = 1\npeak_gbps = 1\nreference_runtime_ms_128 = nan\n",
+     "line 6: reference_runtime_ms_128 must be positive, got nan"),
+    ("label = x86(1)\npeak_gflops = 17\npeak_gbps = 19.2\nreference_runtime_ms_128 = 8770\n\n"
+     "label = x\npeak_gflops = inf\npeak_gbps = 1\nreference_runtime_ms_128 = 1\n",
+     "line 6: peak_gflops must be finite, got inf"),
+], ids=["no_baseline", "bad_value", "no_baseline_runtime", "no_baseline_peak",
+        "zero_baseline_runtime", "nan_runtime", "inf_peak"])
 def test_main_bench_rejects_a_bad_machines_file_before_timing(text, message, tmp_path,
                                                               monkeypatch, capsys):
     def no_timing(*args):
@@ -450,6 +459,13 @@ def test_slice_of_a_built_state_takes_gamma_from_the_flag_then_the_config(tmp_pa
     assert entropy["flag-3"] == entropy["flag-over-config"] == pytest.approx(0.1 / 0.125 ** 3)
     assert entropy["config-1.4"] == pytest.approx(0.1 / 0.125 ** 1.4)
     assert entropy["default"] == pytest.approx(0.1 / 0.125 ** (5 / 3))
+
+
+def test_slice_does_not_read_the_worker_count(tmp_path, monkeypatch):
+    monkeypatch.setenv(cli.ENV_WORKERS, "abc")
+    out = tmp_path / "x.tsv"
+    assert cli.main(["slice", "--ic", "uniform", "--size", "8", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 8 * 8
 
 
 def test_slice_of_a_snapshot_takes_gamma_from_the_config(tmp_path):

@@ -355,12 +355,14 @@ def test_the_kernels_numpy_census(monkeypatch, limiter_calls, kernel):
     ws, u5, row0 = next(fluid._rows(u, 0, shape.n3))
     assert u5[0].size == 384 * 32 == 12 * shape.n2 * shape.n1
     out = state.spare.reshape(u.shape)  # a cube's transposes keep its shape
+    chunk = u.swapaxes(1, 2)  # b2's chunk of the whole grid, the coupling axis j first
     call, cells = {
         "_sweep_block": (lambda: fluid._sweep_block(u, ws, u5, lam, params.gamma, ("",) * 3,
                                                     shape, row0), u5[0].size),
         "_cfl_slab": (lambda: fluid._cfl_slab(u, np.zeros(1), params.gamma, "", shape, 0, 0, 12),
                       u5[0].size),
-        "_advect": (lambda: magnetic._advect(u[6], u[5], u[0], u[1], lam, axis=1), shape.cells),
+        "_advect": (lambda: magnetic._advect(chunk[6], chunk[5], chunk[0], chunk[1], lam),
+                    shape.cells),
         "_transpose_slab": (lambda: grid._transpose_slab(u, out, 1, 0, 0, shape.n3), shape.cells),
         "_inverse_transpose_slab": (lambda: grid._transpose_slab(u, out, 2, 0, 0, shape.n3),
                                     shape.cells),

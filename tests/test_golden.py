@@ -159,3 +159,12 @@ def test_initial_condition_digest_with_one_plane_slabs(monkeypatch, kind, dims, 
                                                        options, digest):
     monkeypatch.setattr(ic, "_SLAB_BYTES", 1)
     assert _ic_digest(kind, dims, precision, options) == digest
+
+
+@pytest.mark.parametrize("kind, dims, precision, options, digest", IC_GOLDEN, ids=IC_IDS)
+def test_initial_condition_digest_with_three_plane_slabs(monkeypatch, kind, dims, precision,
+                                                         options, digest):
+    # 40x36x52 ends on a one-plane slab after 17 of three planes: the curl's
+    # carried plane meets an empty evaluation, potential(52, 52).
+    monkeypatch.setattr(ic, "_SLAB_BYTES", 3 * 8 * dims[0] * dims[1])
+    assert _ic_digest(kind, dims, precision, options) == digest

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tvdmhd import (GridShape, SchemeParams, allocate_state, discrete_divergence,
-                    face_to_center, step_cycle, totals, transpose)
+                    face_to_center, init_condition, step_cycle, totals, transpose)
 from tvdmhd import grid
 from tvdmhd.grid import COMPONENT_NAMES, row_centers
 
@@ -33,6 +33,16 @@ def test_allocate_rejects_non_multiple_of_4(params):
 def test_allocate_rejects_small_dimension(params):
     with pytest.raises(ValueError, match="below minimum 8"):
         allocate_state(GridShape(4, 16, 16), params)
+
+
+@pytest.mark.parametrize("orientation", [("y", "z", "x"), ("z", "x", "y")])
+def test_allocate_and_init_refuse_a_shape_they_would_relabel(params, orientation):
+    shape = GridShape(16, 8, 12, orientation=orientation)
+    message = re.escape(f"allocate_state requires canonical orientation, got {orientation}")
+    with pytest.raises(ValueError, match=message):
+        allocate_state(shape, params)
+    with pytest.raises(ValueError, match=message):
+        init_condition("uniform", shape, params)
 
 
 @pytest.mark.parametrize("dx", [0.0, -1.0, math.inf, math.nan])

@@ -402,6 +402,41 @@ def test_slice_orszag_tang_matches_analytic_entropy(tmp_path, params):
         assert float(parts[2]) == pytest.approx(expect, rel=1e-10)
 
 
+def _slice_cell_by_cell(state, plane, path, gamma):
+    """The reference slice writer: one formatted line per cell of the plane."""
+    axis, index = plane
+    shape = state.shape
+    bc = face_to_center(state)
+    p = fluid.gas_pressure(state.rho, state.mom1, state.mom2, state.mom3, state.e, *bc, gamma)
+    entropy = p / state.rho ** gamma
+    take = [slice(None)] * 3
+    take[shape.array_axis(axis)] = index
+    take = tuple(take)
+    names, values = zip(*[(f"b_{a}", b[take]) for a, b in zip(shape.orientation, bc)
+                          if a != axis])
+    with open(path, "w") as fh:
+        fh.write("# i\tj\tentropy\t" + "\t".join(names) + "\n")
+        for j in range(entropy[take].shape[0]):
+            for i in range(entropy[take].shape[1]):
+                fh.write(f"{i}\t{j}\t{entropy[take][j, i]:.17g}\t"
+                         f"{values[0][j, i]:.17g}\t{values[1][j, i]:.17g}\n")
+
+
+@pytest.mark.parametrize("transposed", [False, True], ids=["canonical", "transposed"])
+@pytest.mark.parametrize("precision", ["single", "double"])
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+def test_slice_bytes_match_a_cell_by_cell_writer(tmp_path, axis, precision, transposed):
+    params = SchemeParams(precision=precision)
+    state = random_state(GridShape(16, 12, 8), params, seed=3)
+    if transposed:
+        transpose(state)  # orientation (y, z, x)
+    for index in (0, 5):
+        got, want = tmp_path / f"got{index}.tsv", tmp_path / f"want{index}.tsv"
+        slice_export(state, (axis, index), got, gamma=params.gamma)
+        _slice_cell_by_cell(state, (axis, index), want, params.gamma)
+        assert got.read_bytes() == want.read_bytes()
+
+
 def test_slice_index_out_of_range(tmp_path, params):
     state = init_condition("uniform", GridShape(16, 12, 8), params)
     with pytest.raises(ValueError, match="out of range"):

@@ -1,3 +1,4 @@
+import math
 
 import pytest
 from hypothesis import given
@@ -134,6 +135,18 @@ def test_criteria_requires_baseline_runtime():
 def test_machine_spec_rejects_non_positive_peaks():
     with pytest.raises(ValueError, match="peak_gflops"):
         MachineSpec("bad", peak_gflops=0.0, peak_gbps=1.0)
+
+
+@pytest.mark.parametrize("name", ["peak_gflops", "peak_gbps", "reference_runtime_ms_128"])
+@pytest.mark.parametrize("value, rule", [(0.0, "positive"), (-5.0, "positive"),
+                                         (math.nan, "positive"), (math.inf, "finite")],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_machine_spec_holds_peaks_and_runtime_positive_and_finite(name, value, rule):
+    with pytest.raises(ValueError, match=f"^{name} must be {rule}, got {value}$"):
+        MachineSpec("bad", **{name: value})
+    with pytest.raises(ValueError, match=f"^line 2: {name} must be {rule}, got {value}$"):
+        parse_machines(f"# c\nlabel = bad\n{name} = {value}\n")
+    assert parse_machines(f"label = w\nwatts = {value}\n")["w"].watts is not None  # opaque
 
 
 # --- machine-spec file format -----------------------------------------------
